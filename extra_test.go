@@ -203,3 +203,30 @@ func TestPartitionFacade(t *testing.T) {
 		t.Fatalf("call after heal: %v", err)
 	}
 }
+
+// TestMetricsSnapshotTables: a node's metrics snapshot reports the
+// at-most-once state its runtime and message layer hold.
+func TestMetricsSnapshotTables(t *testing.T) {
+	w := newWorld(t, 23)
+	server := w.node(WithMetrics())
+	if _, err := server.Export("tables", &counter{}); err != nil {
+		t.Fatal(err)
+	}
+	stub, err := w.node().Import(context.Background(), "tables")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const calls = 5
+	for i := 0; i < calls; i++ {
+		if _, err := stub.Call(context.Background(), 1, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Lower bounds: the binding agent called the member too
+	// (set_troupe_id). A call is buried before its reply is sent, so
+	// nothing is live once the last reply is in.
+	tab := server.Metrics().Snapshot().Tables
+	if tab.LiveCalls != 0 || tab.CallTombstones < calls || tab.CompletedRecords < calls {
+		t.Fatalf("tables = %+v after %d calls", tab, calls)
+	}
+}

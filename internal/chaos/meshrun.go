@@ -670,6 +670,14 @@ func runMesh(cfg Config) (*Result, error) {
 		Tolerance: 0.3,
 	})
 	res.Violations = append(res.Violations, check.Strings(conf)...)
+	nodes := []*circus.Node{binderNode, admin}
+	for _, sh := range shards {
+		nodes = append(append(nodes, sh.repair.node), sh.nodes...)
+	}
+	for _, c := range clients {
+		nodes = append(nodes, c.node)
+	}
+	res.Violations = append(res.Violations, tableCheck(nodes, rec.Events())...)
 	if mon != nil {
 		st := mon.Stats()
 		res.MonitorEvents = st.Events

@@ -664,6 +664,11 @@ func Run(cfg Config) (*Result, error) {
 		MinRTO:   2 * time.Millisecond,
 	})
 	res.Violations = append(res.Violations, check.Strings(conf)...)
+	nodes := append([]*circus.Node{binderNode, repairNode}, serverNodes...)
+	for _, c := range clients {
+		nodes = append(nodes, c.node)
+	}
+	res.Violations = append(res.Violations, tableCheck(nodes, rec.Events())...)
 	// The online monitor saw the same stream live; anything it caught
 	// is a breach too (at full sampling it subsumes the offline rules,
 	// reported here with its own prefix so drift is visible).
@@ -690,6 +695,35 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// tableCheck verifies that the at-most-once state stayed bounded: once
+// the campaign has quiesced no node holds a live call record, holds no
+// more tombstones than it started executions (each finished execution
+// leaves exactly one, for at most 1.5 CallRetention), and remembers no
+// more completed exchanges than messages were delivered to it.
+func tableCheck(nodes []*circus.Node, events []trace.Event) []string {
+	started := make(map[circus.Addr]int)
+	for _, e := range events {
+		if e.Kind == trace.KindCallStart {
+			started[e.Node]++
+		}
+	}
+	var v []string
+	for _, n := range nodes {
+		rt := n.Runtime()
+		ct, msgs := rt.CallTable(), rt.MessageStats()
+		switch {
+		case ct.Live != 0:
+			v = append(v, fmt.Sprintf("node %v: %d call records still live after quiescence", n.Addr(), ct.Live))
+		case ct.Tombstones > started[n.Addr()]:
+			v = append(v, fmt.Sprintf("node %v: %d call tombstones for %d executions", n.Addr(), ct.Tombstones, started[n.Addr()]))
+		case msgs.CompletedRecords > msgs.MessagesDelivered:
+			v = append(v, fmt.Sprintf("node %v: %d completed-exchange records for %d delivered messages",
+				n.Addr(), msgs.CompletedRecords, msgs.MessagesDelivered))
+		}
+	}
+	return v
 }
 
 // appCheck verifies the post-quiescence invariants: per-member

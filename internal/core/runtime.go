@@ -77,9 +77,10 @@ type Options struct {
 	// arrives; crashed client members would otherwise stall the call
 	// forever. Zero means 2 seconds.
 	ManyToOneTimeout time.Duration
-	// CallRetention is how long a completed execution's buffered
-	// return message is kept for late client troupe members (§4.3.4).
-	// Zero means 60 seconds.
+	// CallRetention is how long, at least, a completed execution's
+	// buffered return message is kept for late client troupe members
+	// (§4.3.4); it is dropped within 1.5 times that. It must cover the
+	// longest a client goes on retrying one call. Zero means 60 seconds.
 	CallRetention time.Duration
 	// DefaultCallTimeout bounds calls whose CallOptions.Timeout is
 	// zero, instead of letting them run unbounded and rely solely on
@@ -148,10 +149,14 @@ type Runtime struct {
 	pendMu  sync.Mutex
 	pending map[retKey]chan returnHeader // client calls awaiting returns
 
-	// callMu guards the server-side many-to-one collation table; the
-	// per-call state behind each entry has its own lock (serverCall.mu).
-	callMu sync.Mutex
-	calls  map[string]*serverCall
+	// callMu guards the server-side many-to-one collation table: calls
+	// holds a call while it collates and executes (the per-call state
+	// behind each entry has its own lock, serverCall.mu), tombs what is
+	// remembered of it afterwards, rotated by tombTimer.
+	callMu    sync.Mutex
+	calls     map[string]*serverCall
+	tombs     tombTable
+	tombTimer *time.Timer
 
 	// workers are the dispatch pool's per-worker queues, indexed by a
 	// hash of the sender address; nil in serial (DispatchWorkers < 0)
@@ -210,10 +215,39 @@ func NewRuntime(ep transport.Endpoint, opts Options) *Runtime {
 			go rt.dispatchLoop(ch)
 		}
 	}
-	rt.bg.Add(2)
+	rt.callMu.Lock()
+	rt.tombTimer = time.AfterFunc(rt.opts.CallRetention/2, rt.rotateTombs)
+	rt.callMu.Unlock()
+	rt.bg.Add(1)
 	go rt.recvLoop()
-	go rt.sweepLoop()
 	return rt
+}
+
+// rotateTombs expires the oldest generation of finished calls every
+// half CallRetention, so a buffered return message (§4.3.4) lives
+// between one and one and a half retention windows.
+func (rt *Runtime) rotateTombs() {
+	rt.callMu.Lock()
+	defer rt.callMu.Unlock()
+	rt.tombs.rotate()
+	select {
+	case <-rt.done:
+	default:
+		rt.tombTimer.Reset(rt.opts.CallRetention / 2)
+	}
+}
+
+// CallTableStats sizes the many-to-one collation table.
+type CallTableStats struct {
+	Live       int // calls still collating or executing
+	Tombstones int // finished calls whose return message is buffered
+}
+
+// CallTable reports how much at-most-once state the runtime holds.
+func (rt *Runtime) CallTable() CallTableStats {
+	rt.callMu.Lock()
+	defer rt.callMu.Unlock()
+	return CallTableStats{Live: len(rt.calls), Tombstones: rt.tombs.len()}
 }
 
 // workerQueueLen is the per-worker dispatch queue depth. The receive
@@ -283,13 +317,14 @@ func (rt *Runtime) Unexport(num uint16) {
 }
 
 // PlantedRebindBug, when true, makes SetTroupeID additionally discard
-// the runtime's many-to-one collation records — a deliberately wrong
-// "a rebind invalidates in-flight call state" change, kept behind this
-// flag as the known defect the schedule-exploration regression test
-// must rediscover. With a record gone, a replicated client member's
-// call message arriving after a rebind no longer collates with its
-// sibling's: the server executes the call a second time, breaking the
-// at-most-once guarantee of §4.3.2. Never set outside tests.
+// the runtime's many-to-one collation records, live and finished — a
+// deliberately wrong "a rebind invalidates in-flight call state"
+// change, kept behind this flag as the known defect the
+// schedule-exploration regression test must rediscover. With a record
+// gone, a replicated client member's call message arriving after a
+// rebind no longer collates with its sibling's: the server executes the
+// call a second time, breaking the at-most-once guarantee of §4.3.2.
+// Never set outside tests.
 var PlantedRebindBug = false
 
 // SetTroupeID records the current troupe ID of an exported module; the
@@ -301,6 +336,7 @@ func (rt *Runtime) SetTroupeID(module uint16, id TroupeID) {
 	if PlantedRebindBug {
 		rt.callMu.Lock()
 		rt.calls = make(map[string]*serverCall)
+		rt.tombs = tombTable{}
 		rt.callMu.Unlock()
 	}
 }
@@ -350,6 +386,7 @@ func (rt *Runtime) Close() error {
 	close(rt.done)
 	rt.cancel()
 	rt.mu.Unlock()
+	rt.tombTimer.Stop()
 	err := rt.conn.Close()
 	rt.bg.Wait()
 	return err
@@ -439,32 +476,6 @@ func (rt *Runtime) handleReturn(msg pairedmsg.Message, hdr *returnHeader) {
 	rt.pendMu.Unlock()
 	if ch != nil {
 		ch <- *hdr
-	}
-}
-
-// sweepLoop expires completed many-to-one call records (§4.3.4: the
-// server buffers return messages for slow client members, bounded by
-// the retention window).
-func (rt *Runtime) sweepLoop() {
-	defer rt.bg.Done()
-	ticker := time.NewTicker(rt.opts.CallRetention / 4)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-rt.done:
-			return
-		case now := <-ticker.C:
-			rt.callMu.Lock()
-			for k, sc := range rt.calls {
-				sc.mu.Lock()
-				expired := sc.finished && now.Sub(sc.finishedAt) > rt.opts.CallRetention
-				sc.mu.Unlock()
-				if expired {
-					delete(rt.calls, k)
-				}
-			}
-			rt.callMu.Unlock()
-		}
 	}
 }
 

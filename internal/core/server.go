@@ -35,14 +35,14 @@ type serverCall struct {
 	expected    int // number of client troupe members; 0 until resolved
 	started     bool
 	timer       *time.Timer // availability timeout; stopped when started flips
-	finished    bool
-	finishedAt  time.Time
-	result      []byte // encoded returnHeader, buffered for late callers
-	status      uint16 // status word of result, for tracing late replies
+	// finished, result and status serve only a handler that looked the
+	// record up just before finishAndReply replaced it with a tombstone.
+	finished bool
+	result   []byte // encoded returnHeader
+	status   uint16 // status word of result, for tracing late replies
 	// call is the ServerCall handed to the module's Dispatch, embedded
-	// here so execute need not heap-allocate one per call. The record
-	// outlives the dispatch (retained for CallRetention), so a module
-	// that stashes the pointer stays safe.
+	// here so execute need not heap-allocate one per call. The record is
+	// never pooled, so a module that stashes the pointer stays safe.
 	call ServerCall
 }
 
@@ -111,8 +111,13 @@ func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) {
 	var keyArr [64]byte
 	key := appendCallKey(keyArr[:0], tid, hdr.Path, hdr.Module)
 	rt.callMu.Lock()
-	sc, ok := rt.calls[string(key)] // no-alloc lookup (string-conversion fast path)
-	if !ok {
+	sc, live := rt.calls[string(key)] // no-alloc lookup (string-conversion fast path)
+	if !live {
+		if status, result, done := rt.tombs.get(key); done {
+			rt.callMu.Unlock()
+			rt.replayReturn(msg, hdr, status, result)
+			return
+		}
 		sc = &serverCall{hdr: *hdr, tid: tid, exp: exp}
 		// The stored header must not alias the decode scratch.
 		sc.hdr.Path = append([]uint32(nil), hdr.Path...)
@@ -125,20 +130,10 @@ func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) {
 
 	sc.mu.Lock()
 	if sc.finished {
-		// A slow client troupe member: execution appears instantaneous
-		// to it, because the return message is ready and waiting
-		// (§4.3.4) — already encoded, so replay the stored bytes.
-		result, status := sc.result, sc.status
+		// Finished between the lookup above and this lock.
+		status, result := sc.status, sc.result
 		sc.mu.Unlock()
-		if rt.tr.EnabledFor(trace.KindDupCall) {
-			// Sinks may retain events: never hand them the scratch path.
-			rt.tr.Emit(trace.Event{Kind: trace.KindDupCall,
-				Peer: msg.From, CallNum: msg.CallNum,
-				ThreadHost: hdr.ThreadHost, ThreadProc: hdr.ThreadProc,
-				Path: append([]uint32(nil), hdr.Path...), Troupe: hdr.DestTroupe,
-				Module: hdr.Module, Proc: hdr.Proc})
-		}
-		rt.sendReturnEncoded(msg.From, msg.CallNum, status, result)
+		rt.replayReturn(msg, hdr, status, result)
 		return
 	}
 	seen := -1
@@ -179,6 +174,22 @@ func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) {
 			rt.background(func() { rt.resolveExpected(sc, ct) })
 		}
 	}
+}
+
+// replayReturn answers a call message that arrives after its call has
+// finished. To a slow client troupe member execution appears
+// instantaneous, because the return message is ready and waiting
+// (§4.3.4) — already encoded, so the stored bytes are sent as they are.
+func (rt *Runtime) replayReturn(msg pairedmsg.Message, hdr *callHeader, status uint16, result []byte) {
+	if rt.tr.EnabledFor(trace.KindDupCall) {
+		// Sinks may retain events: never hand them the scratch path.
+		rt.tr.Emit(trace.Event{Kind: trace.KindDupCall,
+			Peer: msg.From, CallNum: msg.CallNum,
+			ThreadHost: hdr.ThreadHost, ThreadProc: hdr.ThreadProc,
+			Path: append([]uint32(nil), hdr.Path...), Troupe: hdr.DestTroupe,
+			Module: hdr.Module, Proc: hdr.Proc})
+	}
+	rt.sendReturnEncoded(msg.From, msg.CallNum, status, result)
 }
 
 // resolveExpected learns how many call messages to expect as part of
@@ -475,9 +486,10 @@ func (rt *Runtime) execute(sc *serverCall) {
 	rt.finishAndReply(sc, ret)
 }
 
-// finishAndReply records the buffered return message and sends it to
-// every client troupe member whose call message has arrived; later
-// arrivals are answered directly from the buffer (§4.3.4).
+// finishAndReply sends the return message to every client troupe
+// member whose call message has arrived and buries the call: its live
+// record leaves rt.calls and a tombstone holding the encoded return
+// message answers later arrivals (§4.3.4) until it expires.
 func (rt *Runtime) finishAndReply(sc *serverCall, ret returnHeader) {
 	encoded, merr := wire.Marshal(ret)
 	if merr != nil {
@@ -487,7 +499,6 @@ func (rt *Runtime) finishAndReply(sc *serverCall, ret returnHeader) {
 
 	sc.mu.Lock()
 	sc.finished = true
-	sc.finishedAt = time.Now()
 	sc.result = encoded
 	sc.status = ret.Status
 	callers := sc.callers // append-only: the header snapshot suffices
@@ -497,8 +508,19 @@ func (rt *Runtime) finishAndReply(sc *serverCall, ret returnHeader) {
 	callNums := append(cnArr[:0], sc.callNums...)
 	sc.mu.Unlock()
 
+	// One critical section swaps the record for its tombstone, so a
+	// lookup finds one or the other, never neither.
+	var keyArr [64]byte
+	key := appendCallKey(keyArr[:0], sc.tid, sc.hdr.Path, sc.hdr.Module)
+	rt.callMu.Lock()
+	if rt.calls[string(key)] == sc { // not if PlantedRebindBug discarded it
+		delete(rt.calls, string(key))
+		rt.tombs.put(key, ret.Status, encoded)
+	}
+	rt.callMu.Unlock()
+
 	// One encode serves every client troupe member (and any late
-	// arrival, via the buffer stored above).
+	// arrival, via the tombstone).
 	for i, addr := range callers {
 		rt.sendReturnEncoded(addr, callNums[i], ret.Status, encoded)
 	}

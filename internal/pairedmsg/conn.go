@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"circus/internal/tomb"
 	"circus/internal/trace"
 	"circus/internal/transport"
 )
@@ -93,9 +94,9 @@ type Options struct {
 	ProbeMissLimit int
 	// Strategy selects the retransmission strategy.
 	Strategy RetransmitStrategy
-	// CompletedTTL is how long the record of a completed exchange is
-	// retained to suppress replay of delayed duplicate segments
-	// (§4.2.4).
+	// CompletedTTL is how long, at least, the record of a completed
+	// exchange is retained to suppress replay of delayed duplicate
+	// segments (§4.2.4); it is dropped within 1.5 times that.
 	CompletedTTL time.Duration
 	// CallBase, when nonzero, sets the starting call number for fresh
 	// peers (and the multicast counter). Zero derives a base from the
@@ -240,6 +241,10 @@ type Stats struct {
 	AcksPiggybacked int64
 	BundlesSent     int64
 	BundledFrames   int64
+	// CompletedRecords is a gauge, not a counter: how many completed
+	// exchanges are remembered for replay suppression right now, over
+	// all peers — at most those of the last 1.5 CompletedTTL.
+	CompletedRecords int64
 }
 
 // sessKey identifies one transfer within a peer session. The peer
@@ -263,14 +268,14 @@ type session struct {
 	in      map[sessKey]*inTransfer
 	watches map[sessKey]*Watch
 	// completed records delivered inbound exchanges for replay
-	// suppression (§4.2.4) after their inTransfer has been recycled:
-	// the value holds everything a replayed duplicate needs answered —
-	// when the exchange finished (for expiry) and its segment count
-	// (for the cumulative ack).
-	completed map[sessKey]doneRec
-	nextCall  uint32
-	rtt       rttEstimator
-	nextSweep time.Time // next completed-record expiry scan
+	// suppression (§4.2.4) after their inTransfer has been recycled.
+	// The value is all a replayed duplicate needs answered: the
+	// exchange's segment count, for the cumulative ack. The timer pass
+	// rotates it every half CompletedTTL.
+	completed  tomb.Table[sessKey, uint8]
+	nextCall   uint32
+	rtt        rttEstimator
+	nextRotate time.Time
 
 	// srttMicros mirrors rtt.srtt (microseconds) so the delayed-ack
 	// bound can be derived without taking mu on the receive path.
@@ -309,14 +314,6 @@ type outFrame struct {
 type pendAck struct {
 	ackNum int
 	total  int
-}
-
-// doneRec is the replay-suppression tombstone of a delivered inbound
-// exchange: everything a late duplicate segment needs answered after
-// the full inTransfer has been recycled.
-type doneRec struct {
-	at    time.Time
-	total uint8
 }
 
 type outTransfer struct {
@@ -482,9 +479,9 @@ type inTransfer struct {
 }
 
 // inPool recycles inTransfer structs: an exchange's record lives only
-// until delivery now (a doneRec tombstone takes over replay
-// suppression), so the struct is reusable per message instead of
-// retained for the CompletedTTL window.
+// until delivery now (a tombstone takes over replay suppression), so
+// the struct is reusable per message instead of retained for the
+// CompletedTTL window.
 var inPool = sync.Pool{New: func() any { return new(inTransfer) }}
 
 // newInTransfer takes a pooled record and sizes its segment vectors
@@ -837,13 +834,12 @@ func (c *Conn) session(peer transport.Addr) *session {
 		return v.(*session)
 	}
 	v, _ := c.peers.LoadOrStore(peer, &session{
-		peer:      peer,
-		out:       make(map[sessKey]*outTransfer),
-		in:        make(map[sessKey]*inTransfer),
-		watches:   make(map[sessKey]*Watch),
-		completed: make(map[sessKey]doneRec),
-		pend:      make(map[sessKey]pendAck),
-		nextCall:  c.callBase,
+		peer:     peer,
+		out:      make(map[sessKey]*outTransfer),
+		in:       make(map[sessKey]*inTransfer),
+		watches:  make(map[sessKey]*Watch),
+		pend:     make(map[sessKey]pendAck),
+		nextCall: c.callBase,
 	})
 	return v.(*session)
 }
@@ -862,7 +858,16 @@ func (c *Conn) Incoming() <-chan Message { return c.incoming }
 
 // Stats returns a snapshot of the protocol counters.
 func (c *Conn) Stats() Stats {
+	var completed int64
+	c.peers.Range(func(_, v any) bool {
+		s := v.(*session)
+		s.mu.Lock()
+		completed += int64(s.completed.Len())
+		s.mu.Unlock()
+		return true
+	})
 	return Stats{
+		CompletedRecords:  completed,
 		SegmentsSent:      c.stats.segmentsSent.Load(),
 		Retransmits:       c.stats.retransmits.Load(),
 		AcksSent:          c.stats.acksSent.Load(),
@@ -1364,12 +1369,12 @@ func (c *Conn) handleProbe(from transport.Addr, h segHeader) {
 		ackNum, total = in.ackable(), in.total
 		if deliveredNow {
 			delete(s.in, k)
-			s.completed[k] = doneRec{at: time.Now(), total: uint8(in.total)}
+			s.completed.Put(k, uint8(in.total))
 			recycleInTransfer(in)
 		}
-	} else if rec, ok := s.completed[k]; ok {
+	} else if n, _, ok := s.completed.Get(k); ok {
 		// The exchange already finished; answer from the tombstone.
-		ackNum, total = int(rec.total), int(rec.total)
+		ackNum, total = int(n), int(n)
 	}
 	s.mu.Unlock()
 	if dropped {
@@ -1397,7 +1402,7 @@ func (c *Conn) handleData(from transport.Addr, h segHeader, payload []byte, buf 
 
 	in, ok := s.in[k]
 	if !ok {
-		if rec, done := s.completed[k]; done {
+		if n, _, done := s.completed.Get(k); done {
 			// Replayed segment of a finished exchange (§4.2.4): answer
 			// from the tombstone without resurrecting transfer state.
 			s.mu.Unlock()
@@ -1407,7 +1412,7 @@ func (c *Conn) handleData(from transport.Addr, h segHeader, payload []byte, buf 
 					MsgType: uint8(h.typ), CallNum: h.callNum, N: int(h.segNum)})
 			}
 			if h.pleaseAck {
-				c.queueAck(s, h.typ, h.callNum, int(rec.total), int(rec.total), true)
+				c.queueAck(s, h.typ, h.callNum, int(n), int(n), true)
 			}
 			return
 		}
@@ -1462,10 +1467,10 @@ func (c *Conn) handleData(from transport.Addr, h segHeader, payload []byte, buf 
 	}
 	ackNum, total := in.ackable(), in.total
 	if deliveredNow {
-		// Delivery retires the record: a doneRec tombstone takes over
-		// replay suppression and the struct goes back to the pool.
+		// Delivery retires the record: a tombstone takes over replay
+		// suppression and the struct goes back to the pool.
 		delete(s.in, k)
-		s.completed[k] = doneRec{at: time.Now(), total: uint8(in.total)}
+		s.completed.Put(k, uint8(in.total))
 		recycleInTransfer(in)
 	}
 	s.mu.Unlock()
@@ -1899,18 +1904,12 @@ func (c *Conn) timerPassSession(s *session) {
 			callNum:   w.k.callNum,
 		}, probe: true})
 	}
-	// Expire completed-exchange records once delayed duplicates can no
-	// longer arrive (§4.2.4). The scan touches every completed record,
-	// so it runs on its own coarse cadence — TTL precision is tens of
-	// seconds; paying an O(completed exchanges) walk under the session
-	// lock every retransmit tick would tax the call hot path instead.
-	if !now.Before(s.nextSweep) {
-		s.nextSweep = now.Add(c.opts.CompletedTTL / 8)
-		for k, rec := range s.completed {
-			if now.Sub(rec.at) > c.opts.CompletedTTL {
-				delete(s.completed, k)
-			}
-		}
+	// Expire the oldest generation of completed-exchange records: a
+	// record lives between one and one and a half CompletedTTL, after
+	// which delayed duplicates can no longer arrive (§4.2.4).
+	if !now.Before(s.nextRotate) {
+		s.nextRotate = now.Add(c.opts.CompletedTTL / 2)
+		s.completed.Rotate()
 	}
 	s.mu.Unlock()
 

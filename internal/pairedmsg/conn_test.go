@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"circus/internal/netsim"
+	"circus/internal/tomb"
 	"circus/internal/trace"
 	"circus/internal/transport"
 )
@@ -600,5 +601,109 @@ func TestSegmentMessageSizes(t *testing.T) {
 		if total != c.size {
 			t.Errorf("size %d: segments carry %d bytes", c.size, total)
 		}
+	}
+}
+
+// TestCompletedRecordAcrossRotations: the record of a completed
+// exchange answers a replayed segment from any of its generations —
+// acknowledged, not redelivered — and once its last generation has been
+// dropped the same segment is a new message (§4.2.4: by then delayed
+// duplicates can no longer arrive).
+func TestCompletedRecordAcrossRotations(t *testing.T) {
+	opts := fastOpts()
+	opts.CompletedTTL = time.Hour // only this test rotates
+	p, rec := newPairTraced(t, 14, netsim.LinkConfig{}, opts)
+	s := p.b.session(p.a.Addr())
+	rotate := func() {
+		s.mu.Lock()
+		s.completed.Rotate()
+		s.mu.Unlock()
+	}
+	// The timer pass rotates a new session once, at its first tick.
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		ticked := !s.nextRotate.IsZero()
+		s.mu.Unlock()
+		if ticked {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("timer pass never reached the session")
+		}
+	}
+
+	cn := p.a.NextCallNum(p.b.Addr())
+	if err := p.a.Send(context.Background(), p.b.Addr(), Call, cn, []byte("m")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := recvMsg(t, p.b, time.Second); !ok {
+		t.Fatal("not delivered")
+	}
+	if n := p.b.Stats().CompletedRecords; n != 1 {
+		t.Fatalf("CompletedRecords = %d after one exchange", n)
+	}
+	replay := func() {
+		t.Helper()
+		tr, err := p.a.StartSend(p.b.Addr(), Call, cn, []byte("m"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-tr.Done():
+			if tr.Err() != nil {
+				t.Fatalf("replay: %v", tr.Err())
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("replayed segment never acknowledged")
+		}
+	}
+	for rotation := 1; rotation < tomb.Generations; rotation++ {
+		rotate()
+		replay()
+		if dups := rec.Count(func(e trace.Event) bool {
+			return e.Kind == trace.KindDupSegment && e.Node == p.b.Addr() && e.CallNum == cn
+		}); dups < rotation {
+			t.Fatalf("after rotation %d: %d replays suppressed", rotation, dups)
+		}
+		select {
+		case m := <-p.b.Incoming():
+			t.Fatalf("after rotation %d: redelivered %+v", rotation, m)
+		default:
+		}
+	}
+	rotate()
+	if n := p.b.Stats().CompletedRecords; n != 0 {
+		t.Fatalf("CompletedRecords = %d after its last generation was dropped", n)
+	}
+	replay()
+	if m, ok := recvMsg(t, p.b, time.Second); !ok || m.CallNum != cn {
+		t.Fatalf("expired exchange not treated as new: %+v, %v", m, ok)
+	}
+}
+
+// TestCompletedRecordLifetime: the timer pass drops a completed
+// exchange's record no sooner than CompletedTTL after it completed and
+// not much later than one and a half.
+func TestCompletedRecordLifetime(t *testing.T) {
+	const ttl = 120 * time.Millisecond
+	opts := fastOpts()
+	opts.CompletedTTL = ttl
+	p := newPair(t, 15, netsim.LinkConfig{}, opts)
+	cn := p.a.NextCallNum(p.b.Addr())
+	sent := time.Now() // before the record exists, so no later than its birth
+	if err := p.a.Send(context.Background(), p.b.Addr(), Call, cn, []byte("m")); err != nil {
+		t.Fatal(err)
+	}
+	if n := p.b.Stats().CompletedRecords; n != 1 {
+		t.Fatalf("CompletedRecords = %d after one exchange", n)
+	}
+	for p.b.Stats().CompletedRecords != 0 {
+		if time.Since(sent) > 10*ttl {
+			t.Fatal("completed record never expired")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if gone := time.Since(sent); gone < ttl {
+		t.Fatalf("record gone %v after the send began, sooner than CompletedTTL %v", gone, ttl)
 	}
 }

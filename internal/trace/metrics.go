@@ -31,6 +31,24 @@ type Metrics struct {
 	peers     map[transport.Addr]*PeerCounters
 	troupes   map[uint64]*atomic.Int64
 	violRules map[string]*atomic.Int64
+	tables    func() TableGauges
+}
+
+// TableGauges sizes a process's at-most-once state: what it remembers
+// so that nothing executes or is delivered twice. These are gauges read
+// from the owning layers at snapshot time, not event counts.
+type TableGauges struct {
+	LiveCalls        int   // core: calls still collating or executing
+	CallTombstones   int   // core: finished calls with a buffered return message
+	CompletedRecords int64 // pairedmsg: completed exchanges remembered, all peers
+}
+
+// SetTableSource installs the function Snapshot reads the table gauges
+// from; the process that owns the runtime wires it.
+func (m *Metrics) SetTableSource(f func() TableGauges) {
+	m.mu.Lock()
+	m.tables = f
+	m.mu.Unlock()
 }
 
 // PeerCounters aggregates wire-level traffic with one peer.
@@ -166,6 +184,9 @@ type Snapshot struct {
 	// Latency is the call-latency histogram: Latency[i] counts calls
 	// in [LatencyBucketLow(i), LatencyBucketLow(i+1)).
 	Latency [latencyBuckets]int64
+	// Tables is the at-most-once state held right now (zero unless a
+	// table source is installed).
+	Tables TableGauges
 }
 
 // PeerSnapshot is the plain-value form of PeerCounters.
@@ -222,7 +243,11 @@ func (m *Metrics) Snapshot() Snapshot {
 			s.ViolationRules[inv] = v
 		}
 	}
+	tables := m.tables
 	m.mu.Unlock()
+	if tables != nil {
+		s.Tables = tables() // takes the layers' locks: not under m.mu
+	}
 	return s
 }
 

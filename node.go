@@ -201,6 +201,13 @@ func newNode(ep transport.Endpoint, msg pairedmsg.Options, opts ...Option) (*Nod
 		Multicast:        cfg.multicast,
 		Trace:            trace.Multi(cfg.trace...),
 	})
+	if metrics != nil {
+		metrics.SetTableSource(func() trace.TableGauges {
+			ct := rt.CallTable()
+			return trace.TableGauges{LiveCalls: ct.Live, CallTombstones: ct.Tombstones,
+				CompletedRecords: rt.MessageStats().CompletedRecords}
+		})
+	}
 	n := &Node{rt: rt, metrics: metrics, monitor: mon, durable: cfg.durable, suspicion: core.NewSuspicion(), exports: make(map[string]uint16)}
 	if len(cfg.binder) > 0 {
 		n.binder = ringmaster.NewClient(rt, Troupe{Members: cfg.binder})
