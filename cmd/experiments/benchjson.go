@@ -196,11 +196,10 @@ func writeBenchJSON(maxDegree int, seed int64) (string, error) {
 	// Kernel-transport shard scaling: closed-loop calls/s at 16 callers
 	// against a degree-3 echo troupe over real sharded loopback UDP —
 	// no netsim, so datagrams ride recvmmsg drain loops, pooled
-	// buffers, SPSC rings, and (when the kernel grants it) io_uring.
-	// The shard sweep (1/2/4/NumCPU) is the scaling table; "calls/s",
-	// "shards", and "io_uring" land in extra.
+	// buffers and sendmmsg. The shard sweep (1/2/4/NumCPU) is the
+	// scaling table; "calls/s" and "shards" land in extra.
 	for _, shards := range bench.TransportShardCounts() {
-		c, uring, err := bench.NewUDPCluster(3, shards)
+		c, err := bench.NewUDPCluster(3, shards)
 		if err != nil {
 			return "", err
 		}
@@ -220,12 +219,9 @@ func writeBenchJSON(maxDegree int, seed int64) (string, error) {
 		c.Close()
 		res := record(fmt.Sprintf("TransportUDP/shards=%d/callers=16/degree=3", shards), r)
 		if res.Extra == nil {
-			res.Extra = make(map[string]float64, 2)
+			res.Extra = make(map[string]float64, 1)
 		}
 		res.Extra["shards"] = float64(shards)
-		if uring {
-			res.Extra["io_uring"] = 1
-		}
 		doc.Benchmarks = append(doc.Benchmarks, res)
 	}
 

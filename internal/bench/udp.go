@@ -29,61 +29,53 @@ func udpOpts() core.Options {
 }
 
 // NewUDPCluster builds an n-member echo troupe over real loopback UDP,
-// every member (and the client) listening on a Sharded endpoint with
-// the given SO_REUSEPORT shard count. Unlike NewCluster there is no
-// netsim underneath — c.Net is nil and delivery is the kernel's own.
-// This is the cluster the transport-scaling experiment drives:
-// datagrams flow through recvmmsg drain loops, pooled buffers, SPSC
-// rings, and (when the kernel grants it) the io_uring batch sender.
-// The second return reports whether any endpoint is using io_uring.
-func NewUDPCluster(n, shards int) (*Cluster, bool, error) {
+// every member (and the client) listening on the given number of
+// SO_REUSEPORT sockets. Unlike NewCluster there is no netsim
+// underneath — c.Net is nil and delivery is the kernel's own. This is
+// the cluster the transport-scaling experiment drives: datagrams flow
+// through recvmmsg drain goroutines and pooled buffers into the
+// protocol, and out through sendmmsg.
+func NewUDPCluster(n, shards int) (*Cluster, error) {
 	opts := udpOpts()
 	c := &Cluster{Troupe: core.Troupe{ID: 0xbed}}
-	uring := false
-	fail := func(err error) (*Cluster, bool, error) {
-		for _, s := range c.servers {
-			s.Close()
-		}
-		return nil, false, err
-	}
-	for i := 0; i < n; i++ {
+	for i := 0; i <= n; i++ {
 		ep, err := udptrans.ListenSharded(0, shards)
 		if err != nil {
-			return fail(err)
+			for _, s := range c.servers {
+				s.Close()
+			}
+			return nil, err
 		}
-		uring = uring || ep.UsingIOUring()
 		rt := core.NewRuntime(ep, opts)
+		if i == n {
+			c.Client = rt
+			break
+		}
 		addr := rt.Export(echoMod{}, core.ExportOptions{})
 		rt.SetTroupeID(addr.Module, c.Troupe.ID)
 		c.Troupe.Members = append(c.Troupe.Members, addr)
 		c.servers = append(c.servers, rt)
 	}
-	ep, err := udptrans.ListenSharded(0, shards)
-	if err != nil {
-		return fail(err)
-	}
-	uring = uring || ep.UsingIOUring()
-	c.Client = core.NewRuntime(ep, opts)
-	return c, uring, nil
+	return c, nil
 }
 
 // UDPThroughput measures closed-loop calls/s for the given concurrent
 // caller count against a degree-n echo troupe over sharded loopback
-// UDP. The bool reports whether io_uring carried the sends.
-func UDPThroughput(shards, callers, degree, total int) (float64, bool, error) {
-	c, uring, err := NewUDPCluster(degree, shards)
+// UDP.
+func UDPThroughput(shards, callers, degree, total int) (float64, error) {
+	c, err := NewUDPCluster(degree, shards)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	defer c.Close()
 	if err := c.Call(ThroughputPayload); err != nil {
-		return 0, uring, err
+		return 0, err
 	}
 	start := time.Now()
 	if err := c.ConcurrentCalls(callers, total); err != nil {
-		return 0, uring, err
+		return 0, err
 	}
-	return float64(total) / time.Since(start).Seconds(), uring, nil
+	return float64(total) / time.Since(start).Seconds(), nil
 }
 
 // TransportShardCounts is the shard sweep the transport experiment
@@ -109,19 +101,19 @@ func TransportScaling(callers, degree, total int) (string, error) {
 	b.WriteString("Kernel transport — closed-loop calls/s vs SO_REUSEPORT shard count\n")
 	fmt.Fprintf(&b, "loopback UDP, echo troupe degree %d, %d concurrent callers, GOMAXPROCS=%d\n",
 		degree, callers, runtime.GOMAXPROCS(0))
-	fmt.Fprintf(&b, "%-7s %12s %9s %9s\n", "shards", "calls/sec", "scaling", "io_uring")
+	fmt.Fprintf(&b, "%-7s %12s %9s\n", "shards", "calls/sec", "scaling")
 	var base float64
 	for _, shards := range TransportShardCounts() {
-		cps, uring, err := UDPThroughput(shards, callers, degree, total)
+		cps, err := UDPThroughput(shards, callers, degree, total)
 		if err != nil {
 			return "", err
 		}
 		if base == 0 {
 			base = cps
 		}
-		fmt.Fprintf(&b, "%-7d %12.0f %8.2fx %9v\n", shards, cps, cps/base, uring)
+		fmt.Fprintf(&b, "%-7d %12.0f %8.2fx\n", shards, cps, cps/base)
 	}
-	b.WriteString("shape: the kernel's 4-tuple hash spreads peers across per-shard drain\n")
+	b.WriteString("shape: the kernel's 4-tuple hash spreads peers across per-socket drain\n")
 	b.WriteString("loops, so on a multi-core runner calls/s climbs with shard count until\n")
 	b.WriteString("dispatch saturates; one core collapses the sweep to a correctness check.\n")
 	return b.String(), nil

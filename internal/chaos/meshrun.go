@@ -12,6 +12,7 @@ import (
 	"circus/internal/chaos/linear"
 	"circus/internal/core"
 	"circus/internal/mesh"
+	"circus/internal/pairedmsg"
 	"circus/internal/trace"
 	"circus/internal/trace/check"
 	"circus/internal/trace/monitor"
@@ -660,7 +661,7 @@ func runMesh(cfg Config) (*Result, error) {
 	}
 	conf := check.Check(rec.Events(), check.Config{
 		Adaptive: true,
-		MinRTO:   2 * time.Millisecond,
+		MinRTO:   pairedmsg.MinRTO,
 		// The mesh campaign hosts several times the machines of the
 		// single-troupe one in a single OS process, so a retransmit
 		// timer can fire tens of milliseconds late and fold that skew

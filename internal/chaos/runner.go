@@ -11,6 +11,7 @@ import (
 
 	"circus"
 	"circus/internal/chaos/linear"
+	"circus/internal/pairedmsg"
 	"circus/internal/trace"
 	"circus/internal/trace/check"
 	"circus/internal/trace/monitor"
@@ -661,7 +662,7 @@ func Run(cfg Config) (*Result, error) {
 	res.Violations = appCheck(kvs, acked)
 	conf := check.Check(rec.Events(), check.Config{
 		Adaptive: true,
-		MinRTO:   2 * time.Millisecond,
+		MinRTO:   pairedmsg.MinRTO,
 	})
 	res.Violations = append(res.Violations, check.Strings(conf)...)
 	nodes := append([]*circus.Node{binderNode, repairNode}, serverNodes...)

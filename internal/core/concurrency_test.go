@@ -63,43 +63,3 @@ func TestConcurrentCallersConformance(t *testing.T) {
 		t.Fatalf("conformance violations under 16-caller load:\n%v", check.Strings(vs))
 	}
 }
-
-// TestSerialDispatchAblation runs the same concurrent workload with
-// DispatchWorkers < 0, the serial-dispatch ablation: correctness must
-// not depend on the worker pool.
-func TestSerialDispatchAblation(t *testing.T) {
-	c, _ := newClusterWith(t, 42, 2, ExportOptions{}, func(o *Options) {
-		o.DispatchWorkers = -1
-	})
-
-	const callers, perCaller = 8, 3
-	var wg sync.WaitGroup
-	errs := make(chan error, callers)
-	for g := 0; g < callers; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perCaller; i++ {
-				arg := []byte{byte(g), byte(i)}
-				got, err := c.client.Call(context.Background(), c.troupe, 1, arg, CallOptions{})
-				if err != nil {
-					errs <- fmt.Errorf("caller %d call %d: %v", g, i, err)
-					return
-				}
-				if !bytes.Equal(got, arg) {
-					errs <- fmt.Errorf("caller %d call %d echoed %v, want %v", g, i, got, arg)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if got, want := c.totalExecs(), int64(2*callers*perCaller); got != want {
-		t.Fatalf("total executions = %d, want %d", got, want)
-	}
-}

@@ -86,14 +86,6 @@ func newCluster(t *testing.T, seed int64, n int, exportOpts ExportOptions) *clus
 // protocol events instead of polling or sleeping.
 func newClusterTraced(t *testing.T, seed int64, n int, exportOpts ExportOptions) (*cluster, *trace.Recorder) {
 	t.Helper()
-	return newClusterWith(t, seed, n, exportOpts, nil)
-}
-
-// newClusterWith is newClusterTraced with a hook to mutate the runtime
-// options (dispatch worker count, message-layer tuning) before the
-// runtimes are built.
-func newClusterWith(t *testing.T, seed int64, n int, exportOpts ExportOptions, mutate func(*Options)) (*cluster, *trace.Recorder) {
-	t.Helper()
 	rec := trace.NewRecorder()
 	c := &cluster{t: t, net: netsim.New(seed)}
 	c.troupe = Troupe{ID: 0x1111}
@@ -101,9 +93,6 @@ func newClusterWith(t *testing.T, seed int64, n int, exportOpts ExportOptions, m
 	opts := fastOpts()
 	opts.Resolver = resolver
 	opts.Trace = rec
-	if mutate != nil {
-		mutate(&opts)
-	}
 	for i := 0; i < n; i++ {
 		rt := newRuntime(t, c.net, opts)
 		mod := &echoModule{}

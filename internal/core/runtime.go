@@ -94,16 +94,6 @@ type Options struct {
 	// operation reaches the whole server troupe, m+n messages instead
 	// of m·n.
 	Multicast bool
-	// DispatchWorkers sizes the worker pool that executes incoming
-	// message handling off the receive loop: messages are distributed
-	// to workers by sender address, so different senders' calls are
-	// parsed, collated, and answered concurrently while each sender's
-	// message stream is still handled in arrival order (the ordering
-	// the paired message layer's per-peer FIFO guarantees end-to-end).
-	// Zero means max(4, GOMAXPROCS). A negative value restores the
-	// serial pre-pool behavior — every message handled inline on the
-	// receive loop — kept for ablation comparisons.
-	DispatchWorkers int
 	// Trace, when set, receives structured events from both the
 	// message layer and the call layer (call issued, member replies,
 	// collation, execution, duplicate suppression). It is installed
@@ -159,8 +149,12 @@ type Runtime struct {
 	tombTimer *time.Timer
 
 	// workers are the dispatch pool's per-worker queues, indexed by a
-	// hash of the sender address; nil in serial (DispatchWorkers < 0)
-	// mode.
+	// hash of the sender address: max(4, GOMAXPROCS) of them handle
+	// incoming messages off the receive loop, so different senders'
+	// calls are parsed, collated, and answered concurrently while each
+	// sender's message stream is still handled in arrival order (the
+	// ordering the paired message layer's per-peer FIFO guarantees
+	// end-to-end).
 	workers []chan pairedmsg.Message
 
 	// execIdlers is the stack of parked execute workers; popping one
@@ -206,14 +200,12 @@ func NewRuntime(ep transport.Endpoint, opts Options) *Runtime {
 	rt.nextThread = (threadSeq.Add(1) * 0x9E3779B1) ^
 		(uint32(ep.Addr().Port) * 0x85EBCA6B) ^ threadSalt
 	rt.ctx, rt.cancel = context.WithCancel(context.Background())
-	if n := dispatchWorkers(opts.DispatchWorkers); n > 0 {
-		rt.workers = make([]chan pairedmsg.Message, n)
-		for i := range rt.workers {
-			ch := make(chan pairedmsg.Message, workerQueueLen)
-			rt.workers[i] = ch
-			rt.bg.Add(1)
-			go rt.dispatchLoop(ch)
-		}
+	rt.workers = make([]chan pairedmsg.Message, max(4, runtime.GOMAXPROCS(0)))
+	for i := range rt.workers {
+		ch := make(chan pairedmsg.Message, workerQueueLen)
+		rt.workers[i] = ch
+		rt.bg.Add(1)
+		go rt.dispatchLoop(ch)
 	}
 	rt.callMu.Lock()
 	rt.tombTimer = time.AfterFunc(rt.opts.CallRetention/2, rt.rotateTombs)
@@ -255,19 +247,6 @@ func (rt *Runtime) CallTable() CallTableStats {
 // paired message layer's incoming queue above it applies its own
 // backpressure policy, and a worker drains its queue continuously.
 const workerQueueLen = 128
-
-func dispatchWorkers(n int) int {
-	if n < 0 {
-		return 0 // serial ablation mode
-	}
-	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-		if n < 4 {
-			n = 4
-		}
-	}
-	return n
-}
 
 // Addr returns the process address of this runtime.
 func (rt *Runtime) Addr() transport.Addr { return rt.conn.Addr() }
@@ -404,14 +383,6 @@ func (rt *Runtime) Tracer() *trace.Local { return rt.tr }
 
 func (rt *Runtime) recvLoop() {
 	defer rt.bg.Done()
-	if rt.workers == nil {
-		// Serial ablation mode: every message handled inline.
-		var scr msgScratch
-		for msg := range rt.conn.Incoming() {
-			rt.handleMsg(msg, &scr)
-		}
-		return
-	}
 	// Distribute by sender so one sender's messages are handled in
 	// arrival order by one worker, while different senders proceed in
 	// parallel. The per-(sender, thread) execution order the collation

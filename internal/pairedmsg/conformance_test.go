@@ -84,7 +84,7 @@ func TestAdaptiveRetransmitScheduleConformance(t *testing.T) {
 
 	vs := check.Check(rec.Events(), check.Config{
 		Adaptive: true,
-		MinRTO:   2 * time.Millisecond, // the layer's default clamp
+		MinRTO:   MinRTO,
 	})
 	if len(vs) != 0 {
 		t.Fatalf("conformance violations:\n%v", check.Strings(vs))
@@ -123,7 +123,7 @@ func TestKarnRuleUnderLoss(t *testing.T) {
 	}
 	vs := check.Check(rec.Events(), check.Config{
 		Adaptive: true,
-		MinRTO:   2 * time.Millisecond,
+		MinRTO:   MinRTO,
 	})
 	for _, v := range vs {
 		if v.Invariant == "karn-rule" {

@@ -66,8 +66,9 @@ type Options struct {
 	RetransmitInterval time.Duration
 	// MaxRetries bounds retransmission passes with no progress before
 	// the peer is declared crashed (§4.2.3). In adaptive mode the
-	// crash bound is MaxRetryTime instead, so that backoff does not
-	// delay crash detection.
+	// crash bound is the time those passes would take at the fixed
+	// interval (maxRetryTime), so that backoff does not delay crash
+	// detection.
 	MaxRetries int
 	// Adaptive replaces the fixed retransmission interval with a
 	// per-peer RTT estimate (the smoothed mean plus four times the
@@ -77,15 +78,6 @@ type Options struct {
 	// segments on slow or congested links, faster recovery on fast
 	// ones. The fixed mode remains for the vaxsim ablations.
 	Adaptive bool
-	// MinRTO and MaxRTO clamp the adaptive retransmission interval.
-	// Zero means 2ms and 25x RetransmitInterval respectively.
-	MinRTO time.Duration
-	MaxRTO time.Duration
-	// MaxRetryTime bounds, in adaptive mode, how long retransmission
-	// proceeds with no progress before the peer is declared crashed.
-	// Zero means MaxRetries x RetransmitInterval — the same crash
-	// detection budget as fixed mode.
-	MaxRetryTime time.Duration
 	// ProbeInterval is the pause between crash-detection probes while
 	// awaiting a return message (§4.2.3).
 	ProbeInterval time.Duration
@@ -141,6 +133,19 @@ type Options struct {
 	Trace trace.Sink
 }
 
+// MinRTO is the floor of the adaptive retransmission interval.
+const MinRTO = 2 * time.Millisecond
+
+// maxRTO is the ceiling of the adaptive retransmission interval.
+func (o Options) maxRTO() time.Duration { return 25 * o.RetransmitInterval }
+
+// maxRetryTime bounds, in adaptive mode, how long retransmission
+// proceeds with no progress before the peer is declared crashed: the
+// same crash detection budget as fixed mode.
+func (o Options) maxRetryTime() time.Duration {
+	return time.Duration(o.MaxRetries) * o.RetransmitInterval
+}
+
 func (o Options) withDefaults() Options {
 	if o.RetransmitInterval == 0 {
 		o.RetransmitInterval = 40 * time.Millisecond
@@ -156,15 +161,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CompletedTTL == 0 {
 		o.CompletedTTL = 30 * time.Second
-	}
-	if o.MinRTO == 0 {
-		o.MinRTO = 2 * time.Millisecond
-	}
-	if o.MaxRTO == 0 {
-		o.MaxRTO = 25 * o.RetransmitInterval
-	}
-	if o.MaxRetryTime == 0 {
-		o.MaxRetryTime = time.Duration(o.MaxRetries) * o.RetransmitInterval
 	}
 	if o.IncomingBuffer == 0 {
 		o.IncomingBuffer = 256
@@ -555,14 +551,7 @@ func (c *Conn) rtoForLocked(s *session) time.Duration {
 		return c.opts.RetransmitInterval
 	}
 	if s.rtt.valid {
-		rto := s.rtt.rto()
-		if rto < c.opts.MinRTO {
-			rto = c.opts.MinRTO
-		}
-		if rto > c.opts.MaxRTO {
-			rto = c.opts.MaxRTO
-		}
-		return rto
+		return min(max(s.rtt.rto(), MinRTO), c.opts.maxRTO())
 	}
 	return c.opts.RetransmitInterval
 }
@@ -571,7 +560,7 @@ func (c *Conn) rtoForLocked(s *session) time.Duration {
 // about to make its initial transmission. Caller holds s.mu.
 func (c *Conn) initTransferLocked(s *session, t *outTransfer, now time.Time) {
 	t.firstSent = now
-	t.deadline = now.Add(c.opts.MaxRetryTime)
+	t.deadline = now.Add(c.opts.maxRetryTime())
 	t.rto = c.rtoForLocked(s)
 	t.nextSend = now.Add(t.rto)
 }
@@ -813,9 +802,9 @@ func New(ep transport.Endpoint, opts Options) *Conn {
 	c.incoming = make(chan Message, c.opts.IncomingBuffer)
 	c.tr = trace.NewLocal(c.opts.Trace, ep.Addr(), trace.NextIncarnation())
 	if d, ok := ep.(transport.Dispatcher); ok {
-		// Ring hand-off: the endpoint invokes the protocol directly from
-		// its drain machinery, skipping the Recv channel and its
-		// per-datagram goroutine wake.
+		// The endpoint invokes the protocol directly from its drain
+		// goroutines, skipping the Recv channel and its per-datagram
+		// goroutine wake. netsim endpoints cannot, so recvLoop stays.
 		d.SetHandler(c.handlePacket)
 		c.wg.Add(1)
 		go c.timerLoop()
@@ -1340,7 +1329,7 @@ func (c *Conn) handleAck(from transport.Addr, h segHeader) {
 	if int(h.segNum) > t.acked {
 		t.acked = int(h.segNum)
 		t.attempts = 0 // progress resets the crash countdown
-		t.deadline = time.Now().Add(c.opts.MaxRetryTime)
+		t.deadline = time.Now().Add(c.opts.maxRetryTime())
 	}
 	if t.acked >= len(t.segs) {
 		c.completeOutLocked(s, t, nil)
@@ -1578,7 +1567,7 @@ func (c *Conn) ackDelay(s *session) time.Duration {
 		return d
 	}
 	if c.opts.Adaptive {
-		d := c.opts.MinRTO / 2
+		d := MinRTO / 2
 		if srtt := time.Duration(s.srttMicros.Load()) * time.Microsecond; srtt > 0 && srtt/4 < d {
 			d = srtt / 4
 		}
@@ -1834,10 +1823,7 @@ func (c *Conn) timerPassSession(s *session) {
 				continue
 			}
 			t.retx = true
-			t.rto *= 2
-			if t.rto > c.opts.MaxRTO {
-				t.rto = c.opts.MaxRTO
-			}
+			t.rto = min(2*t.rto, c.opts.maxRTO())
 			// Backoff means a non-increasing retransmission rate until
 			// progress: if scheduling stalls stretched the gap actually
 			// kept beyond the RTO, don't speed back up — schedule the

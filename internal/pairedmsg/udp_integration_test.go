@@ -10,108 +10,123 @@ import (
 	"circus/internal/udptrans"
 )
 
-// newUDPPair wires two Conns over real sharded UDP sockets. The
-// Sharded endpoint implements transport.Dispatcher, so this exercises
-// the handler-mode delivery path (pooled buffers, SPSC ring, no recv
-// channel) end to end, including the io_uring batch sender when the
-// kernel grants it.
-func newUDPPair(t *testing.T, shards int, opts Options) (a, b *Conn) {
-	t.Helper()
-	epA, err := udptrans.ListenSharded(0, shards)
-	if err != nil {
-		t.Fatalf("ListenSharded: %v", err)
+// forEachUDPPair runs f over two Conns wired across real loopback
+// sockets, once per way of listening: Listen is what circus.ListenUDP
+// — the two binaries and the benchmark's echo_udp — binds, two shards
+// the multi-core deployment. The endpoint implements
+// transport.Dispatcher, so this exercises handler delivery (recvmmsg
+// into pooled buffers, no recv channel) and the sendmmsg batch sender
+// end to end.
+func forEachUDPPair(t *testing.T, opts Options, f func(t *testing.T, a, b *Conn)) {
+	for _, l := range []struct {
+		name   string
+		listen func() (*udptrans.Endpoint, error)
+	}{
+		{"Listen", func() (*udptrans.Endpoint, error) { return udptrans.Listen(0) }},
+		{"ListenSharded2", func() (*udptrans.Endpoint, error) { return udptrans.ListenSharded(0, 2) }},
+	} {
+		t.Run(l.name, func(t *testing.T) {
+			epA, err := l.listen()
+			if err != nil {
+				t.Fatalf("%s: %v", l.name, err)
+			}
+			epB, err := l.listen()
+			if err != nil {
+				epA.Close()
+				t.Fatalf("%s: %v", l.name, err)
+			}
+			a, b := New(epA, opts), New(epB, opts)
+			defer func() { a.Close(); b.Close() }()
+			f(t, a, b)
+		})
 	}
-	epB, err := udptrans.ListenSharded(0, shards)
-	if err != nil {
-		t.Fatalf("ListenSharded: %v", err)
-	}
-	a, b = New(epA, opts), New(epB, opts)
-	t.Cleanup(func() { a.Close(); b.Close() })
-	return a, b
 }
 
 func TestUDPShardedExchange(t *testing.T) {
-	a, b := newUDPPair(t, 2, fastOpts())
-	cn := a.NextCallNum(b.Addr())
-	if err := a.Send(context.Background(), b.Addr(), Call, cn, []byte("over real sockets")); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	m, ok := recvMsg(t, b, 2*time.Second)
-	if !ok {
-		t.Fatal("call not delivered over UDP")
-	}
-	if string(m.Data) != "over real sockets" {
-		t.Fatalf("data = %q", m.Data)
-	}
-	m.Release()
-	if err := b.Send(context.Background(), a.Addr(), Return, m.CallNum, []byte("ack")); err != nil {
-		t.Fatalf("Return: %v", err)
-	}
-	r, ok := recvMsg(t, a, 2*time.Second)
-	if !ok {
-		t.Fatal("return not delivered over UDP")
-	}
-	if string(r.Data) != "ack" {
-		t.Fatalf("return data = %q", r.Data)
-	}
-	r.Release()
-}
-
-func TestUDPShardedMultiSegment(t *testing.T) {
-	a, b := newUDPPair(t, 2, fastOpts())
-	// Larger than one segment: exercises reassembly from pooled
-	// buffers delivered by different recvmmsg bursts.
-	big := bytes.Repeat([]byte("0123456789abcdef"), 512) // 8 KiB
-	cn := a.NextCallNum(b.Addr())
-	if err := a.Send(context.Background(), b.Addr(), Call, cn, big); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	m, ok := recvMsg(t, b, 2*time.Second)
-	if !ok {
-		t.Fatal("multi-segment message not delivered over UDP")
-	}
-	if !bytes.Equal(m.Data, big) {
-		t.Fatalf("reassembled %d bytes, want %d (corrupt=%v)",
-			len(m.Data), len(big), !bytes.Equal(m.Data, big))
-	}
-	m.Release()
-}
-
-func TestUDPShardedManyExchanges(t *testing.T) {
-	a, b := newUDPPair(t, 2, fastOpts())
-	done := make(chan error, 1)
-	go func() {
-		for i := 0; i < 50; i++ {
-			m, ok := recvMsg(t, b, 2*time.Second)
-			if !ok {
-				done <- fmt.Errorf("message %d not delivered", i)
-				return
-			}
-			err := b.Send(context.Background(), a.Addr(), Return, m.CallNum, m.Data)
-			m.Release()
-			if err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-	for i := 0; i < 50; i++ {
-		payload := []byte(fmt.Sprintf("call-%02d", i))
+	forEachUDPPair(t, fastOpts(), func(t *testing.T, a, b *Conn) {
 		cn := a.NextCallNum(b.Addr())
-		if err := a.Send(context.Background(), b.Addr(), Call, cn, payload); err != nil {
-			t.Fatalf("Send %d: %v", i, err)
+		if err := a.Send(context.Background(), b.Addr(), Call, cn, []byte("over real sockets")); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+		m, ok := recvMsg(t, b, 2*time.Second)
+		if !ok {
+			t.Fatal("call not delivered over UDP")
+		}
+		if string(m.Data) != "over real sockets" {
+			t.Fatalf("data = %q", m.Data)
+		}
+		m.Release()
+		if err := b.Send(context.Background(), a.Addr(), Return, m.CallNum, []byte("ack")); err != nil {
+			t.Fatalf("Return: %v", err)
 		}
 		r, ok := recvMsg(t, a, 2*time.Second)
 		if !ok {
-			t.Fatalf("return %d not delivered", i)
+			t.Fatal("return not delivered over UDP")
 		}
-		if !bytes.Equal(r.Data, payload) {
-			t.Fatalf("return %d = %q, want %q", i, r.Data, payload)
+		if string(r.Data) != "ack" {
+			t.Fatalf("return data = %q", r.Data)
 		}
 		r.Release()
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
+	})
+}
+
+func TestUDPShardedMultiSegment(t *testing.T) {
+	forEachUDPPair(t, fastOpts(), func(t *testing.T, a, b *Conn) {
+		// Larger than one segment: exercises reassembly from pooled
+		// buffers delivered by different recvmmsg bursts.
+		big := bytes.Repeat([]byte("0123456789abcdef"), 512) // 8 KiB
+		cn := a.NextCallNum(b.Addr())
+		if err := a.Send(context.Background(), b.Addr(), Call, cn, big); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+		m, ok := recvMsg(t, b, 2*time.Second)
+		if !ok {
+			t.Fatal("multi-segment message not delivered over UDP")
+		}
+		if !bytes.Equal(m.Data, big) {
+			t.Fatalf("reassembled %d bytes, want %d (corrupt=%v)",
+				len(m.Data), len(big), !bytes.Equal(m.Data, big))
+		}
+		m.Release()
+	})
+}
+
+func TestUDPShardedManyExchanges(t *testing.T) {
+	forEachUDPPair(t, fastOpts(), func(t *testing.T, a, b *Conn) {
+		done := make(chan error, 1)
+		go func() {
+			for i := 0; i < 50; i++ {
+				m, ok := recvMsg(t, b, 2*time.Second)
+				if !ok {
+					done <- fmt.Errorf("message %d not delivered", i)
+					return
+				}
+				err := b.Send(context.Background(), a.Addr(), Return, m.CallNum, m.Data)
+				m.Release()
+				if err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		for i := 0; i < 50; i++ {
+			payload := []byte(fmt.Sprintf("call-%02d", i))
+			cn := a.NextCallNum(b.Addr())
+			if err := a.Send(context.Background(), b.Addr(), Call, cn, payload); err != nil {
+				t.Fatalf("Send %d: %v", i, err)
+			}
+			r, ok := recvMsg(t, a, 2*time.Second)
+			if !ok {
+				t.Fatalf("return %d not delivered", i)
+			}
+			if !bytes.Equal(r.Data, payload) {
+				t.Fatalf("return %d = %q, want %q", i, r.Data, payload)
+			}
+			r.Release()
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -99,10 +99,10 @@ type Multicaster interface {
 }
 
 // Dispatcher is implemented by endpoints that can deliver incoming
-// datagrams by invoking a handler from their own drain machinery —
-// a ring-buffer hand-off — instead of queueing Packets on the Recv
-// channel. A consumer that installs a handler takes delivery that way
-// exclusively: nothing more arrives on Recv.
+// datagrams by invoking a handler from their own drain goroutines
+// instead of queueing Packets on the Recv channel. A consumer that
+// installs a handler takes delivery that way exclusively: nothing more
+// arrives on Recv.
 //
 // The handler runs on the endpoint's receive goroutines, one packet
 // at a time per goroutine (a sharded endpoint may run it concurrently

@@ -60,15 +60,17 @@ type bcastEntry struct {
 
 // Queue is one troupe member's message queue, ordered by time with
 // message ID as the tiebreak. Deliver is invoked, in acceptance order
-// and on a single goroutine, for each message released for
+// and by one goroutine at a time, for each message released for
 // application-level processing.
 type Queue struct {
 	tr trace.Sink // nil disables accept-order tracing
 
-	mu      sync.Mutex
-	clock   uint64
-	entries []*bcastEntry // sorted by (time, msgID)
-	deliver func(msgID string, msg []byte)
+	mu       sync.Mutex
+	clock    uint64
+	entries  []*bcastEntry // sorted by (time, msgID)
+	released []*bcastEntry // awaiting delivery, in release order
+	draining bool          // an Accept call is delivering released
+	deliver  func(msgID string, msg []byte)
 }
 
 // NewQueue returns a queue delivering to the given function.
@@ -95,7 +97,8 @@ func (q *Queue) Propose(msgID string, msg []byte) uint64 {
 
 // Accept implements accept_time: the message's status becomes accepted
 // and its queue position moves to the accepted time; any releasable
-// prefix of the queue is delivered.
+// prefix of the queue is delivered, by this call or by one already
+// delivering.
 func (q *Queue) Accept(msgID string, t uint64) error {
 	q.mu.Lock()
 	var e *bcastEntry
@@ -118,20 +121,30 @@ func (q *Queue) Accept(msgID string, t uint64) error {
 	if t > q.clock {
 		q.clock = t
 	}
-	var release []*bcastEntry
 	for len(q.entries) > 0 && q.entries[0].status == statusAccepted {
-		release = append(release, q.entries[0])
+		q.released = append(q.released, q.entries[0])
 		q.entries = q.entries[1:]
 	}
-	q.mu.Unlock()
-
-	for _, r := range release {
-		if q.tr != nil {
-			trace.Stamp(q.tr, trace.Event{Kind: trace.KindAcceptOrder,
-				Detail: r.msgID, N: int(r.time)})
+	// One Accept call at a time delivers, taking messages in the order
+	// they were released under the lock, so concurrent accept_time
+	// calls cannot deliver out of order; a call that finds another
+	// delivering leaves its releases to that one.
+	if !q.draining {
+		q.draining = true
+		for len(q.released) > 0 {
+			r := q.released[0]
+			q.released = q.released[1:]
+			q.mu.Unlock()
+			if q.tr != nil {
+				trace.Stamp(q.tr, trace.Event{Kind: trace.KindAcceptOrder,
+					Detail: r.msgID, N: int(r.time)})
+			}
+			q.deliver(r.msgID, r.msg)
+			q.mu.Lock()
 		}
-		q.deliver(r.msgID, r.msg)
+		q.draining = false
 	}
+	q.mu.Unlock()
 	return nil
 }
 
@@ -148,11 +161,12 @@ func (q *Queue) insertLocked(e *bcastEntry) {
 	q.entries[i] = e
 }
 
-// Pending returns the number of queued, undelivered messages.
+// Pending returns the number of messages queued or released whose
+// delivery has not begun.
 func (q *Queue) Pending() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.entries)
+	return len(q.entries) + len(q.released)
 }
 
 // Module wraps a Queue as a core.Module exporting the two procedures

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,6 +95,54 @@ func TestQueueAcceptUnknown(t *testing.T) {
 	}
 }
 
+// TestQueueConcurrentAcceptsDeliverInOrder: two accept_time calls on
+// two goroutines; the first message's delivery is still running when
+// the second is accepted and released. Delivery order must be release
+// order all the same, one delivery at a time.
+func TestQueueConcurrentAcceptsDeliverInOrder(t *testing.T) {
+	var mu sync.Mutex
+	var order []string
+	entered, unblock := make(chan struct{}), make(chan struct{})
+	q := NewQueue(func(id string, _ []byte) {
+		if id == "m1" {
+			close(entered)
+			<-unblock
+		}
+		mu.Lock()
+		order = append(order, id)
+		mu.Unlock()
+	})
+	t1, t2 := q.Propose("m1", nil), q.Propose("m2", nil)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); q.Accept("m1", t1) }()
+	<-entered
+	go func() { defer wg.Done(); q.Accept("m2", t2) }()
+	// m2 is released as soon as it is accepted (Pending falls to 0 once
+	// it is handed over for delivery); give an out-of-order delivery
+	// time to show itself.
+	for deadline := time.Now().Add(2 * time.Second); q.Pending() > 1 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	mu.Lock()
+	early := append([]string(nil), order...)
+	mu.Unlock()
+	if len(early) != 0 {
+		t.Errorf("delivered %v while m1's delivery was still running", early)
+	}
+	close(unblock)
+	wg.Wait()
+	for deadline := time.Now().Add(2 * time.Second); q.Pending() > 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !reflect.DeepEqual(order, []string{"m1", "m2"}) {
+		t.Fatalf("delivery order %v, want [m1 m2]", order)
+	}
+}
+
 // TestOrderedBroadcastEndToEnd: several concurrent broadcasters, a
 // troupe of three members; every member must deliver every message in
 // the identical order (§5.4's guarantee) and nothing may starve.
@@ -179,8 +228,11 @@ func TestOrderedBroadcastDeterministicCC(t *testing.T) {
 
 	const degree = 3
 	stores := make([]*Store, degree)
+	queues := make([]*Queue, degree)
+	var delivered [degree]atomic.Int64
 	dest := core.Troupe{ID: 0xcc}
 	for i := 0; i < degree; i++ {
+		i := i
 		s := NewStore(DetectDeadlock)
 		stores[i] = s
 		seed := s.Begin()
@@ -201,7 +253,9 @@ func TestOrderedBroadcastDeterministicCC(t *testing.T) {
 					return tx.Set("v", []byte{v[0] * msg[1]})
 				}
 			})
+			delivered[i].Add(1)
 		})
+		queues[i] = q
 		rt := newRT(t, net, opts)
 		addr := rt.Export(&Module{Queue: q}, core.ExportOptions{})
 		rt.SetTroupeID(addr.Module, dest.ID)
@@ -227,7 +281,20 @@ func TestOrderedBroadcastDeterministicCC(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	time.Sleep(200 * time.Millisecond) // let deliveries drain
+	// Every accept_time has returned, but a delivery may still be
+	// running on another call's goroutine: wait them out.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		idle := true
+		for i, q := range queues {
+			idle = idle && q.Pending() == 0 && delivered[i].Load() == int64(2*len(ops))
+		}
+		if idle {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("deliveries did not drain")
+		}
+	}
 
 	v0, _ := stores[0].ReadCommitted("v")
 	for i := 1; i < degree; i++ {

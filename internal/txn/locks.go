@@ -65,18 +65,11 @@ type LockManager struct {
 
 	mu    sync.Mutex
 	locks map[string]*lockState
-	// waitsFor[t] is the set of transactions t currently waits for —
-	// the waits-for relation of §2.3.1.
-	waitsFor map[uint64]map[uint64]bool
 }
 
 // NewLockManager returns an empty lock manager.
 func NewLockManager(policy Policy) *LockManager {
-	return &LockManager{
-		policy:   policy,
-		locks:    make(map[string]*lockState),
-		waitsFor: make(map[uint64]map[uint64]bool),
-	}
+	return &LockManager{policy: policy, locks: make(map[string]*lockState)}
 }
 
 // SetTrace installs a sink recording lock grants and releases. Lock
@@ -98,10 +91,9 @@ func (lm *LockManager) Acquire(tx uint64, obj string, mode Mode) error {
 	}
 
 	for {
-		if lm.grantableLocked(ls, tx, mode) {
-			if cur, held := ls.holders[tx]; !held || mode > cur {
-				ls.holders[tx] = mode
-			}
+		blockers := ls.blockers(tx, mode)
+		if len(blockers) == 0 {
+			ls.grant(tx, mode)
 			lm.mu.Unlock()
 			if lm.tr != nil {
 				trace.Stamp(lm.tr, trace.Event{Kind: trace.KindLockAcquire,
@@ -109,98 +101,87 @@ func (lm *LockManager) Acquire(tx uint64, obj string, mode Mode) error {
 			}
 			return nil
 		}
-		blockers := lm.blockersLocked(ls, tx, mode)
 		if lm.policy == WaitDie {
-			// Timestamps are transaction IDs: smaller is older. A
-			// younger requester dies instead of waiting.
-			for b := range blockers {
-				if tx > b {
-					lm.mu.Unlock()
-					return ErrWaitDie
-				}
-			}
-		} else {
-			if lm.wouldDeadlockLocked(tx, blockers) {
+			if dies(tx, blockers) {
 				lm.mu.Unlock()
-				return ErrDeadlock
+				return ErrWaitDie
 			}
+		} else if lm.wouldDeadlockLocked(tx, blockers) {
+			lm.mu.Unlock()
+			return ErrDeadlock
 		}
 
 		w := &waiter{tx: tx, mode: mode, ready: make(chan struct{})}
 		ls.queue = append(ls.queue, w)
-		if lm.waitsFor[tx] == nil {
-			lm.waitsFor[tx] = make(map[uint64]bool)
-		}
-		for b := range blockers {
-			lm.waitsFor[tx][b] = true
-		}
 		lm.mu.Unlock()
 
 		<-w.ready
 
-		lm.mu.Lock()
-		delete(lm.waitsFor, tx)
 		if w.err != nil {
-			lm.mu.Unlock()
 			return w.err
 		}
-		// Re-check; another waiter may have been granted first.
+		lm.mu.Lock()
+		// Re-check; wakeLocked granted the lock, so this finds tx a holder.
 	}
 }
 
-// grantableLocked reports whether tx may take obj's lock in mode now.
-func (lm *LockManager) grantableLocked(ls *lockState, tx uint64, mode Mode) bool {
+// blockers returns the transactions that keep tx from taking the lock
+// in mode now: holders in a conflicting mode and — fairness — for a
+// read by a transaction that holds nothing here, the queued writes of
+// other transactions (a read must not overtake a queued write, which
+// would starve writers; an upgrade keeps its priority). tx may take
+// the lock exactly when there are none.
+func (ls *lockState) blockers(tx uint64, mode Mode) []uint64 {
+	var blockers []uint64
 	for holder, hmode := range ls.holders {
-		if holder == tx {
-			continue
-		}
-		if mode == Write || hmode == Write {
-			return false
-		}
-	}
-	// Fairness: a read must not overtake a queued write from another
-	// transaction (writer starvation), except when tx already holds
-	// the lock (upgrade priority).
-	if _, held := ls.holders[tx]; !held && mode == Read {
-		for _, w := range ls.queue {
-			if w.tx != tx && w.mode == Write {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// blockersLocked returns the transactions tx would wait for.
-func (lm *LockManager) blockersLocked(ls *lockState, tx uint64, mode Mode) map[uint64]bool {
-	blockers := make(map[uint64]bool)
-	for holder, hmode := range ls.holders {
-		if holder == tx {
-			continue
-		}
-		if mode == Write || hmode == Write {
-			blockers[holder] = true
+		if holder != tx && (mode == Write || hmode == Write) {
+			blockers = append(blockers, holder)
 		}
 	}
 	if _, held := ls.holders[tx]; !held && mode == Read {
 		for _, w := range ls.queue {
 			if w.tx != tx && w.mode == Write {
-				blockers[w.tx] = true
+				blockers = append(blockers, w.tx)
 			}
 		}
 	}
 	return blockers
 }
 
+// grant makes tx a holder in mode, or upgrades the mode it holds.
+func (ls *lockState) grant(tx uint64, mode Mode) {
+	if cur, held := ls.holders[tx]; !held || mode > cur {
+		ls.holders[tx] = mode
+	}
+}
+
+// dies reports whether tx, under wait-die, must abort rather than wait
+// for blockers. Timestamps are transaction IDs: smaller is older, and
+// a younger transaction never waits for an older one.
+func dies(tx uint64, blockers []uint64) bool {
+	for _, b := range blockers {
+		if tx > b {
+			return true
+		}
+	}
+	return false
+}
+
 // wouldDeadlockLocked reports whether adding edges tx→blockers closes
-// a cycle in the waits-for graph.
-func (lm *LockManager) wouldDeadlockLocked(tx uint64, blockers map[uint64]bool) bool {
+// a cycle in the waits-for relation of §2.3.1. The relation is read
+// off the lock table, never stored: a queued waiter waits for whatever
+// blocks it now, which includes a transaction granted ahead of it
+// after it queued, and no longer includes one that has released.
+func (lm *LockManager) wouldDeadlockLocked(tx uint64, blockers []uint64) bool {
+	waitsFor := make(map[uint64][]uint64)
+	for _, ls := range lm.locks {
+		for _, w := range ls.queue {
+			waitsFor[w.tx] = append(waitsFor[w.tx], ls.blockers(w.tx, w.mode)...)
+		}
+	}
 	// DFS from each blocker looking for tx.
 	seen := make(map[uint64]bool)
-	var stack []uint64
-	for b := range blockers {
-		stack = append(stack, b)
-	}
+	stack := append([]uint64(nil), blockers...)
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -211,9 +192,7 @@ func (lm *LockManager) wouldDeadlockLocked(tx uint64, blockers map[uint64]bool) 
 			continue
 		}
 		seen[cur] = true
-		for next := range lm.waitsFor[cur] {
-			stack = append(stack, next)
-		}
+		stack = append(stack, waitsFor[cur]...)
 	}
 	return false
 }
@@ -227,7 +206,6 @@ func (lm *LockManager) ReleaseAll(tx uint64) {
 	}
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	delete(lm.waitsFor, tx)
 	for obj, ls := range lm.locks {
 		delete(ls.holders, tx)
 		lm.wakeLocked(ls)
@@ -235,35 +213,34 @@ func (lm *LockManager) ReleaseAll(tx uint64) {
 			delete(lm.locks, obj)
 		}
 	}
-	// Remove tx from other transactions' waits-for sets: they no
-	// longer wait for it.
-	for _, deps := range lm.waitsFor {
-		delete(deps, tx)
-	}
 }
 
-// wakeLocked grants queue entries that are now compatible, in FIFO
-// order.
+// wakeLocked settles a lock's queue after a release, in FIFO order: a
+// waiter nothing blocks any more is granted, and under wait-die a
+// waiter left behind a blocker older than itself — one granted ahead
+// of it just now, say — dies, as it would had it asked now. A waiter
+// that dies may have been the queued write holding back a read ahead
+// of it, so the pass repeats until one leaves every waiter waiting.
 func (lm *LockManager) wakeLocked(ls *lockState) {
-	var remaining []*waiter
-	for i, w := range ls.queue {
-		// Temporarily hide w from the queue so grantableLocked's
-		// queued-writer check does not see w itself.
-		rest := append(append([]*waiter(nil), ls.queue[:i]...), ls.queue[i+1:]...)
-		saved := ls.queue
-		ls.queue = rest
-		ok := lm.grantableLocked(ls, w.tx, w.mode)
-		ls.queue = saved
-		if ok {
-			if cur, held := ls.holders[w.tx]; !held || w.mode > cur {
-				ls.holders[w.tx] = w.mode
+	for again := true; again; {
+		again = false
+		var remaining []*waiter
+		for _, w := range ls.queue {
+			blockers := ls.blockers(w.tx, w.mode)
+			switch {
+			case len(blockers) == 0:
+				ls.grant(w.tx, w.mode)
+			case lm.policy == WaitDie && dies(w.tx, blockers):
+				w.err = ErrWaitDie
+				again = true
+			default:
+				remaining = append(remaining, w)
+				continue
 			}
 			close(w.ready)
-		} else {
-			remaining = append(remaining, w)
 		}
+		ls.queue = remaining
 	}
-	ls.queue = remaining
 }
 
 // Held reports whether tx currently holds a lock on obj (for tests).

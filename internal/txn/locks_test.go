@@ -66,7 +66,15 @@ func TestLockLivenessUnderRandomLoad(t *testing.T) {
 		const rounds = 50
 
 		var wg sync.WaitGroup
-		done := make(chan struct{})
+		done, abandon := make(chan struct{}), make(chan struct{})
+		abandoned := func() bool {
+			select {
+			case <-abandon:
+				return true
+			default:
+				return false
+			}
+		}
 		for w := 0; w < workers; w++ {
 			w := w
 			wg.Add(1)
@@ -74,19 +82,16 @@ func TestLockLivenessUnderRandomLoad(t *testing.T) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(int64(w)))
 				id := uint64(w + 1)
-				for r := 0; r < rounds; r++ {
+				for r := 0; r < rounds && !abandoned(); r++ {
 					tx := id + uint64(r)*100 // fresh "transaction" per round
 					n := 1 + rng.Intn(3)
-					ok := true
-					for i := 0; i < n; i++ {
+					for i := 0; i < n && !abandoned(); i++ {
 						obj := objects[rng.Intn(len(objects))]
 						mode := Mode(rng.Intn(2))
 						if err := lm.Acquire(tx, obj, mode); err != nil {
-							ok = false
 							break // deadlock or wait-die: abort
 						}
 					}
-					_ = ok
 					lm.ReleaseAll(tx)
 				}
 			}()
@@ -95,9 +100,99 @@ func TestLockLivenessUnderRandomLoad(t *testing.T) {
 		select {
 		case <-done:
 		case <-time.After(20 * time.Second):
+			// Let the workers out before failing, so a wedge costs this
+			// test and not the package's timeout: no new acquisitions,
+			// and every lock any transaction could hold released, which
+			// grants whoever is queued; they release in turn.
+			close(abandon)
+			for tx := uint64(1); tx <= workers+rounds*100; tx++ {
+				lm.ReleaseAll(tx)
+			}
+			<-done
 			t.Fatalf("policy %v: lock manager wedged under random load", policy)
 		}
 	}
+}
+
+// queued waits until n requests wait in obj's queue.
+func queued(t *testing.T, lm *LockManager, obj string, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		lm.mu.Lock()
+		got := 0
+		if ls := lm.locks[obj]; ls != nil {
+			got = len(ls.queue)
+		}
+		lm.mu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests queued for %q, want %d", got, obj, n)
+		}
+	}
+}
+
+// TestDeadlockBehindGrantedWaiter: a waiter passed over when the lock
+// goes to the one queued ahead of it now waits for that one, though it
+// queued before that one held anything. T1 (holding b) is left queued
+// for a behind T3; T3 asking for b closes the cycle and must be told.
+func TestDeadlockBehindGrantedWaiter(t *testing.T) {
+	lm := NewLockManager(DetectDeadlock)
+	lm.Acquire(2, "a", Write)
+	lm.Acquire(1, "b", Write)
+	got3, got1 := make(chan error, 1), make(chan error, 1)
+	go func() { got3 <- lm.Acquire(3, "a", Write) }()
+	queued(t, lm, "a", 1)
+	go func() { got1 <- lm.Acquire(1, "a", Write) }()
+	queued(t, lm, "a", 2)
+
+	lm.ReleaseAll(2)
+	if err := <-got3; err != nil {
+		t.Fatalf("T3 not granted a: %v", err)
+	}
+	cycle := make(chan error, 1)
+	go func() { cycle <- lm.Acquire(3, "b", Write) }()
+	select {
+	case err := <-cycle:
+		if err != ErrDeadlock {
+			t.Fatalf("Acquire(3, b) = %v, want ErrDeadlock", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("T3 waits for b held by T1, which waits for a held by T3: deadlock not detected")
+	}
+	lm.ReleaseAll(3) // the victim aborts; T1 gets a
+	if err := <-got1; err != nil {
+		t.Fatalf("T1 not granted a after the victim released: %v", err)
+	}
+	lm.ReleaseAll(1)
+}
+
+// TestWaitDieBehindGrantedWaiter: under wait-die the same pass-over
+// leaves a younger transaction waiting for an older one, which the
+// policy forbids; it must die then, as it would had it asked then.
+func TestWaitDieBehindGrantedWaiter(t *testing.T) {
+	lm := NewLockManager(WaitDie)
+	lm.Acquire(9, "a", Write)
+	got1, got3 := make(chan error, 1), make(chan error, 1)
+	go func() { got1 <- lm.Acquire(1, "a", Write) }() // both older than 9: both wait
+	queued(t, lm, "a", 1)
+	go func() { got3 <- lm.Acquire(3, "a", Write) }()
+	queued(t, lm, "a", 2)
+
+	lm.ReleaseAll(9)
+	if err := <-got1; err != nil {
+		t.Fatalf("T1 not granted a: %v", err)
+	}
+	select {
+	case err := <-got3:
+		if err != ErrWaitDie {
+			t.Fatalf("T3 behind older T1 = %v, want ErrWaitDie", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("T3 left waiting for the older T1")
+	}
+	lm.ReleaseAll(1)
 }
 
 func TestDeadlockThreeWayCycle(t *testing.T) {

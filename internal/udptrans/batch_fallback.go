@@ -2,64 +2,39 @@
 
 package udptrans
 
-import (
-	"net"
-	"syscall"
+import "circus/internal/transport"
 
-	"circus/internal/transport"
-)
+// Fallback datagram I/O for platforms without sendmmsg/recvmmsg (or
+// whose msghdr ABI we do not model): plain per-datagram system calls.
+// The coalescing in the paired message layer still reduces datagram
+// count; only the syscall amortization is lost.
 
-// Fallback batch I/O for platforms without sendmmsg/recvmmsg (or whose
-// msghdr ABI we do not model): plain per-datagram system calls. The
-// coalescing in the paired message layer still reduces datagram count;
-// only the syscall amortization is lost.
-
-func sendBatchOn(conn *net.UDPConn, _ syscall.RawConn, dgrams []transport.Datagram) error {
+func (s *socket) sendBatch(dgrams []transport.Datagram) error {
 	for _, d := range dgrams {
-		if _, err := conn.WriteToUDP(d.Data, toUDPAddr(d.To)); err != nil {
+		if _, err := s.conn.WriteToUDPAddrPort(d.Data, toAddrPort(d.To)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (e *Endpoint) readLoop() {
-	buf := make([]byte, transport.MaxDatagram)
+// drain is the portable receive goroutine: one datagram per read,
+// still into pooled buffers, so the upper layers see the identical
+// delivery contract.
+func (e *Endpoint) drain(s *socket) {
+	defer e.drains.Done()
 	for {
-		n, from, err := e.conn.ReadFromUDP(buf)
+		buf := pool.Get()
+		n, from, err := s.conn.ReadFromUDPAddrPort(buf.Bytes())
 		if err != nil {
-			close(e.recv)
+			buf.Release()
 			return
 		}
-		a, aerr := toAddr(from)
-		if aerr != nil {
+		a, ok := toAddr(from)
+		if !ok {
+			buf.Release()
 			continue // non-IPv4 source: the transport cannot name it
 		}
-		e.enqueue(a, append([]byte(nil), buf[:n]...))
-	}
-}
-
-// drainLoop is the portable shard drain: one datagram per read, still
-// into pooled buffers and through the SPSC ring so the upper layers
-// see the identical delivery contract.
-func (s *shard) drainLoop() {
-	to := s.parent.addr
-	for {
-		buf := s.pool.Get()
-		n, from, err := s.conn.ReadFromUDP(buf.Bytes())
-		if err != nil {
-			buf.Release()
-			s.ring.close()
-			return
-		}
-		a, aerr := toAddr(from)
-		if aerr != nil {
-			buf.Release()
-			continue
-		}
-		pkt := transport.Packet{From: a, To: to, Data: buf.Bytes()[:n], Buf: buf}
-		if !s.ring.push(pkt) {
-			buf.Release() // ring full: drop like a kernel buffer
-		}
+		e.deliver(transport.Packet{From: a, To: e.addr, Data: buf.Bytes()[:n], Buf: buf})
 	}
 }

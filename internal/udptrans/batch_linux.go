@@ -3,7 +3,6 @@
 package udptrans
 
 import (
-	"net"
 	"syscall"
 	"unsafe"
 
@@ -12,7 +11,7 @@ import (
 
 // Batched datagram I/O via sendmmsg(2)/recvmmsg(2). Each coalesced
 // flush from the paired message layer becomes one system call instead
-// of one per datagram, and the read loop drains bursts in one call.
+// of one per datagram, and the drain loop empties bursts in one call.
 // Restricted to 64-bit Linux where syscall.Msghdr matches the kernel's
 // struct msghdr layout (32-bit ABIs differ).
 
@@ -30,7 +29,7 @@ type mmsghdr struct {
 // putSockaddr fills sa with the AF_INET form of a; port and host are
 // stored big-endian as the kernel expects. Every transport.Addr is
 // encodable — Host is a 32-bit IPv4 address by construction — except
-// the zero Addr, which Send/SendBatch reject with errBadAddr before
+// the zero Addr, which Send/SendBatch reject (see check) before
 // any sockaddr is built, so a datagram can never silently go to
 // 0.0.0.0. (IPv6 peers cannot reach this encoding at all: toAddr
 // refuses to shrink a 16-byte address into Host.)
@@ -59,11 +58,11 @@ func fromSockaddr(sa *syscall.RawSockaddrInet4) (transport.Addr, bool) {
 	}, true
 }
 
-// sendBatchOn transmits the datagrams on conn with as few sendmmsg
-// calls as the socket buffer allows, waiting for writability between
-// partial sends. Shared by the single-socket Endpoint and the sharded
-// endpoint's non-io_uring path.
-func sendBatchOn(conn *net.UDPConn, raw syscall.RawConn, dgrams []transport.Datagram) error {
+// sendBatch transmits the datagrams with as few sendmmsg calls as the
+// socket buffer allows, waiting for writability between partial sends.
+// Every message carries its own destination, so a flush to mixed
+// peers is still one call.
+func (s *socket) sendBatch(dgrams []transport.Datagram) error {
 	sas := make([]syscall.RawSockaddrInet4, len(dgrams))
 	iovs := make([]syscall.Iovec, len(dgrams))
 	hdrs := make([]mmsghdr, len(dgrams))
@@ -82,7 +81,7 @@ func sendBatchOn(conn *net.UDPConn, raw syscall.RawConn, dgrams []transport.Data
 	}
 	sent := 0
 	var sysErr error
-	err := raw.Write(func(fd uintptr) bool {
+	err := s.raw.Write(func(fd uintptr) bool {
 		for sent < len(hdrs) {
 			n, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
 				uintptr(unsafe.Pointer(&hdrs[sent])), uintptr(len(hdrs)-sent), 0, 0, 0)
@@ -108,15 +107,13 @@ func sendBatchOn(conn *net.UDPConn, raw syscall.RawConn, dgrams []transport.Data
 // Handed-off buffers are replaced from the pool slot by slot, so a
 // drained burst costs zero allocations once the pool is warm.
 type recvBatch struct {
-	pool *transport.BufPool
 	bufs [recvBatchSize]*transport.Buf
 	sas  [recvBatchSize]syscall.RawSockaddrInet4
 	iovs [recvBatchSize]syscall.Iovec
 	hdrs [recvBatchSize]mmsghdr
 }
 
-func (rb *recvBatch) init(pool *transport.BufPool) {
-	rb.pool = pool
+func (rb *recvBatch) init() {
 	for i := range rb.hdrs {
 		rb.bufs[i] = pool.Get()
 		rb.iovs[i].Base = &rb.bufs[i].Bytes()[0]
@@ -170,7 +167,7 @@ func (rb *recvBatch) take(i int, to transport.Addr) (pkt transport.Packet, ok bo
 		n = transport.MaxDatagram
 	}
 	buf := rb.bufs[i]
-	rb.bufs[i] = rb.pool.Get()
+	rb.bufs[i] = pool.Get()
 	rb.iovs[i].Base = &rb.bufs[i].Bytes()[0]
 	return transport.Packet{From: from, To: to, Data: buf.Bytes()[:n], Buf: buf}, true
 }
@@ -186,84 +183,22 @@ func (rb *recvBatch) release() {
 	}
 }
 
-// readLoop drains the socket with recvmmsg, copying each datagram into
-// a fresh exactly-sized buffer before handing it upward (the
-// transport.Packet contract: the receiver owns Data). The single-
-// socket Endpoint keeps the copying path: its consumers read from the
-// Recv channel at unknown pace, so pooled buffers would mostly pin
-// the pool rather than save allocation.
-func (e *Endpoint) readLoop() {
-	var (
-		bufs [recvBatchSize][transport.MaxDatagram]byte
-		sas  [recvBatchSize]syscall.RawSockaddrInet4
-		iovs [recvBatchSize]syscall.Iovec
-		hdrs [recvBatchSize]mmsghdr
-	)
-	for i := range hdrs {
-		iovs[i].Base = &bufs[i][0]
-		iovs[i].SetLen(transport.MaxDatagram)
-		h := &hdrs[i].hdr
-		h.Name = (*byte)(unsafe.Pointer(&sas[i]))
-		h.Iov = &iovs[i]
-		h.Iovlen = 1
-	}
-	for {
-		got := 0
-		err := e.raw.Read(func(fd uintptr) bool {
-			for i := range hdrs {
-				hdrs[i].hdr.Namelen = uint32(unsafe.Sizeof(sas[i]))
-			}
-			n, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
-				uintptr(unsafe.Pointer(&hdrs[0])), recvBatchSize,
-				syscall.MSG_DONTWAIT, 0, 0)
-			if errno == syscall.EAGAIN {
-				return false
-			}
-			if errno == 0 {
-				got = int(n)
-			}
-			return true
-		})
-		if err != nil {
-			close(e.recv)
-			return
-		}
-		for i := 0; i < got; i++ {
-			from, ok := fromSockaddr(&sas[i])
-			if !ok {
-				continue
-			}
-			n := int(hdrs[i].n)
-			if n > transport.MaxDatagram {
-				n = transport.MaxDatagram
-			}
-			e.enqueue(from, append([]byte(nil), bufs[i][:n]...))
-		}
-	}
-}
-
-// drainLoop is a shard's socket-side goroutine: recvmmsg bursts into
-// pooled buffers, pushed onto the SPSC ring without per-datagram
-// channel operations. It closes the ring when the socket dies, which
-// ends the shard's dispatch loop.
-func (s *shard) drainLoop() {
+// drain is a socket's receive goroutine: recvmmsg bursts into pooled
+// buffers, each handed straight to the consumer. It returns when the
+// socket is closed.
+func (e *Endpoint) drain(s *socket) {
+	defer e.drains.Done()
 	var rb recvBatch
-	rb.init(&s.pool)
+	rb.init()
 	defer rb.release()
-	to := s.parent.addr
 	for {
 		got, err := rb.recv(s.raw)
 		if err != nil {
-			s.ring.close()
 			return
 		}
 		for i := 0; i < got; i++ {
-			pkt, ok := rb.take(i, to)
-			if !ok {
-				continue
-			}
-			if !s.ring.push(pkt) {
-				pkt.Buf.Release() // ring full: drop like a kernel buffer
+			if pkt, ok := rb.take(i, e.addr); ok {
+				e.deliver(pkt)
 			}
 		}
 	}

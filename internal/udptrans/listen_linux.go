@@ -11,7 +11,7 @@ import (
 
 // reusePortAvailable: Linux hashes incoming datagrams across all
 // sockets sharing a port when each sets SO_REUSEPORT before bind, the
-// substrate of the sharded endpoint.
+// substrate of a multi-socket endpoint.
 const reusePortAvailable = true
 
 // soREUSEPORT is SO_REUSEPORT; the syscall package predates the
@@ -19,9 +19,9 @@ const reusePortAvailable = true
 // shared by amd64 and arm64).
 const soREUSEPORT = 0xf
 
-// listenShardSocket binds one loopback UDP socket for a shard,
-// setting SO_REUSEPORT when the endpoint spans several sockets.
-func listenShardSocket(port uint16, reuse bool) (*net.UDPConn, error) {
+// listenUDP binds one loopback UDP socket, setting SO_REUSEPORT when
+// the endpoint spans several sockets.
+func listenUDP(port uint16, reuse bool) (*net.UDPConn, error) {
 	lc := net.ListenConfig{}
 	if reuse {
 		lc.Control = func(network, address string, c syscall.RawConn) error {

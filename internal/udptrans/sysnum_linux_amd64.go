@@ -2,12 +2,9 @@
 
 package udptrans
 
-// sendmmsg/recvmmsg/io_uring syscall numbers; the stdlib syscall
-// tables predate them on some arches, so they are spelled out here.
+// sendmmsg/recvmmsg syscall numbers; the stdlib syscall tables predate
+// them on some arches, so they are spelled out here.
 const (
 	sysSENDMMSG = 307
 	sysRECVMMSG = 299
-
-	sysIO_URING_SETUP = 425
-	sysIO_URING_ENTER = 426
 )

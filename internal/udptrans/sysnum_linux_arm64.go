@@ -2,13 +2,9 @@
 
 package udptrans
 
-// sendmmsg/recvmmsg/io_uring syscall numbers; the stdlib syscall
-// tables predate them on some arches, so they are spelled out here.
-// io_uring entered the unified table, so its numbers match amd64.
+// sendmmsg/recvmmsg syscall numbers; the stdlib syscall tables predate
+// them on some arches, so they are spelled out here.
 const (
 	sysSENDMMSG = 269
 	sysRECVMMSG = 243
-
-	sysIO_URING_SETUP = 425
-	sysIO_URING_ENTER = 426
 )

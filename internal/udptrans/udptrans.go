@@ -1,162 +1,257 @@
-// Package udptrans provides a transport.Endpoint backed by a real UDP
-// socket, the same substrate the Circus implementation used under
+// Package udptrans provides a transport.Endpoint backed by real UDP
+// sockets, the same substrate the Circus implementation used under
 // Berkeley 4.2BSD (§4.2). It exists so that the protocol stack can be
 // exercised between genuine operating-system processes on one machine
 // (the paper's repro band: multi-process on one laptop); the test
 // suites mostly use internal/netsim for determinism.
+//
+// There is one path: socket → drain goroutine → handler. Each socket's
+// drain goroutine pulls bursts of datagrams into pooled buffers
+// (recvmmsg on 64-bit Linux, one read per datagram elsewhere) and
+// hands each to the consumer itself; the kernel's socket buffer is the
+// only queue. Batched sends are one sendmmsg (a write loop elsewhere).
 package udptrans
 
 import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"net/netip"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"syscall"
 
 	"circus/internal/transport"
 )
 
-// Endpoint is a transport.Endpoint over a loopback UDP socket.
+// Endpoint is a transport.Endpoint over one or more loopback UDP
+// sockets bound to one port with SO_REUSEPORT (Linux; elsewhere always
+// a single socket). The kernel hashes each peer's 4-tuple to one
+// socket, so a given peer's datagrams always arrive on the same socket
+// and keep their order, while different peers drain on different CPUs
+// in parallel.
 type Endpoint struct {
+	socks []*socket
+	addr  transport.Addr
+	recv  chan transport.Packet
+
+	// handler, once set, takes delivery exclusively (transport.Dispatcher).
+	handler atomic.Pointer[func(transport.Packet)]
+
+	sendNext atomic.Uint32  // round-robin socket picker for sends
+	drains   sync.WaitGroup // drain goroutines; Close waits for these
+	closed   atomic.Bool
+}
+
+type socket struct {
 	conn *net.UDPConn
 	raw  syscall.RawConn // for sendmmsg/recvmmsg on platforms that have them
-	addr transport.Addr
-	recv chan transport.Packet
-
-	mu     sync.Mutex
-	closed bool
 }
+
+// pool recycles receive buffers across every endpoint of the process
+// (sync.Pool underneath is per-processor already), so a short-lived
+// endpoint starts on its predecessors' buffers.
+var pool transport.BufPool
 
 var (
 	_ transport.Endpoint    = (*Endpoint)(nil)
 	_ transport.BatchSender = (*Endpoint)(nil)
+	_ transport.Multicaster = (*Endpoint)(nil)
+	_ transport.Dispatcher  = (*Endpoint)(nil)
 )
 
-// Listen binds a UDP socket on 127.0.0.1. Port 0 selects a free port.
-func Listen(port uint16) (*Endpoint, error) {
-	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: int(port)})
+// Listen binds one UDP socket on 127.0.0.1. Port 0 selects a free port.
+func Listen(port uint16) (*Endpoint, error) { return ListenSharded(port, 1) }
+
+// ListenSharded binds shards UDP sockets to one loopback port. Port 0
+// selects a free port (claimed by the first socket, shared by the
+// rest). shards <= 0 selects runtime.NumCPU(). On platforms without
+// SO_REUSEPORT the endpoint degrades to one socket.
+func ListenSharded(port uint16, shards int) (*Endpoint, error) {
+	if shards <= 0 {
+		shards = runtime.NumCPU()
+	}
+	if !reusePortAvailable {
+		shards = 1
+	}
+	// 1024: a Recv() consumer gets about the slack a default kernel
+	// socket buffer gives a handler, a few hundred small datagrams.
+	e := &Endpoint{recv: make(chan transport.Packet, 1024)}
+	for i := 0; i < shards; i++ {
+		s, a, err := listenSocket(port, shards > 1)
+		if err == nil && i > 0 && a != e.addr {
+			s.conn.Close()
+			err = fmt.Errorf("udptrans: socket %d bound %v, want %v", i, a, e.addr)
+		}
+		if err != nil {
+			e.Close()
+			return nil, err
+		}
+		e.socks = append(e.socks, s)
+		e.addr, port = a, a.Port // later sockets join the chosen port
+	}
+	e.drains.Add(len(e.socks))
+	for _, s := range e.socks {
+		go e.drain(s)
+	}
+	return e, nil
+}
+
+func listenSocket(port uint16, reuse bool) (*socket, transport.Addr, error) {
+	conn, err := listenUDP(port, reuse)
 	if err != nil {
-		return nil, err
+		return nil, transport.Addr{}, err
 	}
 	raw, err := conn.SyscallConn()
 	if err != nil {
 		conn.Close()
-		return nil, err
+		return nil, transport.Addr{}, err
 	}
-	local := conn.LocalAddr().(*net.UDPAddr)
-	addr, err := toAddr(local)
-	if err != nil {
+	ap := conn.LocalAddr().(*net.UDPAddr).AddrPort()
+	a, ok := toAddr(ap)
+	if !ok {
 		conn.Close()
-		return nil, err
+		return nil, transport.Addr{}, fmt.Errorf("udptrans: %v is not an IPv4 address", ap.Addr())
 	}
-	ep := &Endpoint{
-		conn: conn,
-		raw:  raw,
-		addr: addr,
-		recv: make(chan transport.Packet, 1024),
+	return &socket{conn: conn, raw: raw}, a, nil
+}
+
+// toAddr converts a UDP address to the transport's 32-bit-host form;
+// ok is false for anything that is not IPv4: transport.Addr cannot
+// represent a 16-byte address, and the AF_INET sockaddr encoding on
+// the batch send path would silently truncate it.
+func toAddr(ap netip.AddrPort) (a transport.Addr, ok bool) {
+	ip := ap.Addr().Unmap()
+	if !ip.Is4() {
+		return transport.Addr{}, false
 	}
-	go ep.readLoop()
-	return ep, nil
+	ip4 := ip.As4()
+	return transport.Addr{Host: binary.BigEndian.Uint32(ip4[:]), Port: ap.Port()}, true
 }
 
-// toAddr converts a UDP address to the transport's 32-bit-host form,
-// rejecting anything that is not IPv4: transport.Addr cannot represent
-// a 16-byte address, and the AF_INET sockaddr encoding on the batch
-// send path would silently truncate it.
-func toAddr(u *net.UDPAddr) (transport.Addr, error) {
-	ip4 := u.IP.To4()
-	if ip4 == nil {
-		return transport.Addr{}, fmt.Errorf("udptrans: %v is not an IPv4 address", u.IP)
+func toAddrPort(a transport.Addr) netip.AddrPort {
+	var ip4 [4]byte
+	binary.BigEndian.PutUint32(ip4[:], a.Host)
+	return netip.AddrPortFrom(netip.AddrFrom4(ip4), a.Port)
+}
+
+// Addr returns the bound loopback address, shared by every socket.
+func (e *Endpoint) Addr() transport.Addr { return e.addr }
+
+// Recv returns the incoming datagram channel; unused once a Dispatcher
+// handler is installed.
+func (e *Endpoint) Recv() <-chan transport.Packet { return e.recv }
+
+// SetHandler installs fn as the exclusive delivery path
+// (transport.Dispatcher). Packets from different sockets may invoke fn
+// concurrently; packets from one peer never do, because the kernel's
+// REUSEPORT hash pins each peer to one socket.
+func (e *Endpoint) SetHandler(fn func(transport.Packet)) {
+	e.handler.Store(&fn)
+}
+
+// deliver hands one packet up from a socket's drain goroutine: to the
+// handler if one is installed, else to the Recv channel without
+// blocking. While the consumer works the kernel queues what follows;
+// when either queue is full the datagram is dropped and the paired
+// message protocol recovers by retransmission.
+func (e *Endpoint) deliver(pkt transport.Packet) {
+	if h := e.handler.Load(); h != nil {
+		(*h)(pkt)
+		return
 	}
-	return transport.Addr{
-		Host: binary.BigEndian.Uint32(ip4),
-		Port: uint16(u.Port),
-	}, nil
-}
-
-// errBadAddr reports an address the AF_INET wire encoding cannot
-// carry. The zero Addr is the only unrepresentable value reachable
-// through transport.Addr (every non-zero Host/Port pair is a valid
-// IPv4 destination), and sending to it would otherwise surface as the
-// kernel's cryptic EINVAL — or, on the batch path, as a datagram to
-// 0.0.0.0.
-func errBadAddr(a transport.Addr) error {
-	return fmt.Errorf("udptrans: cannot encode %v as an AF_INET destination", a)
-}
-
-func toUDPAddr(a transport.Addr) *net.UDPAddr {
-	ip := make(net.IP, 4)
-	binary.BigEndian.PutUint32(ip, a.Host)
-	return &net.UDPAddr{IP: ip, Port: int(a.Port)}
-}
-
-// enqueue offers one received packet upward, dropping on overflow as a
-// kernel socket buffer would. The paired message protocol recovers by
-// retransmission. Data must be a fresh buffer the receiver may own
-// (transport.Packet contract).
-func (e *Endpoint) enqueue(from transport.Addr, data []byte) {
-	pkt := transport.Packet{From: from, To: e.addr, Data: data}
 	select {
 	case e.recv <- pkt:
 	default:
+		pkt.Buf.Release()
 	}
 }
 
-// Addr returns the bound loopback address.
-func (e *Endpoint) Addr() transport.Addr { return e.addr }
-
-// Recv returns the incoming datagram channel.
-func (e *Endpoint) Recv() <-chan transport.Packet { return e.recv }
-
-// Send transmits one UDP datagram.
-func (e *Endpoint) Send(to transport.Addr, data []byte) error {
+// check validates one outbound datagram. The zero Addr is the only
+// value of transport.Addr the AF_INET wire encoding cannot carry
+// (every non-zero Host/Port pair is a valid IPv4 destination), and
+// sending to it would otherwise surface as the kernel's cryptic EINVAL
+// — or, on the batch path, as a datagram to 0.0.0.0.
+func check(to transport.Addr, data []byte) error {
 	if len(data) > transport.MaxDatagram {
 		return transport.ErrTooLarge
 	}
 	if to.IsZero() {
-		return errBadAddr(to)
+		return fmt.Errorf("udptrans: cannot encode %v as an AF_INET destination", to)
 	}
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
+	return nil
+}
+
+// pickSocket spreads sends across the sockets. All share one local
+// port, so a peer's replies hash to the same receive socket regardless
+// of which one carried our send.
+func (e *Endpoint) pickSocket() *socket {
+	if len(e.socks) == 1 {
+		return e.socks[0]
+	}
+	return e.socks[int(e.sendNext.Add(1))%len(e.socks)]
+}
+
+// Send transmits one UDP datagram.
+func (e *Endpoint) Send(to transport.Addr, data []byte) error {
+	if err := check(to, data); err != nil {
+		return err
+	}
+	if e.closed.Load() {
 		return transport.ErrClosed
 	}
-	_, err := e.conn.WriteToUDP(data, toUDPAddr(to))
+	_, err := e.pickSocket().conn.WriteToUDPAddrPort(data, toAddrPort(to))
 	return err
 }
 
 // SendBatch transmits several datagrams in as few system calls as the
-// platform allows: one sendmmsg(2) per batch on Linux, a WriteToUDP
+// platform allows: one sendmmsg(2) per batch on 64-bit Linux, a write
 // loop elsewhere. The paper's cost accounting (Table 4.2) charges each
 // datagram a full sendmsg; batching the coalesced flush of the paired
 // message layer amortizes that per-call overhead.
 func (e *Endpoint) SendBatch(dgrams []transport.Datagram) error {
 	for i := range dgrams {
-		if len(dgrams[i].Data) > transport.MaxDatagram {
-			return transport.ErrTooLarge
-		}
-		if dgrams[i].To.IsZero() {
-			return errBadAddr(dgrams[i].To)
+		if err := check(dgrams[i].To, dgrams[i].Data); err != nil {
+			return err
 		}
 	}
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
+	if e.closed.Load() {
 		return transport.ErrClosed
 	}
-	return sendBatchOn(e.conn, e.raw, dgrams)
+	return e.pickSocket().sendBatch(dgrams)
 }
 
-// Close shuts the socket; the receive channel closes once the read
-// loop observes the closed socket.
+// Multicast sends data to every group member; UDP has no true
+// multicast primitive here, so this is a batched unicast fan-out
+// (§4.3.3's software multicast), one kernel crossing via SendBatch.
+func (e *Endpoint) Multicast(group []transport.Addr, data []byte) error {
+	dgrams := make([]transport.Datagram, len(group))
+	for i, to := range group {
+		dgrams[i] = transport.Datagram{To: to, Data: data}
+	}
+	return e.SendBatch(dgrams)
+}
+
+// Close shuts every socket and waits for the drain goroutines to
+// observe it, so the Dispatcher handler is never invoked after Close
+// returns; then the Recv channel closes.
 func (e *Endpoint) Close() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
+	if e.closed.Swap(true) {
 		return nil
 	}
-	e.closed = true
-	return e.conn.Close()
+	var first error
+	for _, s := range e.socks {
+		if err := s.conn.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	e.drains.Wait()
+	close(e.recv)
+	return first
 }
+
+// UsingIOUring is kept only because benchmark/probes.go, frozen for
+// this change, calls it; the io_uring sender is gone. The next
+// [benchmark] PR removes the call and this method with it.
+func (e *Endpoint) UsingIOUring() bool { return false }

@@ -1,14 +1,13 @@
 package wire
 
 // Compiled codecs: a per-type encode/decode plan built once by
-// reflection and cached, so the call hot path never repeats the
-// recursive kind-switch of marshalValue/unmarshalValue. The plan is a
-// flat program of field operations for structs and closure chains for
-// constructed types. Output is byte-for-bit identical to the walker in
-// reflect.go — §4.1's unanimous collator requires replicas to produce
-// identical encodings, so the walker is retained both as the fallback
-// for kinds outside the compiled subset and as the parity oracle the
-// differential tests check against.
+// reflection and cached, so the call hot path never repeats a
+// recursive kind-switch. The plan is a flat program of field
+// operations for structs and closure chains for constructed types.
+// §4.1's unanimous collator requires replicas to produce identical
+// encodings, so the output is pinned bit for bit: the recursive walker
+// these codecs replaced is kept beside its differential tests
+// (reflect_oracle_test.go) as the parity oracle.
 
 import (
 	"bytes"
@@ -187,9 +186,12 @@ func compile(t reflect.Type) *codec {
 	case reflect.Pointer:
 		return compilePointer(t)
 	default:
-		// Outside the compiled subset: fall back to the reflection
-		// walker, which reports the unsupported kind.
-		return &codec{enc: marshalValue, dec: unmarshalValue}
+		// Outside the Courier subset: a codec that says so.
+		err := fmt.Errorf("wire: unsupported kind %s", t.Kind())
+		return &codec{
+			enc: func(*Encoder, reflect.Value) error { return err },
+			dec: func(*Decoder, reflect.Value) error { return err },
+		}
 	}
 }
 

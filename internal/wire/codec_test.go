@@ -2,33 +2,11 @@ package wire
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 )
-
-// walkerMarshal is the parity oracle: the retained reflection walker,
-// driven exactly as the pre-codec Marshal drove it.
-func walkerMarshal(v any) ([]byte, error) {
-	e := NewEncoder()
-	if err := marshalValue(e, reflect.ValueOf(v)); err != nil {
-		return nil, err
-	}
-	return e.Bytes(), nil
-}
-
-func walkerUnmarshal(data []byte, out any) error {
-	d := NewDecoder(data)
-	if err := unmarshalValue(d, reflect.ValueOf(out).Elem()); err != nil {
-		return err
-	}
-	if !d.Finished() {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadValue, d.Remaining())
-	}
-	return nil
-}
 
 type parityLeaf struct {
 	X float64

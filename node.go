@@ -154,20 +154,16 @@ func (s *SimNetwork) NewNodeOnHost(peer *Node, opts ...Option) (*Node, error) {
 }
 
 // ListenUDP creates a node on a real UDP loopback socket (port 0
-// selects a free port), the multi-process deployment of §4.2.
+// selects a free port), the multi-process deployment of §4.2. It is
+// ListenUDPSharded with one socket.
 func ListenUDP(port uint16, opts ...Option) (*Node, error) {
-	ep, err := udptrans.Listen(port)
-	if err != nil {
-		return nil, err
-	}
-	return newNode(ep, pairedmsg.Options{}, opts...)
+	return ListenUDPSharded(port, 1, opts...)
 }
 
-// ListenUDPSharded creates a node on a sharded UDP endpoint: shards
-// SO_REUSEPORT sockets with per-shard drain loops (and, when the
-// kernel grants it, io_uring batch sends) behind one address. The
-// kernel-transport deployment for multi-core machines; shards of 1 is
-// equivalent to ListenUDP with the pooled receive path.
+// ListenUDPSharded creates a node on shards SO_REUSEPORT sockets
+// behind one address, each drained by its own goroutine straight into
+// the protocol: the deployment for multi-core machines (shards <= 0
+// selects one socket per CPU).
 func ListenUDPSharded(port uint16, shards int, opts ...Option) (*Node, error) {
 	ep, err := udptrans.ListenSharded(port, shards)
 	if err != nil {
