@@ -20,13 +20,14 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"log"
+	"net/netip"
 	"os"
 	"os/signal"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -96,27 +97,21 @@ func (m *kv) SetState(b []byte) error {
 	return circus.Unmarshal(b, &m.data)
 }
 
+// parseBinder reads comma-separated binder addresses, each four dotted
+// octets and a port in 0–65535.
 func parseBinder(s string) ([]circus.ModuleAddr, error) {
 	var members []circus.ModuleAddr
 	for _, part := range strings.Split(s, ",") {
-		host, portStr, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
-			return nil, fmt.Errorf("binder address %q is not host:port", part)
-		}
-		var ip uint32
-		for _, oct := range strings.SplitN(host, ".", 4) {
-			n, err := strconv.Atoi(oct)
-			if err != nil || n < 0 || n > 255 {
-				return nil, fmt.Errorf("bad binder host %q", host)
-			}
-			ip = ip<<8 | uint32(n)
-		}
-		port, err := strconv.Atoi(portStr)
+		ap, err := netip.ParseAddrPort(strings.TrimSpace(part))
 		if err != nil {
-			return nil, fmt.Errorf("bad binder port %q", portStr)
+			return nil, fmt.Errorf("binder address %q: %v", part, err)
 		}
+		if !ap.Addr().Is4() {
+			return nil, fmt.Errorf("binder address %q is not IPv4", part)
+		}
+		ip := ap.Addr().As4()
 		members = append(members, circus.ModuleAddr{
-			Addr: circus.Addr{Host: ip, Port: uint16(port)},
+			Addr: circus.Addr{Host: binary.BigEndian.Uint32(ip[:]), Port: ap.Port()},
 		})
 	}
 	return members, nil

@@ -6,10 +6,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 	"time"
+
+	"circus"
 )
 
 // TestMultiProcessEndToEnd drives the stack across real OS processes
@@ -34,6 +37,12 @@ func TestMultiProcessEndToEnd(t *testing.T) {
 	}
 	build(kvBin, "circus/cmd/circus-kv")
 	build(rmBin, "circus/cmd/ringmaster")
+
+	// A port that does not fit 16 bits is refused, not truncated.
+	if out, err := exec.Command(rmBin, "-port", "70000").CombinedOutput(); err == nil ||
+		!strings.Contains(string(out), "not in 0-65535") {
+		t.Fatalf("ringmaster -port 70000: err %v, output %q", err, out)
+	}
 
 	// Start the binding agent on an ephemeral port and parse its
 	// address from stdout.
@@ -156,4 +165,40 @@ func TestMultiProcessEndToEnd(t *testing.T) {
 		t.Fatalf("get after rejoin = %q (all live members must answer unanimously)", out)
 	}
 	fmt.Println("multi-process lifecycle complete")
+}
+
+// TestParseBinder: a binder address is four dotted octets and a port in
+// 0–65535; anything else is refused, never truncated to something that
+// parses.
+func TestParseBinder(t *testing.T) {
+	addr := func(a, b, c, d uint32, port uint16) circus.ModuleAddr {
+		return circus.ModuleAddr{Addr: circus.Addr{Host: a<<24 | b<<16 | c<<8 | d, Port: port}}
+	}
+	for _, tc := range []struct {
+		in   string
+		want []circus.ModuleAddr // nil: refused
+	}{
+		{"127.0.0.1:911", []circus.ModuleAddr{addr(127, 0, 0, 1, 911)}},
+		{"10.0.0.1:0, 10.0.0.2:65535", []circus.ModuleAddr{addr(10, 0, 0, 1, 0), addr(10, 0, 0, 2, 65535)}},
+		{"10.1:911", nil},
+		{"1.2.3.4.5:911", nil},
+		{"256.0.0.1:911", nil},
+		{"1.2.3.4:70000", nil},
+		{"1.2.3.4:-1", nil},
+		{"1.2.3.4", nil},
+		{"localhost:911", nil},
+		{"[::1]:911", nil},
+		{"", nil},
+	} {
+		got, err := parseBinder(tc.in)
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("parseBinder(%q) = %v, want an error", tc.in, got)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("parseBinder(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
 }

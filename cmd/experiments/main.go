@@ -1,12 +1,15 @@
 // Experiments regenerates every table and figure of the dissertation's
 // evaluation, printing model/measured rows beside the paper's
 // published numbers. EXPERIMENTS.md records a snapshot of this output.
+// The native rows are shape checks against the paper; this
+// implementation's performance numbers come from the repository
+// benchmark (`bash benchmark/run.sh`).
 //
 //	go run ./cmd/experiments             # everything
 //	go run ./cmd/experiments -run table4.1
 //
 // Experiment IDs: table4.1 table4.2 table4.3 figure4.8 multicast
-// eq5.1 figure5.1 figure6.3 ablation native throughput transport mesh
+// eq5.1 figure5.1 figure6.3 ablation native
 package main
 
 import (
@@ -14,12 +17,10 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"runtime/pprof"
 	"strings"
 
 	"circus/internal/bench"
-	"circus/internal/meshbench"
 	"circus/internal/trace"
 )
 
@@ -33,12 +34,6 @@ func main() {
 	seed := flag.Int64("seed", 1985, "random seed for Monte-Carlo experiments")
 	quick := flag.Bool("quick", false, "smaller iteration counts")
 	traceFile := flag.String("trace", "", "write a JSONL protocol trace of the native experiments to this file")
-	benchJSON := flag.Int("bench-json", 0, "measure hot-path benchmarks up to this replication degree, write BENCH_<n>.json, and exit")
-	packetSmoke := flag.String("packet-smoke", "", "re-measure throughput datagrams/op against this committed BENCH_<n>.json and exit nonzero on a >25% regression")
-	allocSmoke := flag.String("alloc-smoke", "", "re-measure replicated-call allocs/op against this committed BENCH_<n>.json and exit nonzero on a >15% regression")
-	readSmoke := flag.String("read-smoke", "", "re-measure mesh read throughput against this committed BENCH_<n>.json and exit nonzero on a >25% regression")
-	readFrac := flag.Float64("read-frac", 1, "read fraction of the mesh scale-out experiment's workload")
-	mutexProf := flag.String("mutexprofile", "", "record runtime mutex contention during the run and write the profile to this file")
 	cpuProf := flag.String("cpuprofile", "", "record a CPU profile during the run and write it to this file")
 	flag.Parse()
 
@@ -52,47 +47,6 @@ func main() {
 			log.Fatalf("cpuprofile: %v", err)
 		}
 		defer pprof.StopCPUProfile()
-	}
-
-	if *mutexProf != "" {
-		// Sample every blocking mutex event: the experiments are short,
-		// and the point is to see whether the message/dispatch paths
-		// still serialize on shared locks under concurrent load.
-		runtime.SetMutexProfileFraction(1)
-		defer writeMutexProfile(*mutexProf)
-	}
-
-	if *benchJSON > 0 {
-		path, err := writeBenchJSON(*benchJSON, *seed)
-		if err != nil {
-			log.Fatalf("bench-json: %v", err)
-		}
-		fmt.Println("wrote", path)
-		return
-	}
-
-	if *packetSmoke != "" {
-		if err := runPacketSmoke(*packetSmoke, *seed); err != nil {
-			log.Fatalf("packet-smoke: %v", err)
-		}
-		fmt.Println("packet-smoke: datagrams/op within bounds of the committed baseline")
-		return
-	}
-
-	if *allocSmoke != "" {
-		if err := runAllocSmoke(*allocSmoke, *seed); err != nil {
-			log.Fatalf("alloc-smoke: %v", err)
-		}
-		fmt.Println("alloc-smoke: allocs/op within bounds of the committed baseline")
-		return
-	}
-
-	if *readSmoke != "" {
-		if err := runReadSmoke(*readSmoke, *seed); err != nil {
-			log.Fatalf("read-smoke: %v", err)
-		}
-		fmt.Println("read-smoke: mesh read throughput within bounds of the committed baseline")
-		return
 	}
 
 	if *traceFile != "" {
@@ -146,18 +100,6 @@ func main() {
 		{"native", func() (string, error) {
 			return bench.NativeReplicatedCall(*seed, []int{1, 2, 3, 4, 5}, callIters)
 		}},
-		{"throughput", func() (string, error) {
-			return bench.ThroughputTable(*seed, callIters/2)
-		}},
-		{"transport", func() (string, error) {
-			return bench.TransportScaling(16, 3, callIters*10)
-		}},
-		{"mesh", func() (string, error) {
-			return meshbench.MeshScaling(*seed, 3, 32, 16, callIters*10, *readFrac)
-		}},
-		{"spread", func() (string, error) {
-			return meshbench.MeshSpreadScaling(*seed, 3, 16, 16, callIters*10)
-		}},
 	}
 
 	ran := 0
@@ -176,21 +118,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *runID)
 		os.Exit(2)
 	}
-}
-
-// writeMutexProfile dumps the accumulated mutex-contention profile.
-// It runs deferred from main, so any experiment (or the bench-json
-// mode) can be profiled by adding -mutexprofile.
-func writeMutexProfile(path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Printf("mutexprofile: %v", err)
-		return
-	}
-	defer f.Close()
-	if err := pprof.Lookup("mutex").WriteTo(f, 0); err != nil {
-		log.Printf("mutexprofile: %v", err)
-		return
-	}
-	fmt.Println("wrote", path)
 }

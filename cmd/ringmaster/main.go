@@ -23,6 +23,9 @@ func main() {
 	port := flag.Uint("port", 911, "UDP port to listen on (0 = ephemeral)")
 	gcEvery := flag.Duration("gc", 0, "garbage-collect unreachable members at this interval (0 = never)")
 	flag.Parse()
+	if *port > 65535 {
+		log.Fatalf("-port %d is not in 0-65535", *port)
+	}
 
 	node, err := circus.ListenUDP(uint16(*port))
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"circus/internal/collate"
@@ -63,7 +64,7 @@ func NewCluster(seed int64, n int, wireDelay time.Duration) (*Cluster, error) {
 // NewClusterMode additionally selects the multicast implementation of
 // one-to-many calls (§4.3.3).
 func NewClusterMode(seed int64, n int, wireDelay time.Duration, multicast bool) (*Cluster, error) {
-	return newClusterWith(seed, n, wireDelay, multicast, Trace, func(int) core.Module { return echoMod{} })
+	return newCluster(seed, n, wireDelay, multicast, Trace)
 }
 
 // NewClusterSink builds the echo cluster with the given trace sink on
@@ -71,13 +72,10 @@ func NewClusterMode(seed int64, n int, wireDelay time.Duration, multicast bool) 
 // benchmarks attach an online monitor here without disturbing global
 // state. A nil sink is the disabled fast path.
 func NewClusterSink(seed int64, n int, wireDelay time.Duration, sink trace.Sink) (*Cluster, error) {
-	return newClusterWith(seed, n, wireDelay, false, sink, func(int) core.Module { return echoMod{} })
+	return newCluster(seed, n, wireDelay, false, sink)
 }
 
-// newClusterWith builds the troupe with one module per member from mkMod
-// — the echo module for the latency benchmarks, a durable put module
-// for the fsync benchmarks.
-func newClusterWith(seed int64, n int, wireDelay time.Duration, multicast bool, sink trace.Sink, mkMod func(i int) core.Module) (*Cluster, error) {
+func newCluster(seed int64, n int, wireDelay time.Duration, multicast bool, sink trace.Sink) (*Cluster, error) {
 	net := netsim.New(seed)
 	if wireDelay > 0 {
 		net.SetLink(netsim.LinkConfig{MinDelay: wireDelay, MaxDelay: wireDelay + wireDelay/4})
@@ -92,7 +90,7 @@ func newClusterWith(seed int64, n int, wireDelay time.Duration, multicast bool, 
 			return nil, err
 		}
 		rt := core.NewRuntime(ep, opts)
-		addr := rt.Export(mkMod(i), core.ExportOptions{})
+		addr := rt.Export(echoMod{}, core.ExportOptions{})
 		rt.SetTroupeID(addr.Module, c.Troupe.ID)
 		c.Troupe.Members = append(c.Troupe.Members, addr)
 		c.servers = append(c.servers, rt)
@@ -158,6 +156,39 @@ func (c *Cluster) Close() {
 func (c *Cluster) Call(payload []byte) error {
 	_, err := c.Client.Call(context.Background(), c.Troupe, 1, payload, core.CallOptions{})
 	return err
+}
+
+// ConcurrentCalls drives total replicated echo calls of a 16-byte
+// payload through callers closed-loop worker goroutines: each goroutine
+// issues its next call as soon as its previous one collates, claiming
+// iterations from a shared counter. Every call runs on its own fresh
+// thread context, so the calls are independent at the servers and
+// exercise the parallel dispatch path. It returns the first error
+// encountered, if any.
+func (c *Cluster) ConcurrentCalls(callers, total int) error {
+	payload := []byte("0123456789abcdef")
+	var next atomic.Int64
+	errc := make(chan error, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for next.Add(1) <= int64(total) {
+				if err := c.Call(payload); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	select {
+	case err := <-errc:
+		return err
+	default:
+		return nil
+	}
 }
 
 // NativeReplicatedCall measures this repository's own implementation —
