@@ -702,7 +702,9 @@ func Run(cfg Config) (*Result, error) {
 // the campaign has quiesced no node holds a live call record, holds no
 // more tombstones than it started executions (each finished execution
 // leaves exactly one, for at most 1.5 CallRetention), and remembers no
-// more completed exchanges than messages were delivered to it.
+// more completed exchanges than messages were delivered to it. The
+// client side must have drained too: no member leg still listed for a
+// return, no call still probed for liveness.
 func tableCheck(nodes []*circus.Node, events []trace.Event) []string {
 	started := make(map[circus.Addr]int)
 	for _, e := range events {
@@ -717,6 +719,10 @@ func tableCheck(nodes []*circus.Node, events []trace.Event) []string {
 		switch {
 		case ct.Live != 0:
 			v = append(v, fmt.Sprintf("node %v: %d call records still live after quiescence", n.Addr(), ct.Live))
+		case ct.Pending != 0:
+			v = append(v, fmt.Sprintf("node %v: %d client legs still pending after quiescence", n.Addr(), ct.Pending))
+		case msgs.Watches != 0:
+			v = append(v, fmt.Sprintf("node %v: %d liveness watches still armed after quiescence", n.Addr(), msgs.Watches))
 		case ct.Tombstones > started[n.Addr()]:
 			v = append(v, fmt.Sprintf("node %v: %d call tombstones for %d executions", n.Addr(), ct.Tombstones, started[n.Addr()]))
 		case msgs.CompletedRecords > msgs.MessagesDelivered:

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,6 +61,51 @@ type CallOptions struct {
 // members does not depend on the client's collation policy.
 func (rt *Runtime) CallEach(ctx context.Context, dest Troupe, proc uint16, args []byte, opts CallOptions) <-chan collate.Item {
 	items := make(chan collate.Item, len(dest.Members))
+	hdr := rt.callHeader(ctx, dest, proc, args, &opts, len(dest.Members))
+	if len(dest.Members) == 0 {
+		return items
+	}
+	// The call message is identical for every member that shares a
+	// module number — the common case, since troupe members are
+	// replicas of one module — so the header is marshalled once and
+	// all members get the same bytes, or one multicast.
+	same := true
+	for _, m := range dest.Members[1:] {
+		if m.Module != dest.Members[0].Module {
+			same = false
+			break
+		}
+	}
+	cs := rt.newCallState(items, dest.Members)
+	if !same || !rt.multicastEach(cs, hdr) {
+		var shared []byte
+		var err error
+		if same {
+			hdr.Module = dest.Members[0].Module
+			shared, err = wire.Marshal(hdr)
+		}
+		for i := range cs.legs {
+			l := &cs.legs[i]
+			data := shared
+			if !same {
+				hdr.Module = l.m.Module
+				data, err = wire.Marshal(hdr)
+			}
+			if err != nil {
+				l.finish(collate.Item{Member: i, Err: err}, false)
+				continue
+			}
+			l.call(data)
+		}
+	}
+	cs.issued(ctx, rt.timeout(opts))
+	return items
+}
+
+// callHeader resolves the thread a call runs on, takes its next call
+// path, records the call as issued, and returns the call message's
+// header, all but the module number.
+func (rt *Runtime) callHeader(ctx context.Context, dest Troupe, proc uint16, args []byte, opts *CallOptions, n int) callHeader {
 	tc := opts.thread
 	if tc == nil {
 		tc = opts.Thread
@@ -78,115 +124,26 @@ func (rt *Runtime) CallEach(ctx context.Context, dest Troupe, proc uint16, args 
 		rt.tr.Emit(trace.Event{Kind: trace.KindCallIssued,
 			Troupe: uint64(dest.ID), Proc: proc,
 			ThreadHost: tc.ID().Host, ThreadProc: tc.ID().Proc, Path: path,
-			N: len(dest.Members)})
+			N: n})
 	}
-	timeout := opts.Timeout
-	if timeout == 0 {
-		timeout = rt.opts.DefaultCallTimeout
-	}
-	callCtx := ctx
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		callCtx, cancel = context.WithTimeout(ctx, timeout)
-	}
-	if len(dest.Members) == 0 {
-		if cancel != nil {
-			cancel()
-		}
-		return items
-	}
-	f := newFanout(cancel, len(dest.Members))
-	if !rt.multicastEach(callCtx, dest, tc.ID(), path, proc, args, opts, items, f) {
-		// Unicast fan-out. The call message is identical for every
-		// member that shares a module number — the common case, since
-		// troupe members are replicas of one module — so marshal the
-		// header once and hand all members the same bytes.
-		hdr := callHeader{
-			ThreadHost:   tc.ID().Host,
-			ThreadProc:   tc.ID().Proc,
-			Path:         path,
-			ClientTroupe: uint64(opts.clientTroupe),
-			DestTroupe:   uint64(dest.ID),
-			Proc:         proc,
-			Args:         args,
-		}
-		var shared []byte
-		mod := dest.Members[0].Module
-		same := true
-		for _, m := range dest.Members[1:] {
-			if m.Module != mod {
-				same = false
-				break
-			}
-		}
-		if same {
-			hdr.Module = mod
-			var err error
-			if shared, err = wire.Marshal(hdr); err != nil {
-				for i := range dest.Members {
-					items <- collate.Item{Member: i, Err: err}
-					f.done()
-				}
-				return items
-			}
-		}
-		for i, m := range dest.Members {
-			data := shared
-			if data == nil {
-				hdr.Module = m.Module
-				var err error
-				if data, err = wire.Marshal(hdr); err != nil {
-					items <- collate.Item{Member: i, Err: err}
-					f.done()
-					continue
-				}
-			}
-			go rt.callMemberF(callCtx, f, i, m, data, items)
-		}
-	}
-	return items
-}
-
-// fanout tracks one replicated call's outstanding member legs: the
-// last leg to finish cancels the call context (releasing its timer)
-// and recycles the struct. It replaces a WaitGroup plus a dedicated
-// wait-then-cancel goroutine on the per-call hot path.
-type fanout struct {
-	remaining atomic.Int32
-	cancel    context.CancelFunc
-}
-
-var fanoutPool = sync.Pool{New: func() any { return new(fanout) }}
-
-func newFanout(cancel context.CancelFunc, n int) *fanout {
-	f := fanoutPool.Get().(*fanout)
-	f.cancel = cancel
-	f.remaining.Store(int32(n))
-	return f
-}
-
-// done marks one member leg finished.
-func (f *fanout) done() {
-	if f.remaining.Add(-1) == 0 {
-		if f.cancel != nil {
-			f.cancel()
-			f.cancel = nil
-		}
-		fanoutPool.Put(f)
+	return callHeader{
+		ThreadHost:   tc.ID().Host,
+		ThreadProc:   tc.ID().Proc,
+		Path:         path,
+		ClientTroupe: uint64(opts.clientTroupe),
+		DestTroupe:   uint64(dest.ID), // incarnation check applies (§6.2)
+		Proc:         proc,
+		Args:         args,
 	}
 }
 
-// callMemberF is the goroutine body of one unicast member leg.
-func (rt *Runtime) callMemberF(ctx context.Context, f *fanout, idx int, m ModuleAddr, data []byte, items chan<- collate.Item) {
-	defer f.done()
-	rt.callMember(ctx, idx, m, data, items)
-}
-
-// awaitReplyF is the goroutine body of one multicast member leg.
-func (rt *Runtime) awaitReplyF(ctx context.Context, f *fanout, idx int, m ModuleAddr, callNum uint32,
-	t pairedmsg.Transfer, ch chan returnHeader, items chan<- collate.Item) {
-	defer f.done()
-	rt.awaitReply(ctx, idx, m, callNum, t, ch, items)
+// timeout is the bound on a call made with opts; zero or less means
+// none.
+func (rt *Runtime) timeout(opts CallOptions) time.Duration {
+	if opts.Timeout == 0 {
+		return rt.opts.DefaultCallTimeout
+	}
+	return opts.Timeout
 }
 
 // multicastEach attempts the multicast implementation of the
@@ -195,87 +152,223 @@ func (rt *Runtime) awaitReplyF(ctx context.Context, f *fanout, idx int, m Module
 // (so the call message is identical for all), the call message is
 // transmitted to the whole troupe in one network operation — m+n
 // messages instead of m·n. It reports whether it took responsibility
-// for the call.
-func (rt *Runtime) multicastEach(ctx context.Context, dest Troupe, tid thread.ID, path []uint32,
-	proc uint16, args []byte, opts CallOptions, items chan<- collate.Item, f *fanout) bool {
-
-	if !rt.opts.Multicast || len(dest.Members) < 2 {
+// for the call; the caller has checked the module numbers.
+func (rt *Runtime) multicastEach(cs *callState, hdr callHeader) bool {
+	if !rt.opts.Multicast || len(cs.legs) < 2 {
 		return false
 	}
-	mod := dest.Members[0].Module
-	for _, m := range dest.Members[1:] {
-		if m.Module != mod {
-			return false
-		}
-	}
-
-	hdr := callHeader{
-		ThreadHost:   tid.Host,
-		ThreadProc:   tid.Proc,
-		Path:         path,
-		ClientTroupe: uint64(opts.clientTroupe),
-		DestTroupe:   uint64(dest.ID),
-		Module:       mod,
-		Proc:         proc,
-		Args:         args,
-	}
+	hdr.Module = cs.legs[0].m.Module
 	data, err := wire.Marshal(hdr)
 	if err != nil {
 		return false
 	}
-
-	group := make([]transport.Addr, len(dest.Members))
-	for i, m := range dest.Members {
-		group[i] = m.Addr
+	group := make([]transport.Addr, len(cs.legs))
+	obs := make([]pairedmsg.CallObserver, len(cs.legs))
+	for i := range cs.legs {
+		group[i], obs[i] = cs.legs[i].m.Addr, &cs.legs[i]
 	}
 	// Two-phase send: BeginCallMulticast allocates the call number and
 	// registers the transfers without transmitting, so the return
 	// routing below is installed before any call message is on the
-	// wire — a reply can never race its own pending entry.
-	transfers, callNum, err := rt.conn.BeginCallMulticast(group, data)
+	// wire — a reply can never race its own routing.
+	transfers, callNum, err := rt.conn.BeginCallMulticast(group, data, obs)
 	if err != nil {
 		return false // no multicast support (or closing): fall back to unicast
 	}
-	chans := make([]chan returnHeader, len(dest.Members))
-	rt.pendMu.Lock()
-	for i, m := range dest.Members {
-		ch := retChanPool.Get().(chan returnHeader)
-		chans[i] = ch
-		rt.pending[retKey{peer: m.Addr, callNum: callNum}] = ch
+	for i := range cs.legs {
+		cs.legs[i].list(callNum)
 	}
-	rt.pendMu.Unlock()
 	rt.conn.TransmitMulticast(group, transfers)
-
-	for i, m := range dest.Members {
-		go rt.awaitReplyF(ctx, f, i, m, callNum, transfers[i], chans[i], items)
-	}
 	return true
 }
 
-// retChanPool recycles the single-slot reply channels that route
-// return messages to their awaiting member leg. A channel may be
-// recycled only when no sender can still hold it: either the awaiter
-// received the reply (handleReturn removes the pending entry before
-// sending, so receipt proves the entry is gone), or releasePending
-// itself removed the entry before any sender saw it.
-var retChanPool = sync.Pool{New: func() any { return make(chan returnHeader, 1) }}
+// A callState is the client side of one replicated call in flight: a
+// leg per server troupe member, the channel their items go to, and the
+// call's deadline. No goroutine waits on a leg; the event that ends it
+// finishes it (see leg). States are pooled: the call's last holder to
+// let go — its last leg, or a deadline or context watch that fired —
+// recycles it.
+type callState struct {
+	rt      *Runtime
+	items   chan<- collate.Item
+	legs    []leg
+	legsArr [4]leg // typical troupe degrees, no heap growth
+	// open counts unfinished legs, plus one while the call is being
+	// issued; refs counts the holders: open > 0, and the deadline and
+	// the caller-context watch while armed.
+	open    atomic.Int32
+	refs    atomic.Int32
+	timer   *time.Timer // the deadline, created once per pooled state
+	stopCtx func() bool // disarms the caller-context watch; nil if none
+}
 
-// releasePending retires a reply route that will not be awaited
-// further, recycling its channel once no in-flight sender can touch
-// it. If handleReturn already claimed the entry its send is
-// unconditional and imminent — drain it, then recycle.
-func (rt *Runtime) releasePending(k retKey, ch chan returnHeader) {
-	rt.pendMu.Lock()
-	cur, ok := rt.pending[k]
-	if ok && cur == ch {
-		delete(rt.pending, k)
-		rt.pendMu.Unlock()
-		retChanPool.Put(ch)
+var callStatePool = sync.Pool{New: func() any { return new(callState) }}
+
+func (rt *Runtime) newCallState(items chan<- collate.Item, members []ModuleAddr) *callState {
+	cs := callStatePool.Get().(*callState)
+	cs.rt, cs.items = rt, items
+	if len(members) <= len(cs.legsArr) {
+		cs.legs = cs.legsArr[:len(members)]
+	} else {
+		cs.legs = make([]leg, len(members))
+	}
+	for i, m := range members {
+		l := &cs.legs[i]
+		l.cs, l.idx, l.m = cs, i, m
+		l.listed, l.callNum = false, 0
+		l.done.Store(false)
+	}
+	cs.open.Store(int32(len(members)) + 1)
+	cs.refs.Store(1)
+	return cs
+}
+
+// issued ends the issuing of a call: every leg is now either finished
+// or listed, so the call's deadline and its caller's context may
+// finish the rest. Only a context that can end is watched.
+func (cs *callState) issued(ctx context.Context, timeout time.Duration) {
+	if timeout > 0 {
+		cs.refs.Add(1)
+		if cs.timer == nil {
+			cs.timer = time.AfterFunc(timeout, cs.deadline)
+		} else {
+			cs.timer.Reset(timeout)
+		}
+	}
+	if ctx.Done() != nil {
+		cs.refs.Add(1)
+		cs.stopCtx = context.AfterFunc(ctx, func() {
+			cs.expire(ctx.Err())
+			cs.release()
+		})
+	}
+	cs.legDone()
+}
+
+// deadline is the deadline timer's body.
+func (cs *callState) deadline() {
+	cs.expire(context.DeadlineExceeded)
+	cs.release()
+}
+
+// expire finishes every leg still open with err, abandoning its
+// exchange.
+func (cs *callState) expire(err error) {
+	for i := range cs.legs {
+		cs.legs[i].finish(collate.Item{Member: cs.legs[i].idx, Err: err}, true)
+	}
+}
+
+// legDone counts one leg (or the issuing) finished; the last disarms
+// the deadline and the context watch, each of which releases its hold
+// itself if it already fired.
+func (cs *callState) legDone() {
+	if cs.open.Add(-1) != 0 {
 		return
 	}
+	if cs.timer != nil && cs.timer.Stop() {
+		cs.release()
+	}
+	if cs.stopCtx != nil && cs.stopCtx() {
+		cs.release()
+	}
+	cs.release()
+}
+
+func (cs *callState) release() {
+	if cs.refs.Add(-1) != 0 {
+		return
+	}
+	cs.rt, cs.items, cs.stopCtx = nil, nil, nil
+	clear(cs.legsArr[:])
+	cs.legs = nil
+	callStatePool.Put(cs)
+}
+
+// A leg is one member's share of a replicated call: its call message
+// out, its return (or failure) back. It finishes exactly once, claimed
+// by the CAS on done: the paired message layer reports the call failed
+// or the member down (CallFailed), the return arrives (handleReturn),
+// or the call gives up — its deadline passed, its caller's context
+// ended, its message could not be sent (expire, call). Whichever comes
+// first pushes the member's item.
+type leg struct {
+	cs   *callState
+	idx  int
+	m    ModuleAddr
+	done atomic.Bool
+	// listed and callNum say where the leg sits in rt.pending; both are
+	// guarded by rt.pendMu.
+	listed  bool
+	callNum uint32
+}
+
+// call sends one leg's pre-marshalled call message. BeginObservedCall
+// allocates the call number and registers the transfer with the leg as
+// observer; the leg is listed under that number; only then does the
+// message go on the wire, so the return can never beat its routing. A
+// closed runtime surfaces as ErrClosed from BeginObservedCall.
+func (l *leg) call(data []byte) {
+	conn := l.cs.rt.conn
+	t, err := conn.BeginObservedCall(l.m.Addr, data, l)
+	if err != nil {
+		l.finish(collate.Item{Member: l.idx, Err: memberErr(err)}, false)
+		return
+	}
+	l.list(t.CallNum())
+	conn.Transmit(t)
+}
+
+// list routes returns for callNum to the leg, unless it already
+// finished — then its exchange is abandoned instead.
+func (l *leg) list(callNum uint32) {
+	rt := l.cs.rt
+	rt.pendMu.Lock()
+	done := l.done.Load()
+	if !done {
+		l.listed, l.callNum = true, callNum
+		rt.pending[retKey{peer: l.m.Addr, callNum: callNum}] = l
+	}
 	rt.pendMu.Unlock()
-	<-ch
-	retChanPool.Put(ch)
+	if done {
+		rt.conn.Abandon(l.m.Addr, callNum)
+	}
+}
+
+// CallFailed implements pairedmsg.CallObserver: the call message was
+// never acknowledged, or the member stopped answering probes while it
+// computed (§4.2.3). The paired message layer holds the session lock
+// and has already forgotten the exchange.
+func (l *leg) CallFailed(err error) {
+	l.finish(collate.Item{Member: l.idx, Err: memberErr(err)}, false)
+}
+
+// finish ends the leg with it unless it already ended. abandon tells
+// the paired message layer to stop retransmitting or probing for it.
+func (l *leg) finish(it collate.Item, abandon bool) {
+	if !l.done.CompareAndSwap(false, true) {
+		return
+	}
+	rt := l.cs.rt
+	rt.pendMu.Lock()
+	listed, k := l.listed, retKey{peer: l.m.Addr, callNum: l.callNum}
+	if listed && rt.pending[k] == l {
+		delete(rt.pending, k)
+	}
+	rt.pendMu.Unlock()
+	if listed && abandon {
+		rt.conn.Abandon(k.peer, k.callNum)
+	}
+	l.push(it)
+}
+
+// push hands the leg's item to the collator; the leg may be recycled
+// as soon as it returns.
+func (l *leg) push(it collate.Item) {
+	cs := l.cs
+	cs.rt.traceReply(l.m, it)
+	cs.items <- it
+	cs.legDone()
 }
 
 // traceReply records one member's contribution to a replicated call
@@ -290,62 +383,6 @@ func (rt *Runtime) traceReply(m ModuleAddr, it collate.Item) {
 		e.Err = it.Err.Error()
 	}
 	rt.tr.Emit(e)
-}
-
-// awaitReply waits for one member's return message after its call
-// transfer is in flight.
-func (rt *Runtime) awaitReply(ctx context.Context, idx int, m ModuleAddr, callNum uint32,
-	t pairedmsg.Transfer, ch chan returnHeader, items chan<- collate.Item) {
-
-	k := retKey{peer: m.Addr, callNum: callNum}
-
-	// Phase 1: until the call message is acknowledged (the return may
-	// arrive first — it implicitly acknowledges the call, §4.2.2).
-	select {
-	case ret := <-ch:
-		retChanPool.Put(ch) // receipt proves no sender holds ch
-		rt.pushItem(m, items, decodeReturn(idx, m, ret))
-		return
-	case <-t.Done():
-		if err := t.Err(); err != nil {
-			rt.releasePending(k, ch)
-			rt.pushItem(m, items, collate.Item{Member: idx, Err: memberErr(err)})
-			return
-		}
-	case <-ctx.Done():
-		rt.releasePending(k, ch)
-		rt.pushItem(m, items, collate.Item{Member: idx, Err: ctx.Err()})
-		return
-	case <-rt.done:
-		rt.releasePending(k, ch)
-		rt.pushItem(m, items, collate.Item{Member: idx, Err: ErrClosed})
-		return
-	}
-
-	// Phase 2: the member is computing; probe for liveness (§4.2.3).
-	w := rt.conn.WatchPeer(m.Addr, callNum)
-	defer w.Stop()
-	select {
-	case ret := <-ch:
-		retChanPool.Put(ch)
-		rt.pushItem(m, items, decodeReturn(idx, m, ret))
-	case <-w.Down():
-		rt.releasePending(k, ch)
-		rt.pushItem(m, items, collate.Item{Member: idx, Err: ErrMemberDown})
-	case <-ctx.Done():
-		rt.releasePending(k, ch)
-		rt.pushItem(m, items, collate.Item{Member: idx, Err: ctx.Err()})
-	case <-rt.done:
-		rt.releasePending(k, ch)
-		rt.pushItem(m, items, collate.Item{Member: idx, Err: ErrClosed})
-	}
-}
-
-// pushItem records one member's contribution and hands it to the
-// collator's channel — the body of the former per-leg push closures.
-func (rt *Runtime) pushItem(m ModuleAddr, items chan<- collate.Item, it collate.Item) {
-	rt.traceReply(m, it)
-	items <- it
 }
 
 // Call performs a replicated procedure call and collates the results.
@@ -399,9 +436,9 @@ func (rt *Runtime) Call(ctx context.Context, dest Troupe, proc uint16, args []by
 
 // CallMember performs a one-member procedure call: the call message
 // goes to a single troupe member and that member's lone reply is
-// returned directly, bypassing collation entirely — no collator, no
-// fan-out goroutine, no reply channel beyond the one leg. It is the
-// client half of a spread read (mesh routing a read to one replica):
+// returned directly, bypassing collation entirely — no collator, one
+// leg. It is the client half of a spread read (mesh routing a read to
+// one replica):
 // the member still deduplicates by thread ID and call path, so
 // exactly-once execution holds per attempt, but none of the error
 // detection of the replicated call applies — the caller has chosen to
@@ -411,56 +448,24 @@ func (rt *Runtime) CallMember(ctx context.Context, dest Troupe, member int, proc
 	if member < 0 || member >= len(dest.Members) {
 		return nil, errors.New("core: member index out of range")
 	}
-	m := dest.Members[member]
-	tc := opts.thread
-	if tc == nil {
-		tc = opts.Thread
-	}
-	if tc == nil {
-		tc = thread.FromContext(ctx)
-	}
-	if tc == nil {
-		tc = rt.NewThread()
-	}
-	if opts.clientTroupe == 0 {
-		opts.clientTroupe = opts.AsTroupe
-	}
-	path := tc.NextCallPath()
-	if rt.tr.EnabledFor(trace.KindCallIssued) {
-		rt.tr.Emit(trace.Event{Kind: trace.KindCallIssued,
-			Troupe: uint64(dest.ID), Proc: proc,
-			ThreadHost: tc.ID().Host, ThreadProc: tc.ID().Proc, Path: path,
-			N: 1})
-	}
-	timeout := opts.Timeout
-	if timeout == 0 {
-		timeout = rt.opts.DefaultCallTimeout
-	}
-	callCtx := ctx
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		callCtx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	hdr := callHeader{
-		ThreadHost:   tc.ID().Host,
-		ThreadProc:   tc.ID().Proc,
-		Path:         path,
-		ClientTroupe: uint64(opts.clientTroupe),
-		DestTroupe:   uint64(dest.ID), // incarnation check still applies (§6.2)
-		Module:       m.Module,
-		Proc:         proc,
-		Args:         args,
-	}
+	items := make(chan collate.Item, 1)
+	hdr := rt.callHeader(ctx, dest, proc, args, &opts, 1)
+	hdr.Module = dest.Members[member].Module
 	data, err := wire.Marshal(hdr)
 	if err != nil {
 		return nil, err
 	}
-	// The one leg runs synchronously on the caller's goroutine; the
-	// buffered channel means callMember's push never blocks.
-	items := make(chan collate.Item, 1)
-	rt.callMember(callCtx, member, m, data, items)
+	cs := rt.newCallState(items, dest.Members[member:member+1])
+	cs.legs[0].idx = member
+	cs.legs[0].call(data)
+	cs.issued(ctx, rt.timeout(opts))
 	it := <-items
+	// Yield once the reply is in. Every hop of a one-member call readies
+	// the next goroutine and blocks, so a caller looping on such calls
+	// would hold a processor through the scheduler's run-next slot while
+	// other runnable goroutines (replicated calls, fsync wake-ups) wait
+	// behind it; see DESIGN.md "Hot path".
+	runtime.Gosched()
 	if it.Err != nil {
 		return nil, it.Err
 	}
@@ -506,57 +511,6 @@ func summarizeFailure(items []collate.Item) error {
 		return items[0].Err
 	default:
 		return ErrTroupeDown
-	}
-}
-
-// callMember sends one pre-marshaled call message and awaits the
-// return, the client's half of one leg of Figure 4.3. The header is
-// encoded by CallEach — once for the whole fan-out when the members
-// share a module number.
-func (rt *Runtime) callMember(ctx context.Context, idx int, m ModuleAddr, data []byte, items chan<- collate.Item) {
-	// Two-phase send: BeginCall allocates the member's call number and
-	// registers the transfer atomically (so concurrent callers' trace
-	// events stay in call-number order), the pending entry is installed
-	// under the allocated number, and only then does the call message
-	// go on the wire — the return can never beat its routing. A closed
-	// runtime surfaces as ErrClosed from BeginCall.
-	t, err := rt.conn.BeginCall(m.Addr, data)
-	if err != nil {
-		rt.pushItem(m, items, collate.Item{Member: idx, Err: memberErr(err)})
-		return
-	}
-	callNum := t.CallNum()
-	k := retKey{peer: m.Addr, callNum: callNum}
-	ch := retChanPool.Get().(chan returnHeader)
-	rt.pendMu.Lock()
-	rt.pending[k] = ch
-	rt.pendMu.Unlock()
-
-	rt.conn.Transmit(t)
-	if err := rt.conn.Await(ctx, t); err != nil {
-		rt.releasePending(k, ch)
-		rt.pushItem(m, items, collate.Item{Member: idx, Err: memberErr(err)})
-		return
-	}
-
-	// The call message is acknowledged; the member may now compute for
-	// an arbitrarily long time, so probe it for liveness (§4.2.3).
-	w := rt.conn.WatchPeer(m.Addr, callNum)
-	defer w.Stop()
-
-	select {
-	case ret := <-ch:
-		retChanPool.Put(ch) // receipt proves no sender holds ch
-		rt.pushItem(m, items, decodeReturn(idx, m, ret))
-	case <-w.Down():
-		rt.releasePending(k, ch)
-		rt.pushItem(m, items, collate.Item{Member: idx, Err: ErrMemberDown})
-	case <-ctx.Done():
-		rt.releasePending(k, ch)
-		rt.pushItem(m, items, collate.Item{Member: idx, Err: ctx.Err()})
-	case <-rt.done:
-		rt.releasePending(k, ch)
-		rt.pushItem(m, items, collate.Item{Member: idx, Err: ErrClosed})
 	}
 }
 

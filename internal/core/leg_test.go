@@ -1,0 +1,237 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"circus/internal/collate"
+)
+
+// gateModule parks every call until open is closed, counting arrivals.
+type gateModule struct {
+	entered atomic.Int64
+	open    chan struct{}
+}
+
+func (m *gateModule) Dispatch(call *ServerCall, proc uint16, args []byte) ([]byte, error) {
+	m.entered.Add(1)
+	<-m.open
+	return args, nil
+}
+
+// gate exports a gateModule at module number num on each of servers and
+// returns the troupe of them; the gates open when the test ends.
+func gate(t *testing.T, servers []*Runtime, num uint16) (Troupe, *gateModule) {
+	t.Helper()
+	g := &gateModule{open: make(chan struct{})}
+	var tr Troupe
+	for _, s := range servers {
+		tr.Members = append(tr.Members, s.ExportAt(num, g, ExportOptions{}))
+	}
+	t.Cleanup(func() { g.release() })
+	return tr, g
+}
+
+func (g *gateModule) release() {
+	select {
+	case <-g.open:
+	default:
+		close(g.open)
+	}
+}
+
+func (g *gateModule) waitEntered(t *testing.T, n int64) {
+	t.Helper()
+	waitFor(t, "calls to reach the gate", func() bool { return g.entered.Load() >= n })
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitDrained waits until the client holds no leg and no liveness
+// watch: every exchange it started has ended or been abandoned.
+func waitDrained(t *testing.T, rt *Runtime) {
+	t.Helper()
+	waitFor(t, "the client's legs and watches to drain", func() bool {
+		return rt.CallTable().Pending == 0 && rt.MessageStats().Watches == 0
+	})
+}
+
+func drainItems(t *testing.T, items <-chan collate.Item, n int) []collate.Item {
+	t.Helper()
+	var got []collate.Item
+	for i := 0; i < n; i++ {
+		select {
+		case it := <-items:
+			got = append(got, it)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d items", i, n)
+		}
+	}
+	return got
+}
+
+func TestLegContextCancelled(t *testing.T) {
+	c := newCluster(t, 41, 3, ExportOptions{})
+	tr, g := gate(t, c.servers, 7)
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.client.Call(ctx, tr, 1, []byte("x"), CallOptions{})
+		errc <- err
+	}()
+	g.waitEntered(t, 3)
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	waitDrained(t, c.client)
+}
+
+func TestLegMemberDownAfterAck(t *testing.T) {
+	c := newCluster(t, 42, 3, ExportOptions{})
+	tr, g := gate(t, c.servers, 7)
+	items := c.client.CallEach(context.Background(), tr, 1, []byte("x"), CallOptions{})
+	g.waitEntered(t, 3)
+	// The parked calls are acknowledged once the client asks; from
+	// then on each leg is a liveness watch.
+	waitFor(t, "three watches", func() bool { return c.client.MessageStats().Watches == 3 })
+	c.net.Crash(tr.Members[1].Addr.Host)
+	select {
+	case it := <-items:
+		if it.Member != 1 || !errors.Is(it.Err, ErrMemberDown) {
+			t.Fatalf("first item %+v, want member 1 down", it)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("crash after the ack not detected")
+	}
+	g.release()
+	for _, it := range drainItems(t, items, 2) {
+		if it.Err != nil && it.Member != 1 {
+			t.Fatalf("live member %d: %v", it.Member, it.Err)
+		}
+	}
+	waitDrained(t, c.client)
+}
+
+func TestLegReturnBeforeAck(t *testing.T) {
+	c := newCluster(t, 43, 3, ExportOptions{})
+	for i := 0; i < 100; i++ {
+		if _, err := c.client.Call(context.Background(), c.troupe, 1, []byte("x"), CallOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		// The return acknowledged the call and disarmed its watch in
+		// one step, before the leg finished.
+		if ct, w := c.client.CallTable(), c.client.MessageStats().Watches; ct.Pending != 0 || w != 0 {
+			t.Fatalf("call %d: %d legs pending, %d watches after it returned", i, ct.Pending, w)
+		}
+	}
+}
+
+func TestLegCloseInFlight(t *testing.T) {
+	c := newCluster(t, 44, 3, ExportOptions{})
+	tr, g := gate(t, c.servers, 7)
+	items := c.client.CallEach(context.Background(), tr, 1, []byte("x"), CallOptions{})
+	g.waitEntered(t, 3)
+	c.client.Close()
+	for _, it := range drainItems(t, items, 3) {
+		if !errors.Is(it.Err, ErrClosed) {
+			t.Fatalf("member %d: %v, want ErrClosed", it.Member, it.Err)
+		}
+	}
+	waitDrained(t, c.client)
+}
+
+func TestLegQuorumStraggler(t *testing.T) {
+	c := newCluster(t, 45, 3, ExportOptions{})
+	slow, g := gate(t, c.servers[2:], 7)
+	tr := Troupe{Members: []ModuleAddr{c.troupe.Members[0], c.troupe.Members[1], slow.Members[0]}}
+	got, err := c.client.Call(context.Background(), tr, 1, []byte("q"), CallOptions{Collator: collate.Majority})
+	if err != nil || string(got) != "q" {
+		t.Fatalf("majority call: %q, %v", got, err)
+	}
+	if p := c.client.CallTable().Pending; p != 1 {
+		t.Fatalf("%d legs pending after the collator decided, want the straggler", p)
+	}
+	g.release()
+	waitDrained(t, c.client)
+}
+
+func TestLegMulticast(t *testing.T) {
+	c := newMulticastCluster(t, 46, 3)
+	got, err := c.client.Call(context.Background(), c.troupe, 1, []byte("m"), CallOptions{})
+	if err != nil || string(got) != "m" {
+		t.Fatalf("multicast call: %q, %v", got, err)
+	}
+	waitDrained(t, c.client)
+
+	tr, g := gate(t, c.servers, 7)
+	items := c.client.CallEach(context.Background(), tr, 1, []byte("x"), CallOptions{Timeout: 200 * time.Millisecond})
+	g.waitEntered(t, 3)
+	for _, it := range drainItems(t, items, 3) {
+		if !errors.Is(it.Err, context.DeadlineExceeded) {
+			t.Fatalf("member %d: %v, want the deadline", it.Member, it.Err)
+		}
+	}
+	waitDrained(t, c.client)
+}
+
+func TestLegCallMember(t *testing.T) {
+	c := newCluster(t, 47, 3, ExportOptions{})
+	got, err := c.client.CallMember(context.Background(), c.troupe, 2, 1, []byte("one"), CallOptions{})
+	if err != nil || string(got) != "one" {
+		t.Fatalf("CallMember: %q, %v", got, err)
+	}
+	if n := c.totalExecs(); n != 1 {
+		t.Fatalf("%d executions, want 1", n)
+	}
+	tr, _ := gate(t, c.servers, 7)
+	_, err = c.client.CallMember(context.Background(), tr, 1, 1, nil, CallOptions{Timeout: 100 * time.Millisecond})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("parked CallMember: %v, want the deadline", err)
+	}
+	waitDrained(t, c.client)
+}
+
+// TestLegGoroutines pins that a call in flight costs its caller's
+// goroutine and nothing more on the client: no goroutine per leg.
+func TestLegGoroutines(t *testing.T) {
+	const calls = 64
+	c := newCluster(t, 48, 3, ExportOptions{})
+	tr, g := gate(t, c.servers, 7)
+	before := runtime.NumGoroutine()
+	errc := make(chan error, calls)
+	for i := 0; i < calls; i++ {
+		go func() {
+			_, err := c.client.Call(context.Background(), tr, 1, []byte("x"), CallOptions{})
+			errc <- err
+		}()
+	}
+	g.waitEntered(t, 3*calls)
+	// Each parked execution holds one server goroutine; the rest of the
+	// growth is the client's.
+	client := runtime.NumGoroutine() - before - int(g.entered.Load())
+	t.Logf("%d calls parked at degree 3: %d client goroutines", calls, client)
+	if client > calls+16 {
+		t.Errorf("%d client goroutines for %d calls in flight, want <= %d", client, calls, calls+16)
+	}
+	g.release()
+	for i := 0; i < calls; i++ {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitDrained(t, c.client)
+}

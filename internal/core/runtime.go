@@ -134,10 +134,10 @@ type Runtime struct {
 	closed    bool
 
 	// pendMu guards the client-side return routing table; it is touched
-	// once to register and once to consume per member call, never held
-	// across I/O.
+	// once to list and once to unlist per member leg, never held across
+	// I/O.
 	pendMu  sync.Mutex
-	pending map[retKey]chan returnHeader // client calls awaiting returns
+	pending map[retKey]*leg // client legs awaiting returns
 
 	// callMu guards the server-side many-to-one collation table: calls
 	// holds a call while it collates and executes (the per-call state
@@ -192,7 +192,7 @@ func NewRuntime(ep transport.Endpoint, opts Options) *Runtime {
 		modules:   make(map[uint16]*export),
 		troupeIDs: make(map[uint16]TroupeID),
 		resolver:  opts.Resolver,
-		pending:   make(map[retKey]chan returnHeader),
+		pending:   make(map[retKey]*leg),
 		calls:     make(map[string]*serverCall),
 		done:      make(chan struct{}),
 	}
@@ -229,17 +229,23 @@ func (rt *Runtime) rotateTombs() {
 	}
 }
 
-// CallTableStats sizes the many-to-one collation table.
+// CallTableStats sizes the many-to-one collation table and the client
+// legs awaiting returns.
 type CallTableStats struct {
 	Live       int // calls still collating or executing
 	Tombstones int // finished calls whose return message is buffered
+	Pending    int // client legs in flight, listed for their return
 }
 
-// CallTable reports how much at-most-once state the runtime holds.
+// CallTable reports how much at-most-once state the runtime holds, and
+// how many member legs of its own calls are in flight.
 func (rt *Runtime) CallTable() CallTableStats {
+	rt.pendMu.Lock()
+	pending := len(rt.pending)
+	rt.pendMu.Unlock()
 	rt.callMu.Lock()
 	defer rt.callMu.Unlock()
-	return CallTableStats{Live: len(rt.calls), Tombstones: rt.tombs.len()}
+	return CallTableStats{Live: len(rt.calls), Tombstones: rt.tombs.len(), Pending: pending}
 }
 
 // workerQueueLen is the per-worker dispatch queue depth. The receive
@@ -432,7 +438,9 @@ func (rt *Runtime) handleMsg(msg pairedmsg.Message, scr *msgScratch) {
 	msg.Release()
 }
 
-// handleReturn routes a return message to the client call awaiting it.
+// handleReturn finishes the client leg a return message answers. The
+// leg is claimed under pendMu, where it is still listed, so a leg some
+// other event finished (and may have recycled) is never touched.
 func (rt *Runtime) handleReturn(msg pairedmsg.Message, hdr *returnHeader) {
 	// The payload escapes to the awaiting caller: it must be decoded
 	// into fresh storage, never the scratch's previous backing.
@@ -442,11 +450,15 @@ func (rt *Runtime) handleReturn(msg pairedmsg.Message, hdr *returnHeader) {
 	}
 	k := retKey{peer: msg.From, callNum: msg.CallNum}
 	rt.pendMu.Lock()
-	ch := rt.pending[k]
-	delete(rt.pending, k)
+	l := rt.pending[k]
+	won := l != nil && l.done.CompareAndSwap(false, true)
+	if l != nil {
+		delete(rt.pending, k)
+		l.listed = false // the delivered return ended the exchange below
+	}
 	rt.pendMu.Unlock()
-	if ch != nil {
-		ch <- *hdr
+	if won {
+		l.push(decodeReturn(l.idx, l.m, *hdr))
 	}
 }
 

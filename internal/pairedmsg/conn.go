@@ -241,6 +241,9 @@ type Stats struct {
 	// exchanges are remembered for replay suppression right now, over
 	// all peers — at most those of the last 1.5 CompletedTTL.
 	CompletedRecords int64
+	// Watches is a gauge: how many acknowledged calls are being probed
+	// for liveness while their return is awaited (§4.2.3).
+	Watches int64
 }
 
 // sessKey identifies one transfer within a peer session. The peer
@@ -262,7 +265,9 @@ type session struct {
 	mu      sync.Mutex
 	out     map[sessKey]*outTransfer
 	in      map[sessKey]*inTransfer
-	watches map[sessKey]*Watch
+	// watches holds the acknowledged observed calls whose return is
+	// still awaited, probed for liveness by the timer pass (§4.2.3).
+	watches map[sessKey]*outTransfer
 	// completed records delivered inbound exchanges for replay
 	// suppression (§4.2.4) after their inTransfer has been recycled.
 	// The value is all a replayed duplicate needs answered: the
@@ -321,9 +326,17 @@ type outTransfer struct {
 	acked    int       // highest consecutive segment acknowledged
 	attempts int       // retransmission passes since last progress
 	nextSend time.Time
-	done     chan struct{}
+	done     chan struct{} // nil for an observed call: obs hears the end instead
 	err      error
 	pace     bool // session had other transfers in flight at registration
+
+	// An observed call (BeginObservedCall) reports failure to obs and,
+	// once acknowledged, stays in its session's watch table as the
+	// liveness watch of §4.2.3: missed probes since the last sign of
+	// life, and when the next probe is due.
+	obs       CallObserver
+	missed    int
+	nextProbe time.Time
 
 	// Pooled single-segment wire buffer. The buffer can be recycled
 	// only when no retransmission can enqueue it again (ended: the
@@ -523,26 +536,17 @@ func (in *inTransfer) ackable() int {
 	return in.ackNum
 }
 
-// Watch monitors a peer for liveness while a return message is
-// awaited (§4.2.3). Down is signalled if probes go unanswered.
-type Watch struct {
-	conn      *Conn
-	sess      *session
-	k         sessKey
-	missed    int
-	nextProbe time.Time
-	down      chan struct{}
-	stopped   bool
+// CallObserver hears how an observed call exchange ends when it ends
+// without a return message: the call transfer failed (retries
+// exhausted: ErrPeerDown; or ErrClosed), or — after the call was
+// acknowledged and its liveness watch armed — probes went unanswered
+// (ErrPeerDown) or the Conn closed (ErrClosed). It is called at most
+// once, with the peer's session lock held, so it must not block or
+// call back into the Conn. A delivered return disarms the watch
+// without a call, as does Abandon.
+type CallObserver interface {
+	CallFailed(err error)
 }
-
-// watchPool recycles Watch structs — every replicated call starts one
-// per member. The down channel is reused too: it is closed only when a
-// crash is detected, and a crash also stops the watch in the same
-// critical section, so a watch that reaches Stop un-stopped is
-// guaranteed to carry an unclosed (hence reusable) channel.
-var watchPool = sync.Pool{New: func() any {
-	return &Watch{down: make(chan struct{})}
-}}
 
 // rtoForLocked returns the retransmission interval for a fresh
 // transfer to the session's peer. Caller holds s.mu.
@@ -563,37 +567,6 @@ func (c *Conn) initTransferLocked(s *session, t *outTransfer, now time.Time) {
 	t.deadline = now.Add(c.opts.maxRetryTime())
 	t.rto = c.rtoForLocked(s)
 	t.nextSend = now.Add(t.rto)
-}
-
-// Down returns a channel closed when the peer is presumed crashed.
-func (w *Watch) Down() <-chan struct{} { return w.down }
-
-// Stop cancels the watch. The watch must not be used after Stop.
-func (w *Watch) Stop() {
-	s := w.sess
-	s.mu.Lock()
-	live := !w.stopped
-	if live {
-		w.stopped = true
-		delete(s.watches, w.k)
-	}
-	s.mu.Unlock()
-	if live {
-		// Only a crash closes down, and it marks the watch stopped in
-		// the same critical section — so an un-stopped watch's channel
-		// was never closed and both struct and channel are reusable.
-		w.conn, w.sess = nil, nil
-		w.missed = 0
-		w.k = sessKey{}
-		watchPool.Put(w)
-	}
-}
-
-func (w *Watch) stopLocked() {
-	if !w.stopped {
-		w.stopped = true
-		delete(w.sess.watches, w.k)
-	}
 }
 
 // Conn runs the paired message protocol over one transport endpoint.
@@ -826,7 +799,7 @@ func (c *Conn) session(peer transport.Addr) *session {
 		peer:     peer,
 		out:      make(map[sessKey]*outTransfer),
 		in:       make(map[sessKey]*inTransfer),
-		watches:  make(map[sessKey]*Watch),
+		watches:  make(map[sessKey]*outTransfer),
 		pend:     make(map[sessKey]pendAck),
 		nextCall: c.callBase,
 	})
@@ -847,16 +820,18 @@ func (c *Conn) Incoming() <-chan Message { return c.incoming }
 
 // Stats returns a snapshot of the protocol counters.
 func (c *Conn) Stats() Stats {
-	var completed int64
+	var completed, watches int64
 	c.peers.Range(func(_, v any) bool {
 		s := v.(*session)
 		s.mu.Lock()
 		completed += int64(s.completed.Len())
+		watches += int64(len(s.watches))
 		s.mu.Unlock()
 		return true
 	})
 	return Stats{
 		CompletedRecords:  completed,
+		Watches:           watches,
 		SegmentsSent:      c.stats.segmentsSent.Load(),
 		Retransmits:       c.stats.retransmits.Load(),
 		AcksSent:          c.stats.acksSent.Load(),
@@ -903,16 +878,13 @@ func (c *Conn) Close() error {
 	c.peers.Range(func(_, v any) bool {
 		s := v.(*session)
 		s.mu.Lock()
-		for k, t := range s.out {
-			t.err = ErrClosed
-			close(t.done)
-			delete(s.out, k)
-			t.endWire()
+		for _, t := range s.out {
+			c.completeOutLocked(s, t, ErrClosed)
 		}
-		for _, w := range s.watches {
-			w.stopped = true
+		for k, t := range s.watches {
+			delete(s.watches, k)
+			t.obs.CallFailed(ErrClosed)
 		}
-		s.watches = map[sessKey]*Watch{}
 		s.mu.Unlock()
 		// Stop the delayed-ack and coalesce timers and drop anything
 		// still queued: the peer will learn nothing more from us, and
@@ -1041,9 +1013,25 @@ func (c *Conn) nextMulticastLocked() uint32 {
 // monotone-call-numbers conformance check verifies. The caller reads
 // the number with CallNum, installs any reply routing keyed by it, and
 // then calls Transmit; nothing is on the wire before that, so a reply
-// can never arrive before its routing exists.
+// can never arrive before its routing exists. It is BeginObservedCall
+// without an observer: the returned transfer's Done and Err report how
+// the call message fared, and nothing watches for the return.
 func (c *Conn) BeginCall(to transport.Addr, msg []byte) (*outTransfer, error) {
-	t := &outTransfer{peer: to, typ: Call, done: make(chan struct{})}
+	return c.BeginObservedCall(to, msg, nil)
+}
+
+// BeginObservedCall is BeginCall for a caller awaiting the return: a
+// failed call transfer is reported to obs, and once the call message is
+// acknowledged the Conn probes the peer until the return is delivered
+// (§4.2.3), reporting a presumed crash to obs. The caller then needs
+// no goroutine or channel per exchange; it abandons an exchange it has
+// stopped waiting for with Abandon. A nil obs gives BeginCall's
+// transfer.
+func (c *Conn) BeginObservedCall(to transport.Addr, msg []byte, obs CallObserver) (*outTransfer, error) {
+	t := &outTransfer{peer: to, typ: Call, obs: obs}
+	if obs == nil {
+		t.done = make(chan struct{})
+	}
 	if err := t.fill(Call, 0, msg); err != nil {
 		return nil, err
 	}
@@ -1097,14 +1085,14 @@ func (c *Conn) Transmit(t *outTransfer) {
 	t.wireDone() // release the pre-transmission hold taken by fill
 }
 
-// BeginCallMulticast is the multicast analog of BeginCall: it
+// BeginCallMulticast is the multicast analog of BeginObservedCall: it
 // allocates one multicast call number and registers a call transfer to
-// every member of group under it, without transmitting. The returned
-// transfers parallel group. Retransmission and acknowledgment remain
-// per-recipient, because delivery reliability varies from recipient to
-// recipient (§2.2). The caller installs reply routing and then calls
-// TransmitMulticast.
-func (c *Conn) BeginCallMulticast(group []transport.Addr, msg []byte) ([]Transfer, uint32, error) {
+// every member of group under it, observed by the matching entry of
+// obs, without transmitting. The returned transfers parallel group.
+// Retransmission and acknowledgment remain per-recipient, because
+// delivery reliability varies from recipient to recipient (§2.2). The
+// caller installs reply routing and then calls TransmitMulticast.
+func (c *Conn) BeginCallMulticast(group []transport.Addr, msg []byte, obs []CallObserver) ([]Transfer, uint32, error) {
 	if _, ok := c.ep.(transport.Multicaster); !ok {
 		return nil, 0, ErrNoMulticast
 	}
@@ -1125,8 +1113,7 @@ func (c *Conn) BeginCallMulticast(group []transport.Addr, msg []byte) ([]Transfe
 	transfers := make([]Transfer, len(group))
 	registered := make([]*outTransfer, 0, len(group))
 	for i, to := range group {
-		t := &outTransfer{peer: to, typ: Call, callNum: callNum, segs: segs,
-			done: make(chan struct{})}
+		t := &outTransfer{peer: to, typ: Call, callNum: callNum, segs: segs, obs: obs[i]}
 		if _, err := c.register(c.session(to), t); err != nil {
 			for _, r := range registered {
 				rs := c.session(r.peer)
@@ -1244,27 +1231,20 @@ func (t *outTransfer) Done() <-chan struct{} { return t.done }
 // Err reports the transfer outcome; valid only after Done is closed.
 func (t *outTransfer) Err() error { return t.err }
 
-// WatchPeer starts crash-detection probing of the exchange identified
-// by (to, typ=Call, callNum): the client calls it after its call
-// message is fully acknowledged and while the return is pending
-// (§4.2.3).
-func (c *Conn) WatchPeer(to transport.Addr, callNum uint32) *Watch {
+// Abandon forgets an observed call whose caller stopped waiting: the
+// call transfer, if still unacknowledged, stops retransmitting, and the
+// liveness watch, if armed, stops probing. Nothing is reported to the
+// observer after Abandon returns.
+func (c *Conn) Abandon(to transport.Addr, callNum uint32) {
 	s := c.session(to)
-	w := watchPool.Get().(*Watch)
-	w.conn = c
-	w.sess = s
-	w.k = sessKey{typ: Call, callNum: callNum}
-	w.missed = 0
-	w.stopped = false
-	w.nextProbe = time.Now().Add(c.opts.ProbeInterval)
+	k := sessKey{typ: Call, callNum: callNum}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c.closed.Load() {
-		w.stopped = true
-		return w
+	if t, ok := s.out[k]; ok && t.obs != nil {
+		delete(s.out, k)
+		t.endWire()
 	}
-	s.watches[w.k] = w
-	return w
+	delete(s.watches, k)
+	s.mu.Unlock()
 }
 
 func (c *Conn) recvLoop() {
@@ -1357,9 +1337,7 @@ func (c *Conn) handleProbe(from transport.Addr, h segHeader) {
 		}
 		ackNum, total = in.ackable(), in.total
 		if deliveredNow {
-			delete(s.in, k)
-			s.completed.Put(k, uint8(in.total))
-			recycleInTransfer(in)
+			s.retireLocked(k, in)
 		}
 	} else if n, _, ok := s.completed.Get(k); ok {
 		// The exchange already finished; answer from the tombstone.
@@ -1456,11 +1434,7 @@ func (c *Conn) handleData(from transport.Addr, h segHeader, payload []byte, buf 
 	}
 	ackNum, total := in.ackable(), in.total
 	if deliveredNow {
-		// Delivery retires the record: a tombstone takes over replay
-		// suppression and the struct goes back to the pool.
-		delete(s.in, k)
-		s.completed.Put(k, uint8(in.total))
-		recycleInTransfer(in)
+		s.retireLocked(k, in)
 	}
 	s.mu.Unlock()
 
@@ -1554,6 +1528,19 @@ func (c *Conn) traceDrop(from transport.Addr, typ MsgType, callNum uint32) {
 func (s *session) aliveLocked(callNum uint32) {
 	if w, ok := s.watches[sessKey{typ: Call, callNum: callNum}]; ok {
 		w.missed = 0
+	}
+}
+
+// retireLocked ends a delivered inbound exchange: a tombstone takes
+// over replay suppression, the record goes back to the pool, and a
+// delivered return disarms the liveness watch on its call. Caller
+// holds s.mu.
+func (s *session) retireLocked(k sessKey, in *inTransfer) {
+	delete(s.in, k)
+	s.completed.Put(k, uint8(in.total))
+	recycleInTransfer(in)
+	if k.typ == Return {
+		delete(s.watches, sessKey{typ: Call, callNum: k.callNum})
 	}
 }
 
@@ -1732,8 +1719,10 @@ func (c *Conn) flushLoop(s *session) {
 	}
 }
 
-// completeOutLocked finishes an outbound transfer. Caller holds the
-// session lock of t's peer.
+// completeOutLocked finishes an outbound transfer: an observed call
+// that failed is reported, one that was acknowledged moves to the watch
+// table until its return is delivered. Caller holds the session lock
+// of t's peer.
 func (c *Conn) completeOutLocked(s *session, t *outTransfer, err error) {
 	k := sessKey{typ: t.typ, callNum: t.callNum}
 	if s.out[k] != t {
@@ -1758,7 +1747,16 @@ func (c *Conn) completeOutLocked(s *session, t *outTransfer, err error) {
 			Attempt: t.attempts, Err: err.Error(), Detail: "retry exhaustion"})
 	}
 	t.err = err
-	close(t.done)
+	switch {
+	case t.obs == nil:
+		close(t.done)
+	case err != nil:
+		t.obs.CallFailed(err)
+	default:
+		t.missed = 0
+		t.nextProbe = time.Now().Add(c.opts.ProbeInterval)
+		s.watches[k] = t
+	}
 }
 
 // timerLoop drives retransmission, probing, and replay-record expiry.
@@ -1867,7 +1865,7 @@ func (c *Conn) timerPassSession(s *session) {
 				Attempt: t.attempts, N: nsegs})
 		}
 	}
-	for _, w := range s.watches {
+	for k, w := range s.watches {
 		if now.Before(w.nextProbe) {
 			continue
 		}
@@ -1876,18 +1874,18 @@ func (c *Conn) timerPassSession(s *session) {
 		if w.missed > c.opts.ProbeMissLimit {
 			if c.tr.Enabled() {
 				c.tr.Emit(trace.Event{Kind: trace.KindCrashSuspect,
-					Peer: s.peer, MsgType: uint8(w.k.typ), CallNum: w.k.callNum,
+					Peer: s.peer, MsgType: uint8(k.typ), CallNum: k.callNum,
 					Attempt: w.missed - 1, Detail: "probe misses"})
 			}
-			close(w.down)
-			w.stopLocked()
+			delete(s.watches, k)
+			w.obs.CallFailed(ErrPeerDown)
 			continue
 		}
 		c.stats.probesSent.Add(1)
 		frames = append(frames, outFrame{h: segHeader{
-			typ:       w.k.typ,
+			typ:       k.typ,
 			pleaseAck: true,
-			callNum:   w.k.callNum,
+			callNum:   k.callNum,
 		}, probe: true})
 	}
 	// Expire the oldest generation of completed-exchange records: a

@@ -251,36 +251,68 @@ func TestSendContextCancel(t *testing.T) {
 	}
 }
 
-func TestWatchDetectsCrash(t *testing.T) {
-	p := newPair(t, 9, netsim.LinkConfig{}, fastOpts())
-	cn := p.a.NextCallNum(p.b.Addr())
-	if err := p.a.Send(context.Background(), p.b.Addr(), Call, cn, []byte("work")); err != nil {
+// observer is a CallObserver that records the one failure it hears.
+type observer chan error
+
+func (o observer) CallFailed(err error) { o <- err }
+
+func (o observer) silent(t *testing.T) {
+	t.Helper()
+	select {
+	case err := <-o:
+		t.Fatalf("observer told %v", err)
+	default:
+	}
+}
+
+// beginWatched sends an observed call and waits for the server to
+// receive it, and for the call's liveness watch to be armed.
+func beginWatched(t *testing.T, p pair, msg string) (observer, uint32) {
+	t.Helper()
+	obs := make(observer, 1)
+	tr, err := p.a.BeginObservedCall(p.b.Addr(), []byte(msg), obs)
+	if err != nil {
 		t.Fatal(err)
 	}
+	p.a.Transmit(tr)
 	if _, ok := recvMsg(t, p.b, time.Second); !ok {
 		t.Fatal("call not delivered")
 	}
-	w := p.a.WatchPeer(p.b.Addr(), cn)
-	defer w.Stop()
+	waitWatches(t, p.a, 1)
+	return obs, tr.CallNum()
+}
+
+func waitWatches(t *testing.T, c *Conn, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for c.Stats().Watches != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d watches, want %d", c.Stats().Watches, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestWatchDetectsCrash(t *testing.T) {
+	p := newPair(t, 9, netsim.LinkConfig{}, fastOpts())
+	obs, _ := beginWatched(t, p, "work")
 	p.net.Crash(p.b.Addr().Host)
 	select {
-	case <-w.Down():
+	case err := <-obs:
+		if err != ErrPeerDown {
+			t.Fatalf("observer told %v, want ErrPeerDown", err)
+		}
 	case <-time.After(3 * time.Second):
 		t.Fatal("crash not detected by probing")
+	}
+	if w := p.a.Stats().Watches; w != 0 {
+		t.Fatalf("%d watches left after the crash report", w)
 	}
 }
 
 func TestWatchStaysUpWhileServerAlive(t *testing.T) {
 	p, rec := newPairTraced(t, 10, netsim.LinkConfig{}, fastOpts())
-	cn := p.a.NextCallNum(p.b.Addr())
-	if err := p.a.Send(context.Background(), p.b.Addr(), Call, cn, []byte("long work")); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := recvMsg(t, p.b, time.Second); !ok {
-		t.Fatal("call not delivered")
-	}
-	w := p.a.WatchPeer(p.b.Addr(), cn)
-	defer w.Stop()
+	obs, cn := beginWatched(t, p, "long work")
 	// Wait for two probe rounds to demonstrably go out (the live peer
 	// answers each, so the miss counter never reaches the limit); the
 	// watch must still consider the peer alive.
@@ -289,13 +321,55 @@ func TestWatchStaysUpWhileServerAlive(t *testing.T) {
 	}); !ok {
 		t.Fatal("no probes sent while watching the long execution")
 	}
-	select {
-	case <-w.Down():
-		t.Fatal("live peer declared down")
-	default:
-	}
+	obs.silent(t)
 	if st := p.a.Stats(); st.ProbesSent == 0 {
 		t.Error("no probes were sent during the long execution")
+	}
+	// The delivered return disarms the watch without a report.
+	if _, err := p.b.StartSend(p.a.Addr(), Return, cn, []byte("done")); err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := recvMsg(t, p.a, time.Second); !ok || m.Type != Return || m.CallNum != cn {
+		t.Fatalf("return not delivered: %+v", m)
+	}
+	waitWatches(t, p.a, 0)
+	obs.silent(t)
+}
+
+func TestWatchReportsCallFailure(t *testing.T) {
+	p := newPair(t, 11, netsim.LinkConfig{LossRate: 1}, fastOpts())
+	obs := make(observer, 1)
+	tr, err := p.a.BeginObservedCall(p.b.Addr(), []byte("lost"), obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.a.Transmit(tr)
+	select {
+	case err := <-obs:
+		if err != ErrPeerDown {
+			t.Fatalf("observer told %v, want ErrPeerDown", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("retry exhaustion not reported")
+	}
+	if w := p.a.Stats().Watches; w != 0 {
+		t.Fatalf("a failed call armed %d watches", w)
+	}
+}
+
+func TestWatchAbandonAndClose(t *testing.T) {
+	p := newPair(t, 12, netsim.LinkConfig{}, fastOpts())
+	abandoned, cn := beginWatched(t, p, "abandon me")
+	p.a.Abandon(p.b.Addr(), cn)
+	waitWatches(t, p.a, 0)
+	closed, _ := beginWatched(t, p, "close under me")
+	p.a.Close()
+	if err := <-closed; err != ErrClosed {
+		t.Fatalf("observer told %v at Close, want ErrClosed", err)
+	}
+	abandoned.silent(t)
+	if _, err := p.a.BeginObservedCall(p.b.Addr(), []byte("late"), make(observer, 1)); err != ErrClosed {
+		t.Fatalf("BeginObservedCall after Close: %v, want ErrClosed", err)
 	}
 }
 

@@ -304,7 +304,7 @@ func (h *memHandle) Sync() error {
 	delay := m.syncDelay
 	m.mu.Unlock()
 	if delay > 0 {
-		time.Sleep(delay)
+		preciseSleep(delay)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
