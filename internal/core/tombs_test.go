@@ -280,7 +280,7 @@ func TestRetainedHeapPerCall(t *testing.T) {
 	}
 
 	t.Run("growth", func(t *testing.T) {
-		const calls, maxPerCall = 50_000, 512
+		const calls, maxPerCall = 50_000, 321 // reads 289 B
 		client, servers, tr := echoTroupe(t, Options{Message: msg, ManyToOneTimeout: time.Second})
 		run(client, tr, 100) // pools, sessions, worker goroutines
 		base := liveHeap()
@@ -293,6 +293,9 @@ func TestRetainedHeapPerCall(t *testing.T) {
 		}
 		if tombs != 3*(calls+100) {
 			t.Fatalf("%d tombstones, want three per call: the heap bound measured too little", tombs)
+		}
+		if completed != 6*(calls+100) {
+			t.Fatalf("%d completed records, want six per call: one exchange each way per member", completed)
 		}
 	})
 

@@ -35,6 +35,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -246,13 +247,14 @@ type Stats struct {
 	Watches int64
 }
 
-// sessKey identifies one transfer within a peer session. The peer
-// itself is implicit in the session, so the key is just direction-free
-// exchange identity: message type plus call number.
-type sessKey struct {
-	typ     MsgType
-	callNum uint32
-}
+// sessKey identifies one transfer within a peer session (the peer is
+// implicit): type<<32 | call number, one integer so the maps hash it on
+// their 64-bit fast path and it indexes a bitmap (tomb.Bits).
+type sessKey uint64
+
+func mkKey(typ MsgType, callNum uint32) sessKey { return sessKey(typ)<<32 | sessKey(callNum) }
+func (k sessKey) typ() MsgType                  { return MsgType(k >> 32) }
+func (k sessKey) callNum() uint32               { return uint32(k) }
 
 // session holds all protocol state shared with one peer, behind its
 // own lock: transfer tables, liveness watches, the unicast call-number
@@ -262,21 +264,21 @@ type sessKey struct {
 type session struct {
 	peer transport.Addr
 
-	mu      sync.Mutex
-	out     map[sessKey]*outTransfer
-	in      map[sessKey]*inTransfer
+	mu  sync.Mutex
+	out map[sessKey]*outTransfer
+	in  map[sessKey]*inTransfer
 	// watches holds the acknowledged observed calls whose return is
 	// still awaited, probed for liveness by the timer pass (§4.2.3).
 	watches map[sessKey]*outTransfer
-	// completed records delivered inbound exchanges for replay
-	// suppression (§4.2.4) after their inTransfer has been recycled.
-	// The value is all a replayed duplicate needs answered: the
-	// exchange's segment count, for the cumulative ack. The timer pass
-	// rotates it every half CompletedTTL.
-	completed  tomb.Table[sessKey, uint8]
-	nextCall   uint32
-	rtt        rttEstimator
-	nextRotate time.Time
+	// completed records delivered inbound exchanges, a bit each, for
+	// replay suppression (§4.2.4) once their inTransfer is recycled. A
+	// replay is acked with the segment count: 1, or completedSegs's
+	// record. The timer pass rotates both every half CompletedTTL.
+	completed     tomb.Bits
+	completedSegs tomb.Table[sessKey, uint8]
+	nextCall      uint32
+	rtt           rttEstimator
+	nextRotate    time.Time
 
 	// srttMicros mirrors rtt.srtt (microseconds) so the delayed-ack
 	// bound can be derived without taking mu on the receive path.
@@ -575,9 +577,10 @@ type Conn struct {
 	opts Options
 	tr   *trace.Local // nil when tracing is disabled
 
-	// peers maps transport.Addr to *session. Lookups on the steady
-	// path are lock-free; a session is created once per peer.
-	peers sync.Map
+	// peers maps each peer to its session, copy-on-write: lock-free to
+	// read, copied under peersMu to add a session, which is never removed.
+	peers   atomic.Pointer[map[transport.Addr]*session]
+	peersMu sync.Mutex
 
 	// multiMu serializes multicast call-number allocation with the
 	// registration and trace emission of the transfers it numbers, so
@@ -773,6 +776,7 @@ func New(ep transport.Endpoint, opts Options) *Conn {
 		stop:     make(chan struct{}),
 	}
 	c.incoming = make(chan Message, c.opts.IncomingBuffer)
+	c.peers.Store(&map[transport.Addr]*session{})
 	c.tr = trace.NewLocal(c.opts.Trace, ep.Addr(), trace.NextIncarnation())
 	if d, ok := ep.(transport.Dispatcher); ok {
 		// The endpoint invokes the protocol directly from its drain
@@ -792,18 +796,26 @@ func New(ep transport.Endpoint, opts Options) *Conn {
 // session returns the per-peer state shard, creating it on first
 // contact with peer.
 func (c *Conn) session(peer transport.Addr) *session {
-	if v, ok := c.peers.Load(peer); ok {
-		return v.(*session)
+	if s := (*c.peers.Load())[peer]; s != nil {
+		return s
 	}
-	v, _ := c.peers.LoadOrStore(peer, &session{
+	c.peersMu.Lock()
+	defer c.peersMu.Unlock()
+	if s := (*c.peers.Load())[peer]; s != nil {
+		return s
+	}
+	s := &session{
 		peer:     peer,
 		out:      make(map[sessKey]*outTransfer),
 		in:       make(map[sessKey]*inTransfer),
 		watches:  make(map[sessKey]*outTransfer),
 		pend:     make(map[sessKey]pendAck),
 		nextCall: c.callBase,
-	})
-	return v.(*session)
+	}
+	m := maps.Clone(*c.peers.Load())
+	m[peer] = s
+	c.peers.Store(&m)
+	return s
 }
 
 // Addr returns the local transport address.
@@ -821,14 +833,12 @@ func (c *Conn) Incoming() <-chan Message { return c.incoming }
 // Stats returns a snapshot of the protocol counters.
 func (c *Conn) Stats() Stats {
 	var completed, watches int64
-	c.peers.Range(func(_, v any) bool {
-		s := v.(*session)
+	for _, s := range *c.peers.Load() {
 		s.mu.Lock()
 		completed += int64(s.completed.Len())
 		watches += int64(len(s.watches))
 		s.mu.Unlock()
-		return true
-	})
+	}
 	return Stats{
 		CompletedRecords:  completed,
 		Watches:           watches,
@@ -849,11 +859,10 @@ func (c *Conn) Stats() Stats {
 // the estimator has accepted any sample yet. Estimation is per-peer
 // session state, so one peer's estimate never bleeds into another's.
 func (c *Conn) RTT(peer transport.Addr) (time.Duration, bool) {
-	v, ok := c.peers.Load(peer)
+	s, ok := (*c.peers.Load())[peer]
 	if !ok {
 		return 0, false
 	}
-	s := v.(*session)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.rtt.srtt, s.rtt.valid
@@ -875,8 +884,7 @@ func (c *Conn) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	c.peers.Range(func(_, v any) bool {
-		s := v.(*session)
+	for _, s := range *c.peers.Load() {
 		s.mu.Lock()
 		for _, t := range s.out {
 			c.completeOutLocked(s, t, ErrClosed)
@@ -903,8 +911,7 @@ func (c *Conn) Close() error {
 			delete(s.pend, k)
 		}
 		s.sendMu.Unlock()
-		return true
-	})
+	}
 	close(c.stop)
 
 	err := c.ep.Close()
@@ -921,7 +928,7 @@ func (c *Conn) Close() error {
 // published: either the sweep saw the session (and failed the
 // transfer) or the recheck fires — no transfer outlives Close.
 func (c *Conn) register(s *session, t *outTransfer) (int, error) {
-	k := sessKey{typ: t.typ, callNum: t.callNum}
+	k := mkKey(t.typ, t.callNum)
 	s.mu.Lock()
 	if c.closed.Load() {
 		s.mu.Unlock()
@@ -964,7 +971,7 @@ func (c *Conn) Await(ctx context.Context, t *outTransfer) error {
 	case <-ctx.Done():
 		s := c.session(t.peer)
 		s.mu.Lock()
-		k := sessKey{typ: t.typ, callNum: t.callNum}
+		k := mkKey(t.typ, t.callNum)
 		if cur, ok := s.out[k]; ok && cur == t {
 			delete(s.out, k)
 			t.endWire()
@@ -1045,13 +1052,13 @@ func (c *Conn) BeginObservedCall(to transport.Addr, msg []byte, obs CallObserver
 	}
 	s.nextCall++
 	for {
-		if _, dup := s.out[sessKey{typ: Call, callNum: s.nextCall}]; !dup {
+		if _, dup := s.out[mkKey(Call, s.nextCall)]; !dup {
 			break
 		}
 		s.nextCall++ // wrapped onto a number still in flight: skip it
 	}
 	t.stampCallNum(s.nextCall)
-	s.out[sessKey{typ: Call, callNum: t.callNum}] = t
+	s.out[mkKey(Call, t.callNum)] = t
 	t.pace = len(s.out) >= paceInFlightMin
 	c.initTransferLocked(s, t, time.Now())
 	if c.tr.EnabledFor(trace.KindMsgSend) {
@@ -1237,7 +1244,7 @@ func (t *outTransfer) Err() error { return t.err }
 // observer after Abandon returns.
 func (c *Conn) Abandon(to transport.Addr, callNum uint32) {
 	s := c.session(to)
-	k := sessKey{typ: Call, callNum: callNum}
+	k := mkKey(Call, callNum)
 	s.mu.Lock()
 	if t, ok := s.out[k]; ok && t.obs != nil {
 		delete(s.out, k)
@@ -1302,7 +1309,7 @@ func (c *Conn) handleAck(from transport.Addr, h segHeader) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.aliveLocked(h.callNum)
-	t, ok := s.out[sessKey{typ: h.typ, callNum: h.callNum}]
+	t, ok := s.out[mkKey(h.typ, h.callNum)]
 	if !ok {
 		return
 	}
@@ -1325,7 +1332,7 @@ func (c *Conn) handleProbe(from transport.Addr, h segHeader) {
 		return
 	}
 	s := c.session(from)
-	k := sessKey{typ: h.typ, callNum: h.callNum}
+	k := mkKey(h.typ, h.callNum)
 	s.mu.Lock()
 	in := s.in[k]
 	ackNum, total := 0, int(h.totalSegs)
@@ -1339,9 +1346,9 @@ func (c *Conn) handleProbe(from transport.Addr, h segHeader) {
 		if deliveredNow {
 			s.retireLocked(k, in)
 		}
-	} else if n, _, ok := s.completed.Get(k); ok {
+	} else if n, ok := s.completedLocked(k); ok {
 		// The exchange already finished; answer from the tombstone.
-		ackNum, total = int(n), int(n)
+		ackNum, total = n, n
 	}
 	s.mu.Unlock()
 	if dropped {
@@ -1354,7 +1361,7 @@ func (c *Conn) handleProbe(from transport.Addr, h segHeader) {
 
 func (c *Conn) handleData(from transport.Addr, h segHeader, payload []byte, buf *transport.Buf) {
 	s := c.session(from)
-	k := sessKey{typ: h.typ, callNum: h.callNum}
+	k := mkKey(h.typ, h.callNum)
 
 	s.mu.Lock()
 	s.aliveLocked(h.callNum)
@@ -1362,14 +1369,14 @@ func (c *Conn) handleData(from transport.Addr, h segHeader, payload []byte, buf 
 	// A return segment implicitly acknowledges all segments of the
 	// call bearing the same call number (§4.2.2).
 	if h.typ == Return {
-		if t, ok := s.out[sessKey{typ: Call, callNum: h.callNum}]; ok {
+		if t, ok := s.out[mkKey(Call, h.callNum)]; ok {
 			c.completeOutLocked(s, t, nil)
 		}
 	}
 
 	in, ok := s.in[k]
 	if !ok {
-		if n, _, done := s.completed.Get(k); done {
+		if n, done := s.completedLocked(k); done {
 			// Replayed segment of a finished exchange (§4.2.4): answer
 			// from the tombstone without resurrecting transfer state.
 			s.mu.Unlock()
@@ -1379,7 +1386,7 @@ func (c *Conn) handleData(from transport.Addr, h segHeader, payload []byte, buf 
 					MsgType: uint8(h.typ), CallNum: h.callNum, N: int(h.segNum)})
 			}
 			if h.pleaseAck {
-				c.queueAck(s, h.typ, h.callNum, int(n), int(n), true)
+				c.queueAck(s, h.typ, h.callNum, n, n, true)
 			}
 			return
 		}
@@ -1526,7 +1533,7 @@ func (c *Conn) traceDrop(from transport.Addr, typ MsgType, callNum uint32) {
 // aliveLocked resets the probe miss counters of any watch on this
 // call number. Caller holds s.mu.
 func (s *session) aliveLocked(callNum uint32) {
-	if w, ok := s.watches[sessKey{typ: Call, callNum: callNum}]; ok {
+	if w, ok := s.watches[mkKey(Call, callNum)]; ok {
 		w.missed = 0
 	}
 }
@@ -1537,11 +1544,26 @@ func (s *session) aliveLocked(callNum uint32) {
 // holds s.mu.
 func (s *session) retireLocked(k sessKey, in *inTransfer) {
 	delete(s.in, k)
-	s.completed.Put(k, uint8(in.total))
-	recycleInTransfer(in)
-	if k.typ == Return {
-		delete(s.watches, sessKey{typ: Call, callNum: k.callNum})
+	s.completed.Put(uint64(k))
+	if in.total != 1 {
+		s.completedSegs.Put(k, uint8(in.total))
 	}
+	recycleInTransfer(in)
+	if k.typ() == Return {
+		delete(s.watches, mkKey(Call, k.callNum()))
+	}
+}
+
+// completedLocked reports whether exchange k finished within the
+// replay window, and its segment count. Caller holds s.mu.
+func (s *session) completedLocked(k sessKey) (total int, ok bool) {
+	if _, ok = s.completed.Has(uint64(k)); ok {
+		total = 1
+		if n, _, multi := s.completedSegs.Get(k); multi {
+			total = int(n)
+		}
+	}
+	return total, ok
 }
 
 // ackDelay returns how long a non-urgent ack may wait for a segment
@@ -1580,7 +1602,7 @@ func (c *Conn) queueAck(s *session, typ MsgType, callNum uint32, ackNum, total i
 	if c.opts.AckDelay < 0 {
 		urgent = true // delaying disabled: every ack goes out at once
 	}
-	k := sessKey{typ: typ, callNum: callNum}
+	k := mkKey(typ, callNum)
 	s.sendMu.Lock()
 	if prev, ok := s.pend[k]; !ok || ackNum > prev.ackNum {
 		if ok && prev.total > total {
@@ -1688,11 +1710,11 @@ func (c *Conn) flushLoop(s *session) {
 		acks = acks[:0]
 		for k, pa := range s.pend {
 			acks = append(acks, segHeader{
-				typ:       k.typ,
+				typ:       k.typ(),
 				ack:       true,
 				totalSegs: uint8(pa.total),
 				segNum:    uint8(pa.ackNum),
-				callNum:   k.callNum,
+				callNum:   k.callNum(),
 			})
 			delete(s.pend, k)
 		}
@@ -1724,7 +1746,7 @@ func (c *Conn) flushLoop(s *session) {
 // table until its return is delivered. Caller holds the session lock
 // of t's peer.
 func (c *Conn) completeOutLocked(s *session, t *outTransfer, err error) {
-	k := sessKey{typ: t.typ, callNum: t.callNum}
+	k := mkKey(t.typ, t.callNum)
 	if s.out[k] != t {
 		return
 	}
@@ -1782,10 +1804,9 @@ func (c *Conn) timerLoop() {
 }
 
 func (c *Conn) timerPass() {
-	c.peers.Range(func(_, v any) bool {
-		c.timerPassSession(v.(*session))
-		return true
-	})
+	for _, s := range *c.peers.Load() {
+		c.timerPassSession(s)
+	}
 }
 
 // timerPassSession runs one retransmission/probe/expiry pass over a
@@ -1874,7 +1895,7 @@ func (c *Conn) timerPassSession(s *session) {
 		if w.missed > c.opts.ProbeMissLimit {
 			if c.tr.Enabled() {
 				c.tr.Emit(trace.Event{Kind: trace.KindCrashSuspect,
-					Peer: s.peer, MsgType: uint8(k.typ), CallNum: k.callNum,
+					Peer: s.peer, MsgType: uint8(k.typ()), CallNum: k.callNum(),
 					Attempt: w.missed - 1, Detail: "probe misses"})
 			}
 			delete(s.watches, k)
@@ -1883,9 +1904,9 @@ func (c *Conn) timerPassSession(s *session) {
 		}
 		c.stats.probesSent.Add(1)
 		frames = append(frames, outFrame{h: segHeader{
-			typ:       k.typ,
+			typ:       k.typ(),
 			pleaseAck: true,
-			callNum:   k.callNum,
+			callNum:   k.callNum(),
 		}, probe: true})
 	}
 	// Expire the oldest generation of completed-exchange records: a
@@ -1894,6 +1915,7 @@ func (c *Conn) timerPassSession(s *session) {
 	if !now.Before(s.nextRotate) {
 		s.nextRotate = now.Add(c.opts.CompletedTTL / 2)
 		s.completed.Rotate()
+		s.completedSegs.Rotate()
 	}
 	s.mu.Unlock()
 

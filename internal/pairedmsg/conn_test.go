@@ -687,24 +687,7 @@ func TestCompletedRecordAcrossRotations(t *testing.T) {
 	opts := fastOpts()
 	opts.CompletedTTL = time.Hour // only this test rotates
 	p, rec := newPairTraced(t, 14, netsim.LinkConfig{}, opts)
-	s := p.b.session(p.a.Addr())
-	rotate := func() {
-		s.mu.Lock()
-		s.completed.Rotate()
-		s.mu.Unlock()
-	}
-	// The timer pass rotates a new session once, at its first tick.
-	for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
-		s.mu.Lock()
-		ticked := !s.nextRotate.IsZero()
-		s.mu.Unlock()
-		if ticked {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("timer pass never reached the session")
-		}
-	}
+	_, rotate := settledSession(t, p.b, p.a.Addr())
 
 	cn := p.a.NextCallNum(p.b.Addr())
 	if err := p.a.Send(context.Background(), p.b.Addr(), Call, cn, []byte("m")); err != nil {
@@ -779,5 +762,148 @@ func TestCompletedRecordLifetime(t *testing.T) {
 	}
 	if gone := time.Since(sent); gone < ttl {
 		t.Fatalf("record gone %v after the send began, sooner than CompletedTTL %v", gone, ttl)
+	}
+}
+
+// settledSession returns c's session with peer once the timer pass has
+// made its first rotation — which it does for a new session at its
+// first tick — and a function that rotates the completed records by
+// hand. Tests that rotate set CompletedTTL long, so only they do.
+func settledSession(t *testing.T, c *Conn, peer transport.Addr) (*session, func()) {
+	t.Helper()
+	s := c.session(peer)
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		ticked := !s.nextRotate.IsZero()
+		s.mu.Unlock()
+		if ticked {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("timer pass never reached the session")
+		}
+	}
+	return s, func() {
+		s.mu.Lock()
+		s.completed.Rotate()
+		s.completedSegs.Rotate()
+		s.mu.Unlock()
+	}
+}
+
+// TestCompletedMultiSegmentReplay: the record of a finished 3-segment
+// exchange answers a probe with ack 3/3 and acknowledges a replayed
+// segment 2 (please-ack set) without delivering it again — before and
+// after a rotation, when the record and its segment count sit in an
+// older generation.
+func TestCompletedMultiSegmentReplay(t *testing.T) {
+	opts := fastOpts()
+	opts.CompletedTTL = time.Hour // only this test rotates
+	p, rec := newPairTraced(t, 16, netsim.LinkConfig{}, opts)
+	_, rotate := settledSession(t, p.b, p.a.Addr())
+
+	msg := bytes.Repeat([]byte{'x'}, 2*maxSegPayload+10)
+	cn := p.a.NextCallNum(p.b.Addr())
+	if err := p.a.Send(context.Background(), p.b.Addr(), Call, cn, msg); err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := recvMsg(t, p.b, time.Second); !ok || !bytes.Equal(m.Data, msg) {
+		t.Fatal("3-segment message not delivered")
+	}
+	segs, err := segmentMessage(Call, cn, msg)
+	if err != nil || len(segs) != 3 {
+		t.Fatalf("%d segments, %v", len(segs), err)
+	}
+	replayed := append([]byte(nil), segs[1]...)
+	replayed[1] |= ctlPleaseAck
+	probe := segHeader{typ: Call, pleaseAck: true, callNum: cn}.encode(nil)
+
+	full := func(e trace.Event) bool {
+		return e.Kind == trace.KindAckSend && e.Node == p.b.Addr() && e.CallNum == cn &&
+			e.N == 3 && e.Total == 3
+	}
+	dup2 := func(e trace.Event) bool {
+		return e.Kind == trace.KindDupSegment && e.Node == p.b.Addr() && e.CallNum == cn && e.N == 2
+	}
+	for phase, name := range []string{"before rotation", "after one rotation"} {
+		if phase > 0 {
+			rotate()
+		}
+		acks := rec.Count(full)
+		p.b.handleSegment(p.a.Addr(), probe, nil)
+		if _, ok := rec.WaitN(time.Second, acks+1, full); !ok {
+			t.Fatalf("%s: probe not answered with ack 3/3", name)
+		}
+		p.b.handleSegment(p.a.Addr(), replayed, nil)
+		if _, ok := rec.WaitN(time.Second, acks+2, full); !ok {
+			t.Fatalf("%s: replayed segment 2 not acknowledged 3/3", name)
+		}
+		if got := rec.Count(dup2); got != phase+1 {
+			t.Fatalf("%s: %d replays of segment 2 suppressed, want %d", name, got, phase+1)
+		}
+		select {
+		case m := <-p.b.Incoming():
+			t.Fatalf("%s: redelivered %+v", name, m)
+		default:
+		}
+	}
+}
+
+// TestCompletedRecordsCompact: the records of 10 000 exchanges with
+// consecutive call numbers share a few hundred bitmap blocks, and the
+// gauge still counts each exchange. Multicast call numbers (high bit
+// set), unicast numbers with the same low bits, and the two message
+// types are all distinct exchanges: none answers for another.
+func TestCompletedRecordsCompact(t *testing.T) {
+	const n = 10_000
+	opts := fastOpts()
+	opts.CompletedTTL = time.Hour
+	p := newPair(t, 17, netsim.LinkConfig{}, opts)
+	s, _ := settledSession(t, p.b, p.a.Addr())
+	from := p.a.Addr()
+	// deliver feeds b one single-segment message from a and reports
+	// whether b handed it up as new.
+	deliver := func(typ MsgType, cn uint32) bool {
+		p.b.handleSegment(from, segHeader{typ: typ, totalSegs: 1, segNum: 1, callNum: cn}.encode([]byte("m")), nil)
+		select {
+		case m := <-p.b.Incoming():
+			if m.Type != typ || m.CallNum != cn {
+				t.Fatalf("delivered %v %#x, fed %v %#x", m.Type, m.CallNum, typ, cn)
+			}
+			return true
+		default:
+			return false
+		}
+	}
+	base := p.a.NextCallNum(p.b.Addr())
+	for i := uint32(0); i < n; i++ {
+		if !deliver(Call, base+i) {
+			t.Fatalf("call %d not delivered", i)
+		}
+	}
+	s.mu.Lock()
+	blocks := s.completed.Blocks()
+	s.mu.Unlock()
+	if got := p.b.Stats().CompletedRecords; got != n || blocks > 200 {
+		t.Fatalf("%d exchanges: %d completed records in %d blocks, want %d in <= 200", n, got, blocks, n)
+	}
+
+	for _, i := range []uint32{0, 1, 63, 64, n - 1} {
+		multi := 0x8000_0000 | (base + i)
+		if deliver(Call, base+i) {
+			t.Fatalf("unicast call %#x redelivered", base+i)
+		}
+		if !deliver(Call, multi) {
+			t.Fatalf("multicast call %#x answered by unicast %#x's record", multi, base+i)
+		}
+		if deliver(Call, multi) {
+			t.Fatalf("multicast call %#x redelivered", multi)
+		}
+		if !deliver(Return, base+i) {
+			t.Fatalf("return %#x answered by the call's record", base+i)
+		}
+	}
+	if got := p.b.Stats().CompletedRecords; got != n+10 {
+		t.Fatalf("CompletedRecords = %d, want %d", got, n+10)
 	}
 }

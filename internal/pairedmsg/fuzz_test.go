@@ -75,14 +75,14 @@ func FuzzBundleDecode(f *testing.F) {
 	ackSeg[1] = ctlAck
 	valid = appendBundleFrame(valid, ackSeg)
 	f.Add(valid)
-	f.Add([]byte{})                               // empty
-	f.Add([]byte{bundleMagic})                    // magic alone
-	f.Add([]byte{bundleMagic, 1})                 // count but no frames
-	f.Add([]byte{bundleMagic, 1, 0xff, 0xff})     // oversized frame length
+	f.Add([]byte{})                                             // empty
+	f.Add([]byte{bundleMagic})                                  // magic alone
+	f.Add([]byte{bundleMagic, 1})                               // count but no frames
+	f.Add([]byte{bundleMagic, 1, 0xff, 0xff})                   // oversized frame length
 	f.Add([]byte{bundleMagic, 2, 0, 8, 0, 0, 2, 1, 0, 0, 0, 1}) // count overruns frames
-	f.Add([]byte{bundleMagic, 1, 0, 2, 1, 1})     // frame below headerLen
-	f.Add(append([]byte{bundleMagic, 255}, valid[2:]...)) // inflated count
-	f.Add([]byte{0, 0, 2, 1, 0, 0, 0, 1, 'x'})    // plain segment, not a bundle
+	f.Add([]byte{bundleMagic, 1, 0, 2, 1, 1})                   // frame below headerLen
+	f.Add(append([]byte{bundleMagic, 255}, valid[2:]...))       // inflated count
+	f.Add([]byte{0, 0, 2, 1, 0, 0, 0, 1, 'x'})                  // plain segment, not a bundle
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var frames [][]byte
 		decodeBundle(data, func(frame []byte) {

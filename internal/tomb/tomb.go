@@ -9,6 +9,8 @@
 // the records either.
 package tomb
 
+import "math/bits"
+
 // Generations is how many generations a Table keeps. Owners that store
 // per-generation data beside the table (core's result slabs) keep an
 // array of this length and shift it when they call Rotate.
@@ -53,3 +55,39 @@ func (t *Table[K, V]) Len() int {
 	}
 	return n
 }
+
+// Bits is a generational set of uint64 keys, a Table of 64-bit masks
+// keyed by k>>6: keys differing only in their low six bits share one
+// map entry, and a record costs one bit. The zero value is empty and
+// ready; it is not safe for concurrent use.
+type Bits struct{ t Table[uint64, uint64] }
+
+// Put records k in the newest generation.
+func (b *Bits) Put(k uint64) { b.t.Put(k>>6, b.t.gens[0][k>>6]|1<<(k&63)) }
+
+// Has reports whether k is recorded, with its age as Table.Get has it.
+func (b *Bits) Has(k uint64) (age int, ok bool) {
+	for age, g := range b.t.gens {
+		if g[k>>6]&(1<<(k&63)) != 0 {
+			return age, true
+		}
+	}
+	return 0, false
+}
+
+// Rotate drops the oldest generation and opens a new one.
+func (b *Bits) Rotate() { b.t.Rotate() }
+
+// Len is the number of records held: the popcount of every mask.
+func (b *Bits) Len() int {
+	n := 0
+	for _, g := range b.t.gens {
+		for _, m := range g {
+			n += bits.OnesCount64(m)
+		}
+	}
+	return n
+}
+
+// Blocks is the number of masks the records occupy.
+func (b *Bits) Blocks() int { return b.t.Len() }

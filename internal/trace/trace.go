@@ -95,39 +95,39 @@ const (
 )
 
 var kindNames = [...]string{
-	KindUnknown:       "unknown",
-	KindMsgSend:       "msg.send",
-	KindSegRetransmit: "msg.retransmit",
-	KindAckSend:       "msg.ack",
-	KindProbeSend:     "msg.probe",
-	KindCrashSuspect:  "msg.crash-suspect",
-	KindRTTSample:     "msg.rtt-sample",
-	KindDupSegment:    "msg.dup-segment",
-	KindMsgDelivered:  "msg.delivered",
-	KindCallIssued:    "call.issued",
-	KindMemberReply:   "call.member-reply",
-	KindCollateDone:   "call.collated",
-	KindRebind:        "call.rebind",
-	KindCallStart:     "exec.start",
-	KindCallDone:      "exec.done",
-	KindDupCall:       "exec.dup-call",
-	KindReplySent:     "exec.reply-sent",
-	KindRegister:      "ring.register",
-	KindAddMember:     "ring.add-member",
-	KindRemoveMember:  "ring.remove-member",
-	KindLookup:        "ring.lookup",
-	KindGCRemove:      "ring.gc-remove",
-	KindLockAcquire:   "txn.lock-acquire",
-	KindLockRelease:   "txn.lock-release",
-	KindTxnCommit:     "txn.commit",
-	KindTxnAbort:      "txn.abort",
-	KindAcceptOrder:   "txn.accept-order",
-	KindDeliveryDrop:  "msg.delivery-drop",
-	KindBundleSend:    "msg.bundle",
-	KindWALAppend:     "wal.append",
-	KindWALSnapshot:   "wal.snapshot",
-	KindRecover:       "recover",
-	KindDeltaRejoin:   "repair.delta-rejoin",
+	KindUnknown:        "unknown",
+	KindMsgSend:        "msg.send",
+	KindSegRetransmit:  "msg.retransmit",
+	KindAckSend:        "msg.ack",
+	KindProbeSend:      "msg.probe",
+	KindCrashSuspect:   "msg.crash-suspect",
+	KindRTTSample:      "msg.rtt-sample",
+	KindDupSegment:     "msg.dup-segment",
+	KindMsgDelivered:   "msg.delivered",
+	KindCallIssued:     "call.issued",
+	KindMemberReply:    "call.member-reply",
+	KindCollateDone:    "call.collated",
+	KindRebind:         "call.rebind",
+	KindCallStart:      "exec.start",
+	KindCallDone:       "exec.done",
+	KindDupCall:        "exec.dup-call",
+	KindReplySent:      "exec.reply-sent",
+	KindRegister:       "ring.register",
+	KindAddMember:      "ring.add-member",
+	KindRemoveMember:   "ring.remove-member",
+	KindLookup:         "ring.lookup",
+	KindGCRemove:       "ring.gc-remove",
+	KindLockAcquire:    "txn.lock-acquire",
+	KindLockRelease:    "txn.lock-release",
+	KindTxnCommit:      "txn.commit",
+	KindTxnAbort:       "txn.abort",
+	KindAcceptOrder:    "txn.accept-order",
+	KindDeliveryDrop:   "msg.delivery-drop",
+	KindBundleSend:     "msg.bundle",
+	KindWALAppend:      "wal.append",
+	KindWALSnapshot:    "wal.snapshot",
+	KindRecover:        "recover",
+	KindDeltaRejoin:    "repair.delta-rejoin",
 	KindSpreadRead:     "mesh.spread-read",
 	KindSpreadStale:    "mesh.spread-stale",
 	KindSpreadEscalate: "mesh.spread-escalate",
