@@ -135,7 +135,11 @@ var (
 	Quorum    = collate.Quorum
 )
 
-// NewCollator wraps an application-specific collating function.
+// NewCollator wraps an application-specific collating function. f is
+// called only when at least one member succeeded; when none did the
+// collator's result is ErrAllFailed, and the call fails with what the
+// members reported — a unanimous refusal passes through as that
+// refusal.
 func NewCollator(n int, f func(items []Reply) ([]byte, error)) Collator {
 	return collate.New(n, f)
 }

@@ -188,7 +188,7 @@ func (r *repairman) reconcile(ctx context.Context, force bool) bool {
 	if !force && r.positionsAgree(ctx, t.Members) {
 		return true
 	}
-	union := make(map[string]string)
+	var dumps [][]byte
 	complete := true
 	for _, m := range t.Members {
 		direct := r.node.StubFor(circus.Troupe{Members: []circus.ModuleAddr{m}})
@@ -197,22 +197,11 @@ func (r *repairman) reconcile(ctx context.Context, force bool) bool {
 			complete = false
 			continue
 		}
-		pairs, err := decodePairs(data)
-		if err != nil {
-			complete = false
-			continue
-		}
-		for _, p := range pairs {
-			if _, ok := union[p.Key]; !ok {
-				union[p.Key] = p.Val
-			}
-		}
+		dumps = append(dumps, data)
 	}
-	dump := make([]kvPair, 0, len(union))
-	for k, v := range union {
-		dump = append(dump, kvPair{Key: k, Val: v})
-	}
-	args, err := circus.Marshal(dump)
+	// Values are write-once per key, so the union is order-free; a
+	// member holding a different value records the conflict on merge.
+	args, err := KVCodec{}.Union(dumps)
 	if err != nil {
 		return false
 	}

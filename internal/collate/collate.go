@@ -191,7 +191,11 @@ type Func func(items []Item) ([]byte, error)
 
 // New wraps f as a Collator that waits for all n members and then
 // applies f to whatever arrived. It is the programmable hook the
-// paper's generator-based explicit replication provides.
+// paper's generator-based explicit replication provides. f is called
+// only when at least one member succeeded; when none did the result is
+// ErrAllFailed, which callers such as core's Call turn into the
+// members' own verdict, so a unanimous refusal reaches the caller as
+// that refusal.
 func New(n int, f Func) Collator { return &custom{n: n, f: f} }
 
 type custom struct {

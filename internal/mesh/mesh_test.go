@@ -337,7 +337,8 @@ func TestMeshStaleClientRedirects(t *testing.T) {
 	if _, err := ctl.Bootstrap(ctx, []string{"kv/s0", "kv/s1"}, 0); err != nil {
 		t.Fatal(err)
 	}
-	stale := f.client(ctx, 4) // caches the 2-shard epoch-1 map
+	stale := f.client(ctx, 4)       // caches the 2-shard epoch-1 map
+	quorumStale := f.client(ctx, 6) // likewise, and stays idle until after the split
 	acked := map[string]string{}
 	for i := 0; i < 100; i++ {
 		k, v := fmt.Sprintf("s.k%03d", i), fmt.Sprintf("v%03d", i)
@@ -385,6 +386,39 @@ func TestMeshStaleClientRedirects(t *testing.T) {
 	}
 	if stale.Map().Epoch <= 1 {
 		t.Fatalf("redirect did not refresh the map: epoch %d", stale.Map().Epoch)
+	}
+
+	// A quorum-collated write of a fresh key the stale map routes to an
+	// old shard: its members refuse unanimously with wrong-shard, the
+	// quorum collator produces no success, and the refusal must still
+	// reach the client as WrongShard so it redirects and the write acks
+	// at the new owner.
+	fresh2 := ""
+	for i := 0; fresh2 == ""; i++ {
+		if k := fmt.Sprintf("q.k%d", i); ring.Owner(k) == "kv/s2" {
+			fresh2 = k
+		}
+	}
+	args, err := chaos.PutArgs(fresh2, "qv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	quorum2 := func(n int) circus.Collator { return circus.Quorum(n, 2) }
+	if _, err := quorumStale.Call(ctx, fresh2, chaos.ProcPut, args,
+		core.CallOptions{Timeout: 2 * time.Second, Collator: quorum2}); err != nil {
+		t.Fatalf("quorum put of %s through a stale map: %v", fresh2, err)
+	}
+	if st := quorumStale.Stats(); st.Redirects == 0 {
+		t.Fatalf("quorum-collated refusal did not redirect: %+v", st)
+	}
+	holders := 0
+	for _, kv := range f.shards["kv/s2"].kvs {
+		if kv.Snapshot()[fresh2] == "qv" {
+			holders++
+		}
+	}
+	if holders < 2 {
+		t.Fatalf("quorum write of %s held by %d members of kv/s2, want >= 2", fresh2, holders)
 	}
 }
 

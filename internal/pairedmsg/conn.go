@@ -993,17 +993,11 @@ type Transfer interface {
 	Err() error
 }
 
-// NextMulticastCallNum allocates a call number for a multicast
+// nextMulticastLocked allocates a call number for a multicast
 // exchange. Multicast numbers live in the upper half of the call
 // number space so they can never collide with the per-peer unicast
 // counters; within one pair of processes every exchange still bears a
-// unique number, as §4.2 requires.
-func (c *Conn) NextMulticastCallNum() uint32 {
-	c.multiMu.Lock()
-	defer c.multiMu.Unlock()
-	return c.nextMulticastLocked()
-}
-
+// unique number, as §4.2 requires. Caller holds multiMu.
 func (c *Conn) nextMulticastLocked() uint32 {
 	if c.nextMulti == 0 {
 		c.nextMulti = c.callBase
@@ -1095,7 +1089,8 @@ func (c *Conn) Transmit(t *outTransfer) {
 // BeginCallMulticast is the multicast analog of BeginObservedCall: it
 // allocates one multicast call number and registers a call transfer to
 // every member of group under it, observed by the matching entry of
-// obs, without transmitting. The returned transfers parallel group.
+// obs, without transmitting; a nil entry gives that member BeginCall's
+// unobserved transfer. The returned transfers parallel group.
 // Retransmission and acknowledgment remain per-recipient, because
 // delivery reliability varies from recipient to recipient (§2.2). The
 // caller installs reply routing and then calls TransmitMulticast.
@@ -1121,6 +1116,9 @@ func (c *Conn) BeginCallMulticast(group []transport.Addr, msg []byte, obs []Call
 	registered := make([]*outTransfer, 0, len(group))
 	for i, to := range group {
 		t := &outTransfer{peer: to, typ: Call, callNum: callNum, segs: segs, obs: obs[i]}
+		if t.obs == nil {
+			t.done = make(chan struct{})
+		}
 		if _, err := c.register(c.session(to), t); err != nil {
 			for _, r := range registered {
 				rs := c.session(r.peer)
@@ -1152,51 +1150,6 @@ func (c *Conn) TransmitMulticast(group []transport.Addr, transfers []Transfer) {
 	for _, s := range transfers[0].(*outTransfer).segs {
 		mc.Multicast(group, s)
 	}
-}
-
-// StartSendMulticast begins one reliable transfer to every member of
-// group with a caller-supplied call number, transmitting the initial
-// copy of each segment with a single multicast operation. It remains
-// for callers that allocate numbers via NextMulticastCallNum;
-// BeginCallMulticast is the race-free allocation path.
-func (c *Conn) StartSendMulticast(group []transport.Addr, typ MsgType, callNum uint32, msg []byte) ([]Transfer, error) {
-	mc, ok := c.ep.(transport.Multicaster)
-	if !ok {
-		return nil, ErrNoMulticast
-	}
-	segs, err := segmentMessage(typ, callNum, msg)
-	if err != nil {
-		return nil, err
-	}
-	transfers := make([]Transfer, len(group))
-	registered := make([]*outTransfer, 0, len(group))
-	for i, to := range group {
-		t := &outTransfer{peer: to, typ: typ, callNum: callNum, segs: segs,
-			done: make(chan struct{})}
-		if _, err := c.register(c.session(to), t); err != nil {
-			for _, r := range registered {
-				rs := c.session(r.peer)
-				rs.mu.Lock()
-				c.completeOutLocked(rs, r, ErrClosed)
-				rs.mu.Unlock()
-			}
-			return nil, err
-		}
-		transfers[i] = t
-		registered = append(registered, t)
-	}
-	c.stats.segmentsSent.Add(int64(len(segs)))
-
-	if c.tr.EnabledFor(trace.KindMsgSend) {
-		for _, to := range group {
-			c.tr.Emit(trace.Event{Kind: trace.KindMsgSend, Peer: to,
-				MsgType: uint8(typ), CallNum: callNum, N: len(segs)})
-		}
-	}
-	for _, s := range segs {
-		mc.Multicast(group, s)
-	}
-	return transfers, nil
 }
 
 // StartSend begins a reliable transfer without blocking; servers use

@@ -13,6 +13,19 @@ import (
 // unicastOnly hides an endpoint's Multicaster implementation.
 type unicastOnly struct{ transport.Endpoint }
 
+// sendMulticast begins a call to every member of group, with no
+// observers, and transmits it: each transfer reports through Done and
+// Err alone.
+func sendMulticast(t *testing.T, c *Conn, group []transport.Addr, msg []byte) ([]Transfer, uint32) {
+	t.Helper()
+	transfers, cn, err := c.BeginCallMulticast(group, msg, make([]CallObserver, len(group)))
+	if err != nil {
+		t.Fatalf("BeginCallMulticast: %v", err)
+	}
+	c.TransmitMulticast(group, transfers)
+	return transfers, cn
+}
+
 func TestMulticastDeliversToAll(t *testing.T) {
 	n := netsim.New(61)
 	epA, _ := n.Listen(n.NewHost(), 0)
@@ -23,12 +36,8 @@ func TestMulticastDeliversToAll(t *testing.T) {
 	defer b.Close()
 	defer c.Close()
 
-	cn := a.NextMulticastCallNum()
 	group := []transport.Addr{epB.Addr(), epC.Addr()}
-	transfers, err := a.StartSendMulticast(group, Call, cn, []byte("to all"))
-	if err != nil {
-		t.Fatalf("StartSendMulticast: %v", err)
-	}
+	transfers, cn := sendMulticast(t, a, group, []byte("to all"))
 	if len(transfers) != 2 {
 		t.Fatalf("transfers = %d", len(transfers))
 	}
@@ -56,6 +65,33 @@ func TestMulticastDeliversToAll(t *testing.T) {
 	}
 }
 
+// TestMulticastNilObserverAcknowledged pins a nil observer entry: that
+// member's transfer must complete through Done once its call message
+// is acknowledged, as BeginCall's does, rather than leave the
+// acknowledgment with no channel to close.
+func TestMulticastNilObserverAcknowledged(t *testing.T) {
+	n := netsim.New(67)
+	epA, _ := n.Listen(n.NewHost(), 0)
+	epB, _ := n.Listen(n.NewHost(), 0)
+	a, b := New(epA, fastOpts()), New(epB, fastOpts())
+	defer a.Close()
+	defer b.Close()
+
+	transfers, _ := sendMulticast(t, a, []transport.Addr{epB.Addr()}, []byte("q"))
+	if _, ok := recvMsg(t, b, time.Second); !ok {
+		t.Fatal("member missed multicast message")
+	}
+	// No return follows, so the member acknowledges explicitly.
+	select {
+	case <-transfers[0].Done():
+		if err := transfers[0].Err(); err != nil {
+			t.Fatalf("transfer: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("acknowledged transfer never completed")
+	}
+}
+
 func TestMulticastOneSendOpPerSegment(t *testing.T) {
 	n := netsim.New(62)
 	epA, _ := n.Listen(n.NewHost(), 0)
@@ -67,10 +103,7 @@ func TestMulticastOneSendOpPerSegment(t *testing.T) {
 	defer c.Close()
 
 	msg := bytes.Repeat([]byte("z"), 3*maxSegPayload) // 3 segments
-	cn := a.NextMulticastCallNum()
-	if _, err := a.StartSendMulticast([]transport.Addr{epB.Addr(), epC.Addr()}, Call, cn, msg); err != nil {
-		t.Fatal(err)
-	}
+	sendMulticast(t, a, []transport.Addr{epB.Addr(), epC.Addr()}, msg)
 	if _, ok := recvMsg(t, b, 2*time.Second); !ok {
 		t.Fatal("b missed message")
 	}
@@ -100,11 +133,7 @@ func TestMulticastPerPeerRetransmission(t *testing.T) {
 	defer c.Close()
 
 	n.SetLinkBetween(hA, hC, netsim.LinkConfig{LossRate: 1})
-	cn := a.NextMulticastCallNum()
-	transfers, err := a.StartSendMulticast([]transport.Addr{epB.Addr(), epC.Addr()}, Call, cn, []byte("m"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	transfers, _ := sendMulticast(t, a, []transport.Addr{epB.Addr(), epC.Addr()}, []byte("m"))
 	if _, ok := recvMsg(t, b, time.Second); !ok {
 		t.Fatal("healthy member missed message")
 	}
@@ -128,7 +157,7 @@ func TestMulticastUnsupportedEndpoint(t *testing.T) {
 	ep, _ := n.Listen(n.NewHost(), 0)
 	conn := New(unicastOnly{ep}, fastOpts())
 	defer conn.Close()
-	_, err := conn.StartSendMulticast([]transport.Addr{{Host: 1, Port: 1}}, Call, 1, []byte("x"))
+	_, _, err := conn.BeginCallMulticast([]transport.Addr{{Host: 1, Port: 1}}, []byte("x"), make([]CallObserver, 1))
 	if err != ErrNoMulticast {
 		t.Fatalf("err = %v, want ErrNoMulticast", err)
 	}
@@ -141,29 +170,14 @@ func TestMulticastCallNumsDisjointFromUnicast(t *testing.T) {
 	defer conn.Close()
 	peer := transport.Addr{Host: 5, Port: 5}
 	u := conn.NextCallNum(peer)
-	m := conn.NextMulticastCallNum()
+	_, m := sendMulticast(t, conn, []transport.Addr{peer}, []byte("x"))
 	if u&0x80000000 != 0 {
 		t.Fatalf("unicast call number %x in multicast space", u)
 	}
 	if m&0x80000000 == 0 {
 		t.Fatalf("multicast call number %x not namespaced", m)
 	}
-	if m2 := conn.NextMulticastCallNum(); m2 == m {
+	if _, m2 := sendMulticast(t, conn, []transport.Addr{peer}, []byte("y")); m2 == m {
 		t.Fatal("multicast call numbers not unique")
-	}
-}
-
-func TestMulticastDuplicateCallNumRejected(t *testing.T) {
-	n := netsim.New(66)
-	epA, _ := n.Listen(n.NewHost(), 0)
-	epB, _ := n.Listen(n.NewHost(), 0)
-	a := New(epA, fastOpts())
-	defer a.Close()
-	group := []transport.Addr{epB.Addr()}
-	if _, err := a.StartSendMulticast(group, Call, 0x80000001, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.StartSendMulticast(group, Call, 0x80000001, []byte("y")); err == nil {
-		t.Fatal("duplicate multicast call number accepted")
 	}
 }

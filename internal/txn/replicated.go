@@ -350,7 +350,8 @@ func NewRemoteStore(rt *core.Runtime, dest core.Troupe, resolver core.Resolver) 
 // deadlock victims, so one member may abort an acquisition that
 // another granted; proceeding on the majority would let the members'
 // workspaces diverge. The failed operation aborts the transaction
-// everywhere and the round is retried (§5.3).
+// everywhere and the round is retried (§5.3). collate.New calls the
+// function only when some member succeeded, so first is always set.
 func strictCollator(n int) collate.Collator {
 	return collate.New(n, func(items []collate.Item) ([]byte, error) {
 		var first []byte
@@ -373,9 +374,6 @@ func strictCollator(n int) collate.Collator {
 			} else if !bytes.Equal(first, it.Data) {
 				return nil, collate.ErrDisagreement
 			}
-		}
-		if !have {
-			return nil, collate.ErrAllFailed
 		}
 		return first, nil
 	})
