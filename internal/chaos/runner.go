@@ -14,7 +14,6 @@ import (
 	"circus/internal/chaos/linear"
 	"circus/internal/core"
 	"circus/internal/mesh"
-	"circus/internal/pairedmsg"
 	"circus/internal/trace"
 	"circus/internal/trace/check"
 	"circus/internal/trace/monitor"
@@ -476,8 +475,13 @@ func Run(cfg Config) (*Result, error) {
 	return c.res, nil
 }
 
+// The paired message timers of every machine: the simulated network's
+// defaults, stated here so the conformance check holds each
+// retransmission to the interval the members actually run.
+const retransmitInterval, probeInterval = 20 * time.Millisecond, 40 * time.Millisecond
+
 func (c *campaign) newNode(opts ...circus.Option) (*circus.Node, error) {
-	n, err := c.sim.NewNode(opts...)
+	n, err := c.sim.NewNode(append([]circus.Option{circus.WithTimers(retransmitInterval, probeInterval)}, opts...)...)
 	if err == nil {
 		c.machines = append(c.machines, n)
 	}
@@ -526,8 +530,7 @@ func (c *campaign) build() error {
 	if _, err := c.binder.ServeRingmaster(); err != nil {
 		return err
 	}
-	nodeOpts := []circus.Option{circus.WithBinder(c.binder.BinderAddrs()),
-		circus.WithAdaptiveRetransmit(), circus.WithTrace(sink)}
+	nodeOpts := []circus.Option{circus.WithBinder(c.binder.BinderAddrs()), circus.WithTrace(sink)}
 
 	// The troupes: the single one, or cfg.Shards shards in the
 	// bootstrap map plus one spare the live split will carve a range
@@ -964,17 +967,8 @@ func (c *campaign) verdict() {
 	} else {
 		res.Violations = append(res.Violations, meshCheck(c.troupes, final.Ring().Owner, c.acked)...)
 	}
-	cc := check.Config{Adaptive: true, MinRTO: pairedmsg.MinRTO}
-	if c.ctl != nil {
-		// The mesh campaign hosts several times the machines of the
-		// single-troupe one in a single OS process, so a retransmit
-		// timer can fire tens of milliseconds late and fold that skew
-		// into the measured gap sequence. 0.3 absorbs the skew while
-		// still flagging a genuine backoff reset, which collapses to
-		// the 2 ms floor (a far smaller ratio).
-		cc.Tolerance = 0.3
-	}
 	events := c.rec.Events()
+	cc := check.Config{RetransmitInterval: retransmitInterval}
 	res.Violations = append(res.Violations, check.Strings(check.Check(events, cc))...)
 	res.Violations = append(res.Violations, tableCheck(c.machines, events)...)
 	// The online monitor saw the same stream live; anything it caught

@@ -17,35 +17,29 @@ type Options struct {
 	// forces RebindOnTotalFailure on and, when no Suspicion tracker is
 	// given, shares one tracker across all shards.
 	Resilient core.ResilientOptions
-	// MaxRedirects bounds wrong-shard redirects per call. Conflicting
-	// maps (a guard behind the client, or vice versa, mid-push) can
-	// bounce a call between shards; the bound turns a routing livelock
-	// into an error. Zero means 4.
-	MaxRedirects int
-	// ParkWait is the delay before retrying a parked key. Zero means
-	// 20ms.
-	ParkWait time.Duration
-	// MaxParkWaits bounds those retries; a migration stuck longer than
-	// MaxParkWaits*ParkWait surfaces as an error. Zero means 250.
-	MaxParkWaits int
 	// HotKeyRate is the per-key read rate (reads/second, EWMA-smoothed)
 	// above which spread reads widen from the key's affinity member to
 	// whole-troupe rotation. Zero means 64; negative disables widening.
 	HotKeyRate float64
 }
 
+// Routing bounds of a mesh client call.
+const (
+	// maxRedirects bounds wrong-shard redirects per call. Conflicting
+	// maps (a guard behind the client, or vice versa, mid-push) can
+	// bounce a call between shards; the bound turns a routing livelock
+	// into an error.
+	maxRedirects = 4
+	// parkWait is the delay before retrying a parked key.
+	parkWait = 20 * time.Millisecond
+	// maxParkWaits bounds those retries; a migration stuck longer than
+	// maxParkWaits*parkWait surfaces as an error.
+	maxParkWaits = 250
+)
+
 func (o Options) withDefaults() Options {
-	if o.MaxRedirects == 0 {
-		o.MaxRedirects = 4
-	}
 	if o.HotKeyRate == 0 {
 		o.HotKeyRate = 64
-	}
-	if o.ParkWait == 0 {
-		o.ParkWait = 20 * time.Millisecond
-	}
-	if o.MaxParkWaits == 0 {
-		o.MaxParkWaits = 250
 	}
 	o.Resilient.RebindOnTotalFailure = true
 	if o.Resilient.Suspicion == nil {
@@ -245,8 +239,8 @@ func (c *Client) ShardCaller(ctx context.Context, key string) (string, *core.Res
 
 // Call routes one keyed call to its owner shard, absorbing the
 // routing faults: wrong-shard refusals refresh the map and re-route
-// (bounded by MaxRedirects), parked refusals back off and retry
-// (bounded by MaxParkWaits), and everything beneath — member crashes,
+// (bounded by maxRedirects), parked refusals back off and retry
+// (bounded by maxParkWaits), and everything beneath — member crashes,
 // stale troupe bindings, partitions — is absorbed by the per-shard
 // resilient caller. See ResilientCaller.Call for retry safety: args
 // may execute once per attempt.
@@ -268,7 +262,7 @@ func (c *Client) Call(ctx context.Context, key string, proc uint16, args []byte,
 		}
 		if owner, epoch, ok := WrongShard(err); ok {
 			c.redirects.Add(1)
-			if redirects++; redirects > c.opts.MaxRedirects {
+			if redirects++; redirects > maxRedirects {
 				return nil, fmt.Errorf("mesh: redirect loop routing %q (last owner hint %q): %w", key, owner, err)
 			}
 			// A guard ahead of us has the map we are missing; a guard
@@ -282,10 +276,10 @@ func (c *Client) Call(ctx context.Context, key string, proc uint16, args []byte,
 		}
 		if _, ok := Parked(err); ok {
 			c.parks.Add(1)
-			if parks++; parks > c.opts.MaxParkWaits {
+			if parks++; parks > maxParkWaits {
 				return nil, fmt.Errorf("mesh: key %q parked too long: %w", key, err)
 			}
-			t := time.NewTimer(c.opts.ParkWait)
+			t := time.NewTimer(parkWait)
 			select {
 			case <-t.C:
 			case <-ctx.Done():

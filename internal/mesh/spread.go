@@ -177,7 +177,7 @@ func (c *Client) SpreadRead(ctx context.Context, key string, proc uint16, args [
 			return c.escalate(ctx, key, proc, args, copts, err)
 		case spreadWrongShard:
 			c.redirects.Add(1)
-			if redirects++; redirects > c.opts.MaxRedirects {
+			if redirects++; redirects > maxRedirects {
 				return nil, fmt.Errorf("mesh: redirect loop spread-reading %q: %w", key, err)
 			}
 			_, epoch, _ := WrongShard(err)
@@ -187,10 +187,10 @@ func (c *Client) SpreadRead(ctx context.Context, key string, proc uint16, args [
 			continue
 		case spreadParked:
 			c.parks.Add(1)
-			if parks++; parks > c.opts.MaxParkWaits {
+			if parks++; parks > maxParkWaits {
 				return nil, fmt.Errorf("mesh: key %q parked too long: %w", key, err)
 			}
-			t := time.NewTimer(c.opts.ParkWait)
+			t := time.NewTimer(parkWait)
 			select {
 			case <-t.C:
 			case <-ctx.Done():

@@ -19,7 +19,9 @@ import (
 // exploreOpts are runtime options for systems under exploration:
 // every protocol timer is pushed far past the schedule's horizon, so
 // nothing happens except when the explorer delivers a message, and
-// acks go out immediately rather than on a piggyback timer.
+// acks go out immediately rather than on a piggyback timer. No
+// scenario has the six transfers to one peer in flight that would arm
+// pairedmsg's pacing timer.
 func exploreOpts(rec trace.Sink, resolver core.Resolver) core.Options {
 	return core.Options{
 		Message: pairedmsg.Options{
@@ -28,7 +30,6 @@ func exploreOpts(rec trace.Sink, resolver core.Resolver) core.Options {
 			ProbeInterval:      time.Minute,
 			ProbeMissLimit:     5,
 			AckDelay:           -1, // immediate: no delayed-ack timer in the schedule
-			CoalesceWindow:     -1, // no pacing timer either
 		},
 		ManyToOneTimeout:   time.Minute,
 		CallRetention:      time.Minute,

@@ -91,86 +91,3 @@ func TestIncomingBackpressureDropAndRedeliver(t *testing.T) {
 		t.Fatal("no msg.delivery-drop trace event emitted")
 	}
 }
-
-// TestRTTIndependentPerPeer checks the satellite requirement that RTT
-// estimation lives in the per-peer session: one endpoint talking to a
-// fast peer and a slow peer must hold two independent estimates, and
-// traffic to one peer must not disturb the other's estimate.
-func TestRTTIndependentPerPeer(t *testing.T) {
-	n := netsim.New(11)
-	hostA, hostB, hostC := n.NewHost(), n.NewHost(), n.NewHost()
-	// a<->b stays on the perfect default link; a<->c is slow.
-	n.SetLinkBetween(hostA, hostC, netsim.LinkConfig{
-		MinDelay: 30 * time.Millisecond,
-		MaxDelay: 32 * time.Millisecond,
-	})
-	epA, err := n.Listen(hostA, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	epB, err := n.Listen(hostB, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	epC, err := n.Listen(hostC, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := fastOpts()
-	opts.Adaptive = true                             // RTT estimation on
-	opts.RetransmitInterval = 200 * time.Millisecond // no retransmits: every exchange is a Karn-valid sample
-	a, b, c := New(epA, opts), New(epB, opts), New(epC, opts)
-	t.Cleanup(func() { a.Close(); b.Close(); c.Close() })
-
-	// Echo responders: the Return implicitly acks the Call on its first
-	// transmission, so each round trip is a Karn-valid RTT sample.
-	for _, peer := range []*Conn{b, c} {
-		peer := peer
-		go func() {
-			for m := range peer.Incoming() {
-				if m.Type == Call {
-					peer.StartSend(m.From, Return, m.CallNum, m.Data)
-				}
-			}
-		}()
-	}
-	exchange := func(peer *Conn, rounds int) {
-		t.Helper()
-		for i := 0; i < rounds; i++ {
-			cn := a.NextCallNum(peer.Addr())
-			if err := a.Send(context.Background(), peer.Addr(), Call, cn, []byte("ping")); err != nil {
-				t.Fatalf("send to %v: %v", peer.Addr(), err)
-			}
-			if _, ok := recvMsg(t, a, 2*time.Second); !ok {
-				t.Fatalf("no return from %v", peer.Addr())
-			}
-		}
-	}
-
-	exchange(b, 4)
-	exchange(c, 4)
-
-	fast, okB := a.RTT(b.Addr())
-	slow, okC := a.RTT(c.Addr())
-	if !okB || !okC {
-		t.Fatalf("missing RTT estimates: b=%v,%v c=%v,%v", fast, okB, slow, okC)
-	}
-	if slow < 30*time.Millisecond {
-		t.Fatalf("slow peer RTT %v below one-way link delay 30ms", slow)
-	}
-	if fast >= slow/2 {
-		t.Fatalf("fast peer RTT %v not clearly below slow peer RTT %v", fast, slow)
-	}
-
-	// Hammering the fast peer must leave the slow peer's estimate
-	// untouched: the estimators are per-session, not shared.
-	exchange(b, 8)
-	slow2, _ := a.RTT(c.Addr())
-	if slow2 != slow {
-		t.Fatalf("slow peer RTT changed %v -> %v with no traffic to it", slow, slow2)
-	}
-	fast2, _ := a.RTT(b.Addr())
-	if fast2 >= slow2/2 {
-		t.Fatalf("fast peer RTT %v drifted toward slow peer's %v", fast2, slow2)
-	}
-}

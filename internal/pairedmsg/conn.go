@@ -22,8 +22,8 @@
 // once, and the exact-match implicit acknowledgment (return n acks
 // call n) is kept. The wire format of Figure 4.2 is unchanged.
 //
-// All protocol state — transfer tables, call-number counters, RTT
-// estimators, liveness watches — is sharded per peer: each remote
+// All protocol state — transfer tables, call-number counters,
+// liveness watches — is sharded per peer: each remote
 // address gets its own session struct with its own lock, reached
 // through a lock-free peer table, so concurrent exchanges with
 // different peers never contend (see DESIGN.md "Concurrency model").
@@ -61,24 +61,13 @@ const (
 // Options tunes the protocol timers. The zero value is replaced by
 // defaults suitable for tests and the simulated network.
 type Options struct {
-	// RetransmitInterval is the pause between retransmission passes
-	// for an unacknowledged message. In adaptive mode it is only the
-	// initial estimate used before any round trip has been measured.
+	// RetransmitInterval is the fixed pause between retransmission
+	// passes for an unacknowledged message (§4.2.3).
 	RetransmitInterval time.Duration
 	// MaxRetries bounds retransmission passes with no progress before
-	// the peer is declared crashed (§4.2.3). In adaptive mode the
-	// crash bound is the time those passes would take at the fixed
-	// interval (maxRetryTime), so that backoff does not delay crash
-	// detection.
+	// the peer is declared crashed (§4.2.3), so an unanswered transfer
+	// fails after MaxRetries × RetransmitInterval.
 	MaxRetries int
-	// Adaptive replaces the fixed retransmission interval with a
-	// per-peer RTT estimate (the smoothed mean plus four times the
-	// mean deviation, sampled only from exchanges that were never
-	// retransmitted) and exponential backoff between passes, the
-	// other side of the tradeoff §4.2.4 discusses: fewer duplicate
-	// segments on slow or congested links, faster recovery on fast
-	// ones. The fixed mode remains for the vaxsim ablations.
-	Adaptive bool
 	// ProbeInterval is the pause between crash-detection probes while
 	// awaiting a return message (§4.2.3).
 	ProbeInterval time.Duration
@@ -91,16 +80,6 @@ type Options struct {
 	// exchange is retained to suppress replay of delayed duplicate
 	// segments (§4.2.4); it is dropped within 1.5 times that.
 	CompletedTTL time.Duration
-	// CallBase, when nonzero, sets the starting call number for fresh
-	// peers (and the multicast counter). Zero derives a base from the
-	// process-wide connection creation order and a per-launch salt, so
-	// that a restarted process (whose call numbers would otherwise
-	// reset to 1) does not reuse numbers its predecessor completed
-	// within CompletedTTL — reused numbers would be suppressed as
-	// duplicate replays. Call numbers are content the seeded
-	// simulation's fault injection never inspects, so campaign
-	// reproducibility is unaffected.
-	CallBase uint32
 	// IncomingBuffer is the capacity of the reassembled-message queue
 	// behind Incoming(). Zero means 256. When the queue is full a
 	// completed message is not handed up: the attempt is counted
@@ -112,39 +91,15 @@ type Options struct {
 	// AckDelay bounds how long a non-urgent acknowledgment may wait
 	// for a chance to piggyback on an outbound segment to the same
 	// peer before a cumulative standalone ack is sent. Zero derives
-	// the bound from the retransmission timers (min(MinRTO/2, srtt/4)
-	// in adaptive mode, RetransmitInterval/8 capped at 5ms in fixed
-	// mode) so a delayed ack can never be mistaken for a loss.
-	// Negative disables delaying: every ack goes out at once.
+	// the bound from the retransmission timer, RetransmitInterval/8
+	// capped at 5ms, so a delayed ack can never be mistaken for a
+	// loss. Negative disables delaying: every ack goes out at once.
 	AckDelay time.Duration
-	// CoalesceWindow bounds how long a data segment may wait in the
-	// per-peer small-send queue for company when the session has
-	// other transfers in flight (segments of a session's only
-	// in-flight transfer are never held back, so serial exchanges
-	// keep their latency). The window is a backstop: the wait ends
-	// early the moment another transfer's segments arrive, so under
-	// concurrent load the cost is one inter-arrival gap. Zero means
-	// 150µs; negative disables pacing entirely, coalescing only what
-	// is already queued.
-	CoalesceWindow time.Duration
 	// Trace, when set, receives a structured event for every
 	// protocol action: sends, retransmissions, acks, probes, crash
-	// suspicions, RTT samples, duplicate suppressions, deliveries.
-	// Nil disables tracing at near-zero cost.
+	// suspicions, duplicate suppressions, deliveries. Nil disables
+	// tracing at near-zero cost.
 	Trace trace.Sink
-}
-
-// MinRTO is the floor of the adaptive retransmission interval.
-const MinRTO = 2 * time.Millisecond
-
-// maxRTO is the ceiling of the adaptive retransmission interval.
-func (o Options) maxRTO() time.Duration { return 25 * o.RetransmitInterval }
-
-// maxRetryTime bounds, in adaptive mode, how long retransmission
-// proceeds with no progress before the peer is declared crashed: the
-// same crash detection budget as fixed mode.
-func (o Options) maxRetryTime() time.Duration {
-	return time.Duration(o.MaxRetries) * o.RetransmitInterval
 }
 
 func (o Options) withDefaults() Options {
@@ -166,9 +121,6 @@ func (o Options) withDefaults() Options {
 	if o.IncomingBuffer == 0 {
 		o.IncomingBuffer = 256
 	}
-	if o.CoalesceWindow == 0 {
-		o.CoalesceWindow = 150 * time.Microsecond
-	}
 	return o
 }
 
@@ -176,11 +128,17 @@ func (o Options) withDefaults() Options {
 // before a new transfer's segments are paced (held briefly for
 // companions to coalesce with). Below it a datagram saved is not worth
 // the wait: with only a handful of concurrent exchanges the companion
-// arrives so rarely that pacing spends the whole CoalesceWindow on the
+// arrives so rarely that pacing spends the whole coalesceWindow on the
 // critical path and throughput drops, while delayed acks already
 // capture most of the wire savings. At and above it companions arrive
 // within a fraction of the window, so bundles form almost for free.
 const paceInFlightMin = 6
+
+// coalesceWindow bounds how long a paced data segment may wait in the
+// per-peer small-send queue for company. It is a backstop: the wait
+// ends early the moment another transfer's segments arrive, so under
+// concurrent load the cost is one inter-arrival gap.
+const coalesceWindow = 150 * time.Microsecond
 
 // ErrPeerDown reports that retransmissions or probes to a peer went
 // unanswered past the configured bound; the peer is presumed crashed
@@ -257,10 +215,10 @@ func (k sessKey) typ() MsgType                  { return MsgType(k >> 32) }
 func (k sessKey) callNum() uint32               { return uint32(k) }
 
 // session holds all protocol state shared with one peer, behind its
-// own lock: transfer tables, liveness watches, the unicast call-number
-// counter, and the RTT estimator. Sessions are created on first
-// contact and retained for the life of the Conn (call numbers and RTT
-// estimates must survive quiet periods), reached via Conn.peers.
+// own lock: transfer tables, liveness watches and the unicast
+// call-number counter. Sessions are created on first contact and
+// retained for the life of the Conn (call numbers must survive quiet
+// periods), reached via Conn.peers.
 type session struct {
 	peer transport.Addr
 
@@ -277,12 +235,7 @@ type session struct {
 	completed     tomb.Bits
 	completedSegs tomb.Table[sessKey, uint8]
 	nextCall      uint32
-	rtt           rttEstimator
 	nextRotate    time.Time
-
-	// srttMicros mirrors rtt.srtt (microseconds) so the delayed-ack
-	// bound can be derived without taking mu on the receive path.
-	srttMicros atomic.Int64
 
 	// Wire-economy send state (DESIGN.md "Wire economy"), behind its
 	// own lock so enqueueing never contends with protocol bookkeeping:
@@ -353,13 +306,6 @@ type outTransfer struct {
 	wireRefs atomic.Int32
 	ended    atomic.Bool
 	recycled atomic.Bool
-
-	// Adaptive-mode state (§4.2.4 tradeoff).
-	firstSent time.Time     // when the initial transmission left
-	deadline  time.Time     // no-progress crash deadline
-	rto       time.Duration // current backoff interval
-	retx      bool          // retransmitted at least once (Karn's rule)
-	lastRetx  time.Time     // clock reading of the last retransmit pass
 }
 
 // segBufs pools single-segment wire buffers: header plus payload of a
@@ -436,32 +382,6 @@ func (t *outTransfer) stampCallNum(callNum uint32) {
 // for transfers begun with BeginCall this is where the allocated
 // number is read back.
 func (t *outTransfer) CallNum() uint32 { return t.callNum }
-
-// rttEstimator keeps the per-peer smoothed round-trip time and mean
-// deviation (Jacobson/Karels), from which the retransmission timeout
-// is derived as srtt + 4*rttvar.
-type rttEstimator struct {
-	srtt   time.Duration
-	rttvar time.Duration
-	valid  bool
-}
-
-func (e *rttEstimator) sample(rtt time.Duration) {
-	if !e.valid {
-		e.srtt = rtt
-		e.rttvar = rtt / 2
-		e.valid = true
-		return
-	}
-	delta := rtt - e.srtt
-	if delta < 0 {
-		delta = -delta
-	}
-	e.rttvar = (3*e.rttvar + delta) / 4
-	e.srtt = (7*e.srtt + rtt) / 8
-}
-
-func (e *rttEstimator) rto() time.Duration { return e.srtt + 4*e.rttvar }
 
 type inTransfer struct {
 	total     int
@@ -548,27 +468,6 @@ func (in *inTransfer) ackable() int {
 // without a call, as does Abandon.
 type CallObserver interface {
 	CallFailed(err error)
-}
-
-// rtoForLocked returns the retransmission interval for a fresh
-// transfer to the session's peer. Caller holds s.mu.
-func (c *Conn) rtoForLocked(s *session) time.Duration {
-	if !c.opts.Adaptive {
-		return c.opts.RetransmitInterval
-	}
-	if s.rtt.valid {
-		return min(max(s.rtt.rto(), MinRTO), c.opts.maxRTO())
-	}
-	return c.opts.RetransmitInterval
-}
-
-// initTransferLocked stamps the adaptive-mode schedule onto a transfer
-// about to make its initial transmission. Caller holds s.mu.
-func (c *Conn) initTransferLocked(s *session, t *outTransfer, now time.Time) {
-	t.firstSent = now
-	t.deadline = now.Add(c.opts.maxRetryTime())
-	t.rto = c.rtoForLocked(s)
-	t.nextSend = now.Add(t.rto)
 }
 
 // Conn runs the paired message protocol over one transport endpoint.
@@ -751,10 +650,14 @@ func (c *Conn) transmitFrames(peer transport.Addr, acks []segHeader, frames []ou
 	txScratchPool.Put(tx)
 }
 
-// connSeq and connSalt seed the default call number base so
-// successive incarnations on one address cannot collide (see
-// Options.CallBase) — the salt covers restarts of the whole OS
-// process, the sequence covers restarts within it.
+// connSeq and connSalt seed the call number base of fresh peers (and
+// the multicast counter), so that a restarted process, whose call
+// numbers would otherwise reset to 1, does not reuse numbers its
+// predecessor completed within CompletedTTL — reused numbers would be
+// suppressed as duplicate replays. The salt covers restarts of the
+// whole OS process, the sequence covers restarts within it. Call
+// numbers are content the seeded simulation's fault injection never
+// inspects, so campaign reproducibility is unaffected.
 var (
 	connSeq  atomic.Uint32
 	connSalt = uint32(time.Now().UnixNano())
@@ -763,16 +666,12 @@ var (
 // New starts the protocol over ep. The caller must eventually Close
 // the Conn, which also closes ep.
 func New(ep transport.Endpoint, opts Options) *Conn {
-	base := opts.CallBase
-	if base == 0 {
+	c := &Conn{
+		ep:   ep,
+		opts: opts.withDefaults(),
 		// Scatter successive incarnations across the 30-bit unicast
 		// call number space (the top bit marks multicast numbers).
-		base = ((connSeq.Add(1) * 0x9E3779B1) ^ connSalt) & 0x3FFF_FFFF
-	}
-	c := &Conn{
-		ep:       ep,
-		opts:     opts.withDefaults(),
-		callBase: base,
+		callBase: ((connSeq.Add(1) * 0x9E3779B1) ^ connSalt) & 0x3FFF_FFFF,
 		stop:     make(chan struct{}),
 	}
 	c.incoming = make(chan Message, c.opts.IncomingBuffer)
@@ -855,19 +754,6 @@ func (c *Conn) Stats() Stats {
 	}
 }
 
-// RTT returns the smoothed round-trip estimate for peer, and whether
-// the estimator has accepted any sample yet. Estimation is per-peer
-// session state, so one peer's estimate never bleeds into another's.
-func (c *Conn) RTT(peer transport.Addr) (time.Duration, bool) {
-	s, ok := (*c.peers.Load())[peer]
-	if !ok {
-		return 0, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rtt.srtt, s.rtt.valid
-}
-
 // NextCallNum allocates a call number unique among exchanges between
 // this process and peer (§4.2: call numbers identify each pair of
 // messages among all those exchanged by a given pair of processes).
@@ -940,7 +826,7 @@ func (c *Conn) register(s *session, t *outTransfer) (int, error) {
 	}
 	s.out[k] = t
 	inFlight := len(s.out)
-	c.initTransferLocked(s, t, time.Now())
+	t.nextSend = time.Now().Add(c.opts.RetransmitInterval)
 	s.mu.Unlock()
 	if c.closed.Load() {
 		s.mu.Lock()
@@ -1054,7 +940,7 @@ func (c *Conn) BeginObservedCall(to transport.Addr, msg []byte, obs CallObserver
 	t.stampCallNum(s.nextCall)
 	s.out[mkKey(Call, t.callNum)] = t
 	t.pace = len(s.out) >= paceInFlightMin
-	c.initTransferLocked(s, t, time.Now())
+	t.nextSend = time.Now().Add(c.opts.RetransmitInterval)
 	if c.tr.EnabledFor(trace.KindMsgSend) {
 		c.tr.Emit(trace.Event{Kind: trace.KindMsgSend, Peer: to,
 			MsgType: uint8(Call), CallNum: t.callNum, N: len(t.segs)})
@@ -1269,7 +1155,6 @@ func (c *Conn) handleAck(from transport.Addr, h segHeader) {
 	if int(h.segNum) > t.acked {
 		t.acked = int(h.segNum)
 		t.attempts = 0 // progress resets the crash countdown
-		t.deadline = time.Now().Add(c.opts.maxRetryTime())
 	}
 	if t.acked >= len(t.segs) {
 		c.completeOutLocked(s, t, nil)
@@ -1521,28 +1406,13 @@ func (s *session) completedLocked(k sessKey) (total int, ok bool) {
 
 // ackDelay returns how long a non-urgent ack may wait for a segment
 // to piggyback on. The bound must sit well below the peer's
-// retransmission timeout, or delaying would masquerade as loss: in
-// adaptive mode min(MinRTO/2, srtt/4) floored at 100µs, in fixed mode
+// retransmission interval, or delaying would masquerade as loss:
 // RetransmitInterval/8 capped at 5ms. Options.AckDelay overrides.
-func (c *Conn) ackDelay(s *session) time.Duration {
+func (c *Conn) ackDelay() time.Duration {
 	if d := c.opts.AckDelay; d > 0 {
 		return d
 	}
-	if c.opts.Adaptive {
-		d := MinRTO / 2
-		if srtt := time.Duration(s.srttMicros.Load()) * time.Microsecond; srtt > 0 && srtt/4 < d {
-			d = srtt / 4
-		}
-		if d < 100*time.Microsecond {
-			d = 100 * time.Microsecond
-		}
-		return d
-	}
-	d := c.opts.RetransmitInterval / 8
-	if d > 5*time.Millisecond {
-		d = 5 * time.Millisecond
-	}
-	return d
+	return min(c.opts.RetransmitInterval/8, 5*time.Millisecond)
 }
 
 // queueAck records a pending cumulative acknowledgment for one
@@ -1569,7 +1439,7 @@ func (c *Conn) queueAck(s *session, typ MsgType, callNum uint32, ackNum, total i
 	}
 	if !s.ackArmed && !s.flushing {
 		s.ackArmed = true
-		d := c.ackDelay(s)
+		d := c.ackDelay()
 		if s.ackTimer == nil {
 			s.ackTimer = time.AfterFunc(d, func() { c.kickFlush(s, false) })
 		} else {
@@ -1597,12 +1467,12 @@ func (c *Conn) flushOrSchedule(s *session, pace bool) {
 		s.sendMu.Unlock()
 		return
 	}
-	if pace && c.opts.CoalesceWindow > 0 && !s.paceArmed {
+	if pace && !s.paceArmed {
 		s.paceArmed = true
 		if s.paceTimer == nil {
-			s.paceTimer = time.AfterFunc(c.opts.CoalesceWindow, func() { c.kickFlush(s, true) })
+			s.paceTimer = time.AfterFunc(coalesceWindow, func() { c.kickFlush(s, true) })
 		} else {
-			s.paceTimer.Reset(c.opts.CoalesceWindow)
+			s.paceTimer.Reset(coalesceWindow)
 		}
 		s.sendMu.Unlock()
 		return
@@ -1705,17 +1575,6 @@ func (c *Conn) completeOutLocked(s *session, t *outTransfer, err error) {
 	}
 	delete(s.out, k)
 	t.endWire()
-	if err == nil && c.opts.Adaptive && !t.retx && !t.firstSent.IsZero() {
-		// Karn's rule: only exchanges that were never retransmitted
-		// yield an unambiguous round-trip sample.
-		rtt := time.Since(t.firstSent)
-		s.rtt.sample(rtt)
-		s.srttMicros.Store(s.rtt.srtt.Microseconds())
-		if c.tr.EnabledFor(trace.KindRTTSample) {
-			c.tr.Emit(trace.Event{Kind: trace.KindRTTSample, Peer: t.peer,
-				MsgType: uint8(t.typ), CallNum: t.callNum, Dur: rtt})
-		}
-	}
 	if err == ErrPeerDown && c.tr.EnabledFor(trace.KindCrashSuspect) {
 		c.tr.Emit(trace.Event{Kind: trace.KindCrashSuspect, Peer: t.peer,
 			MsgType: uint8(t.typ), CallNum: t.callNum,
@@ -1780,41 +1639,17 @@ func (c *Conn) timerPassSession(s *session) {
 	// conformance checker derives retransmit gaps from trace
 	// timestamps — scheduling against a clock reading older than the
 	// emitted stamps would make legitimately-paced retransmits look
-	// faster than the RTO floor.
+	// faster than the retransmission interval.
 	now := time.Now()
 	for _, t := range s.out {
 		if now.Before(t.nextSend) {
 			continue
 		}
-		t.attempts++
-		if c.opts.Adaptive {
-			// Crash declaration is bounded by wall time, not pass
-			// count, so exponential backoff cannot delay detection.
-			if now.After(t.deadline) {
-				c.completeOutLocked(s, t, ErrPeerDown)
-				continue
-			}
-			t.retx = true
-			t.rto = min(2*t.rto, c.opts.maxRTO())
-			// Backoff means a non-increasing retransmission rate until
-			// progress: if scheduling stalls stretched the gap actually
-			// kept beyond the RTO, don't speed back up — schedule the
-			// next retransmit no sooner than that observed gap.
-			interval := t.rto
-			if !t.lastRetx.IsZero() {
-				if kept := now.Sub(t.lastRetx); kept > interval {
-					interval = kept
-				}
-			}
-			t.nextSend = now.Add(interval)
-			t.lastRetx = now
-		} else {
-			if t.attempts > c.opts.MaxRetries {
-				c.completeOutLocked(s, t, ErrPeerDown)
-				continue
-			}
-			t.nextSend = now.Add(c.opts.RetransmitInterval)
+		if t.attempts++; t.attempts > c.opts.MaxRetries {
+			c.completeOutLocked(s, t, ErrPeerDown)
+			continue
 		}
+		t.nextSend = now.Add(c.opts.RetransmitInterval)
 		// Retransmit the first unacknowledged segment with please-ack
 		// set (§4.2.2), or all of them under RetransmitAll (§4.2.4).
 		last := t.acked + 1
@@ -1873,7 +1708,7 @@ func (c *Conn) timerPassSession(s *session) {
 	s.mu.Unlock()
 
 	if len(frames) > 0 {
-		// Never paced: a retransmission is already late by one RTO, and
+		// Never paced: a retransmission is already one interval late, and
 		// the whole pass coalesces per peer in this single flush.
 		s.sendMu.Lock()
 		s.sendQ = append(s.sendQ, frames...)

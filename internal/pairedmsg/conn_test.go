@@ -453,52 +453,6 @@ func TestRestartedConnAvoidsPredecessorCallNums(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRetransmitBackoff: in adaptive mode, retransmission
-// passes to an unresponsive peer back off exponentially, so far fewer
-// duplicate segments are sent than fixed mode's budget, while crash
-// detection still fires within the MaxRetryTime budget.
-func TestAdaptiveRetransmitBackoff(t *testing.T) {
-	opts := fastOpts()
-	opts.Adaptive = true
-	p := newPair(t, 13, netsim.LinkConfig{}, opts)
-
-	// Warm the estimator with one clean round trip.
-	go func() {
-		for m := range p.b.Incoming() {
-			if m.Type == Call {
-				p.b.StartSend(m.From, Return, m.CallNum, m.Data)
-			}
-		}
-	}()
-	cn := p.a.NextCallNum(p.b.Addr())
-	if err := p.a.Send(context.Background(), p.b.Addr(), Call, cn, []byte("warm")); err != nil {
-		t.Fatal(err)
-	}
-	recvMsg(t, p.a, time.Second)
-
-	// Now crash the peer's host and time the failure of the next send.
-	p.net.Crash(p.b.Addr().Host)
-	start := time.Now()
-	cn = p.a.NextCallNum(p.b.Addr())
-	err := p.a.Send(context.Background(), p.b.Addr(), Call, cn, []byte("void"))
-	elapsed := time.Since(start)
-	if err != ErrPeerDown {
-		t.Fatalf("send to crashed peer: err = %v, want ErrPeerDown", err)
-	}
-	budget := time.Duration(opts.MaxRetries) * opts.RetransmitInterval
-	if elapsed > 4*budget {
-		t.Fatalf("crash detection took %v, over 4x the fixed-mode budget %v", elapsed, budget)
-	}
-	st := p.a.Stats()
-	if st.Retransmits == 0 {
-		t.Fatal("no retransmissions recorded")
-	}
-	if st.Retransmits >= int64(opts.MaxRetries) {
-		t.Fatalf("adaptive mode sent %d retransmits, want fewer than the fixed budget %d",
-			st.Retransmits, opts.MaxRetries)
-	}
-}
-
 func TestConcurrentExchanges(t *testing.T) {
 	p := newPair(t, 12, netsim.LinkConfig{LossRate: 0.1}, fastOpts())
 	const threads = 8

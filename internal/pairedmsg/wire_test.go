@@ -11,8 +11,8 @@ import (
 // TestDelayedAckIsCumulativeStandalone: a completed return whose
 // receiver has nothing else to say still gets acknowledged — by the
 // delayed-ack timer, in one standalone datagram — and the delay stays
-// far enough below the sender's RTO that no spurious retransmission
-// fires.
+// far enough below the sender's retransmission interval that no
+// spurious retransmission fires.
 func TestDelayedAckIsCumulativeStandalone(t *testing.T) {
 	p := newPair(t, 11, netsim.LinkConfig{}, fastOpts())
 	cn := p.a.NextCallNum(p.b.Addr())
@@ -29,7 +29,7 @@ func TestDelayedAckIsCumulativeStandalone(t *testing.T) {
 		t.Fatalf("Send return: %v", err)
 	}
 	if got := p.b.Stats().Retransmits; got != 0 {
-		t.Errorf("server retransmitted %d times; delayed ack exceeded the RTO", got)
+		t.Errorf("server retransmitted %d times; delayed ack exceeded the retransmission interval", got)
 	}
 	if got := p.a.Stats().AcksSent; got < 1 {
 		t.Errorf("client sent %d acks, want >= 1", got)

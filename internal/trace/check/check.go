@@ -2,14 +2,14 @@
 // protocol invariants the paper claims (§4.2–§4.3): exactly-once
 // execution at every troupe member, replies only to fully received
 // requests, monotone call numbers per conversation, and retransmit
-// schedules that respect the configured backoff bounds (including
-// Karn's rule under adaptive retransmission). It runs automatically
-// at the end of every chaos campaign and over any JSONL trace.
+// schedules that keep the fixed retransmission interval. It runs
+// automatically at the end of every chaos campaign and over any JSONL
+// trace.
 //
 // The event-stream rules themselves live in internal/trace/rules and
 // are shared verbatim with the online runtime monitor
-// (internal/trace/monitor); this package adds the timing rules that
-// need a transfer's whole retransmission history and so only make
+// (internal/trace/monitor); this package adds the timing rule that
+// needs a transfer's whole retransmission history and so only makes
 // sense offline.
 package check
 
@@ -24,29 +24,11 @@ import (
 )
 
 // Config describes the protocol parameters the trace was produced
-// under, so the timing invariants know the bounds to enforce.
+// under, so the timing invariant knows the bound to enforce.
 type Config struct {
-	// RetransmitInterval is the fixed retransmission interval; used
-	// when Adaptive is false. Zero skips the fixed-schedule check.
+	// RetransmitInterval is the fixed retransmission interval (§4.2.3).
+	// Zero skips the retransmit-schedule check.
 	RetransmitInterval time.Duration
-	// Adaptive selects the adaptive-RTO invariants: non-decreasing
-	// backoff within a transfer and Karn's rule (no RTT sample from a
-	// transfer that was retransmitted).
-	Adaptive bool
-	// MinRTO is the adaptive retransmitter's floor. Zero skips the
-	// floor check.
-	MinRTO time.Duration
-	// Tolerance scales the timing checks' slack to absorb timer
-	// granularity and scheduling jitter; 0 means the default 0.5
-	// (gaps may undershoot their bound by up to half).
-	Tolerance float64
-}
-
-func (c Config) tol() float64 {
-	if c.Tolerance <= 0 {
-		return 0.5
-	}
-	return c.Tolerance
 }
 
 // Violation is one invariant breach found in a trace.
@@ -85,101 +67,33 @@ func Check(events []trace.Event, cfg Config) []Violation {
 	return v
 }
 
-// transferTrace collects the retransmission history of one transfer.
-type transferTrace struct {
-	retransmits []trace.Event
-	sampled     *trace.Event // first RTT sample attributed to the transfer
-}
-
 // checkRetransmitSchedule verifies timer discipline per transfer:
-//
-//   - Fixed mode: successive retransmission passes are spaced at
-//     least RetransmitInterval apart (within tolerance).
-//   - Adaptive mode: gaps never shrink within a transfer (the RTO
-//     only doubles or stays clamped), the first gap respects MinRTO,
-//     and Karn's rule holds — a transfer that was ever retransmitted
-//     contributes no RTT sample.
+// successive retransmission passes are spaced at least
+// RetransmitInterval apart. The timer pass stamps each msg.retransmit
+// with the clock reading it schedules the next pass from, so the bound
+// is exact: any shorter gap is a breach.
 func checkRetransmitSchedule(evs []trace.Event, cfg Config) []Violation {
-	if cfg.RetransmitInterval == 0 && !cfg.Adaptive {
+	if cfg.RetransmitInterval == 0 {
 		return nil
 	}
-	transfers := make(map[conv]*transferTrace)
-	order := []conv{}
-	get := func(k conv) *transferTrace {
-		t := transfers[k]
-		if t == nil {
-			t = &transferTrace{}
-			transfers[k] = t
-			order = append(order, k)
-		}
-		return t
-	}
-	for i := range evs {
-		e := &evs[i]
-		k := conv{endpoint{e.Node, e.Inc}, e.Peer, e.MsgType, e.CallNum}
-		switch e.Kind {
-		case trace.KindSegRetransmit:
-			get(k).retransmits = append(get(k).retransmits, *e)
-		case trace.KindRTTSample:
-			t := get(k)
-			if t.sampled == nil {
-				t.sampled = e
-			}
-		}
-	}
-
-	tol := cfg.tol()
+	last := make(map[conv]time.Time)
 	var v []Violation
-	for _, k := range order {
-		t := transfers[k]
-		if len(t.retransmits) == 0 {
+	for _, e := range evs {
+		if e.Kind != trace.KindSegRetransmit {
 			continue
 		}
-		if cfg.Adaptive && t.sampled != nil {
-			v = append(v, Violation{
-				Invariant: "karn-rule",
-				Seq:       t.sampled.Seq,
-				Msg: fmt.Sprintf("%v inc %d took an RTT sample from retransmitted transfer (peer %v type %d call %d)",
-					t.sampled.Node, t.sampled.Inc, k.peer, k.msgType, k.callNum),
-			})
-		}
-		var prevGap time.Duration
-		for i := 1; i < len(t.retransmits); i++ {
-			gap := t.retransmits[i].T.Sub(t.retransmits[i-1].T)
-			switch {
-			case !cfg.Adaptive:
-				if min := time.Duration(float64(cfg.RetransmitInterval) * tol); gap < min {
-					v = append(v, Violation{
-						Invariant: "retransmit-interval",
-						Seq:       t.retransmits[i].Seq,
-						Msg: fmt.Sprintf("retransmit gap %v below interval %v (peer %v call %d)",
-							gap, cfg.RetransmitInterval, k.peer, k.callNum),
-					})
-				}
-			default:
-				if cfg.MinRTO > 0 {
-					if min := time.Duration(float64(cfg.MinRTO) * tol); gap < min {
-						v = append(v, Violation{
-							Invariant: "backoff-floor",
-							Seq:       t.retransmits[i].Seq,
-							Msg: fmt.Sprintf("retransmit gap %v below MinRTO %v (peer %v call %d)",
-								gap, cfg.MinRTO, k.peer, k.callNum),
-						})
-					}
-				}
-				if prevGap > 0 {
-					if min := time.Duration(float64(prevGap) * tol); gap < min {
-						v = append(v, Violation{
-							Invariant: "backoff-monotone",
-							Seq:       t.retransmits[i].Seq,
-							Msg: fmt.Sprintf("retransmit gap shrank %v -> %v (peer %v call %d)",
-								prevGap, gap, k.peer, k.callNum),
-						})
-					}
-				}
-				prevGap = gap
+		k := conv{endpoint{e.Node, e.Inc}, e.Peer, e.MsgType, e.CallNum}
+		if prev, ok := last[k]; ok {
+			if gap := e.T.Sub(prev); gap < cfg.RetransmitInterval {
+				v = append(v, Violation{
+					Invariant: "retransmit-interval",
+					Seq:       e.Seq,
+					Msg: fmt.Sprintf("retransmit gap %v below interval %v (peer %v call %d)",
+						gap, cfg.RetransmitInterval, k.peer, k.callNum),
+				})
 			}
 		}
+		last[k] = e.T
 	}
 	return v
 }

@@ -20,8 +20,8 @@
 //     (ack-beyond-send), and a full ack is only legal after the
 //     receiver assembled the message (full-ack-after-assembly).
 //
-// Timing rules (retransmit schedules, Karn's rule) need the whole
-// per-transfer history and live only in the offline checker.
+// The timing rule (the retransmit schedule) needs the whole
+// per-transfer history and lives only in the offline checker.
 //
 // Memory. With Options.MaxStates == 0 the engine keeps every key it
 // ever sees and is exactly equivalent to the offline checker's

@@ -40,7 +40,6 @@ const (
 	KindAckSend       // explicit ack datagram sent
 	KindProbeSend     // probe sent to a watched peer
 	KindCrashSuspect  // peer declared down (probe misses or retry exhaustion)
-	KindRTTSample     // RTT estimator accepted a sample (Dur = RTT)
 	KindDupSegment    // duplicate segment suppressed on receive
 	KindMsgDelivered  // fully reassembled message delivered upward
 
@@ -101,7 +100,6 @@ var kindNames = [...]string{
 	KindAckSend:        "msg.ack",
 	KindProbeSend:      "msg.probe",
 	KindCrashSuspect:   "msg.crash-suspect",
-	KindRTTSample:      "msg.rtt-sample",
 	KindDupSegment:     "msg.dup-segment",
 	KindMsgDelivered:   "msg.delivered",
 	KindCallIssued:     "call.issued",
@@ -204,7 +202,7 @@ type Event struct {
 	// acknowledged, so a checker can tell a full (final) ack from a
 	// partial one.
 	Total int `json:"total,omitempty"`
-	// Dur is a kind-specific duration (RTT sample, call latency).
+	// Dur is a kind-specific duration (call latency, execution time).
 	Dur time.Duration `json:"dur,omitempty"`
 	// Err is the error text for failure events, empty on success.
 	Err string `json:"err,omitempty"`

@@ -215,8 +215,8 @@ func Broadcast(ctx context.Context, rt *core.Runtime, dest core.Troupe, msgID st
 	// Proposals differ per member: collate with max over all replies.
 	maxCollator := func(n int) collate.Collator {
 		return collate.New(n, func(items []collate.Item) ([]byte, error) {
+			// collate.New calls this only when some member succeeded.
 			var max uint64
-			ok := false
 			for _, it := range items {
 				if it.Err != nil {
 					continue
@@ -228,10 +228,6 @@ func Broadcast(ctx context.Context, rt *core.Runtime, dest core.Troupe, msgID st
 				if t > max {
 					max = t
 				}
-				ok = true
-			}
-			if !ok {
-				return nil, collate.ErrAllFailed
 			}
 			return wire.Marshal(max)
 		})

@@ -88,14 +88,6 @@ func WithTimers(retransmit, probe time.Duration) Option {
 	}
 }
 
-// WithAdaptiveRetransmit switches the paired message layer from the
-// fixed retransmission interval to per-peer RTT estimation with
-// exponential backoff between passes (§4.2.4); crash detection
-// latency is unchanged.
-func WithAdaptiveRetransmit() Option {
-	return func(c *nodeConfig) { c.msg.Adaptive = true }
-}
-
 // WithManyToOneWait overrides how long a server waits for the
 // remaining call messages of a replicated call after the first arrives
 // (§4.3.2).
