@@ -198,9 +198,9 @@ func main() {
 				res.Redirects, res.Parks, res.MapRefreshes, res.SplitRollbacks)
 		}
 		if *spread {
-			fmt.Printf(" spread=%d bounces=%d escalations=%d widened=%d pushes=%d stale-serves=%d",
+			fmt.Printf(" spread=%d bounces=%d escalations=%d widened=%d stale-serves=%d",
 				res.SpreadReads, res.StaleBounces, res.Escalations,
-				res.HotWidenings, res.MapPushes, res.StaleServes)
+				res.HotWidenings, res.StaleServes)
 		}
 		if *monitored {
 			fmt.Printf(" monitored=%d/%d", res.MonitorSampled, res.MonitorEvents)

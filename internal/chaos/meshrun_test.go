@@ -87,8 +87,8 @@ func TestMeshCampaignDurableLinearized(t *testing.T) {
 // TestMeshCampaignSpreadReads runs the mesh campaign with the
 // spread-read workload: linearized reads routed to one member each
 // under position tokens, Zipf-skewed keys exercising the hot-key
-// widening, and every client registered for Ringmaster map pushes.
-// The recorded history must stay per-key linearizable through the
+// widening, and clients pulling each new shard map after a
+// wrong-shard refusal. The recorded history must stay per-key linearizable through the
 // faults, the bounce/escalate ladder, and the live split — and no
 // member may ever answer below a client's token.
 func TestMeshCampaignSpreadReads(t *testing.T) {
@@ -106,13 +106,10 @@ func TestMeshCampaignSpreadReads(t *testing.T) {
 	if res.SpreadReads == 0 {
 		t.Fatal("campaign recorded no spread reads")
 	}
-	if res.MapPushes == 0 {
-		t.Fatal("no shard-map push reached a watching client")
-	}
 	if res.StaleServes != 0 {
 		t.Fatalf("members answered %d spread reads below the token", res.StaleServes)
 	}
-	t.Logf("seed %d: acked=%d reads=%d spread=%d bounces=%d escalations=%d widened=%d pushes=%d linear ops=%d",
+	t.Logf("seed %d: acked=%d reads=%d spread=%d bounces=%d escalations=%d widened=%d linear ops=%d",
 		res.Seed, res.Acked, res.Reads, res.SpreadReads, res.StaleBounces,
-		res.Escalations, res.HotWidenings, res.MapPushes, res.LinearOps)
+		res.Escalations, res.HotWidenings, res.LinearOps)
 }

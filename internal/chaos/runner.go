@@ -184,14 +184,12 @@ type Result struct {
 	// SpreadReads through StaleServes aggregate the spread-read path
 	// (mesh campaigns with SpreadReads): reads served by one member,
 	// stale refusals bounced past, escalations to the strict replicated
-	// read, hot-key widenings, shard maps installed from Ringmaster
-	// pushes, and — always a violation — answers below the client's
-	// position token.
+	// read, hot-key widenings, and — always a violation — answers below
+	// the client's position token.
 	SpreadReads  int64
 	StaleBounces int64
 	Escalations  int64
 	HotWidenings int64
-	MapPushes    int64
 	StaleServes  int64
 	// Violations lists every invariant breach; empty means the troupe
 	// survived the campaign.
@@ -629,15 +627,6 @@ func (c *campaign) build() error {
 		if sharded {
 			cl.mc, err = mesh.NewClient(c.ctx, n.Runtime(), n.Binder(), service,
 				mesh.Options{Resilient: resilient(cfg.Seed<<8 | int64(i))})
-			if err == nil && cfg.SpreadReads {
-				// Spread-read campaigns also exercise the push half of
-				// the map distribution: every client registers as a
-				// Ringmaster watcher, so epoch flips arrive as pushes and
-				// steady-state traffic never needs a refusal-driven
-				// refetch. The pull path stays as the fallback for
-				// anything a push misses.
-				err = cl.mc.EnableWatch(c.ctx)
-			}
 		} else {
 			cl.stub, err = n.ImportResilient(c.ctx, service, resilient(cfg.Seed<<8|int64(i)))
 		}
@@ -922,7 +911,6 @@ func (c *campaign) harvest() {
 		res.StaleBounces += st.StaleBounces
 		res.Escalations += st.Escalations
 		res.HotWidenings += st.HotWidenings
-		res.MapPushes += st.MapPushes
 		res.StaleServes += st.StaleServes
 	}
 	for _, t := range c.troupes {

@@ -57,9 +57,6 @@ type ClientStats struct {
 	Parks int64
 	// Refreshes counts shard-map refetches from the Ringmaster.
 	Refreshes int64
-	// MapPushes counts newer maps installed from Ringmaster pushes
-	// (EnableWatch): epochs that arrived before any refusal could.
-	MapPushes int64
 	// SpreadReads counts reads served by a single member.
 	SpreadReads int64
 	// StaleBounces counts spread refusals by members behind the token.
@@ -90,20 +87,18 @@ type Client struct {
 	service string
 	opts    Options
 
-	mu       sync.Mutex
-	m        *ShardMap
-	ring     *Ring
-	callers  map[string]*core.ResilientCaller
-	tokens   map[string]uint64 // shard -> position token (spread.go)
-	hot      hotKeys           // per-key read rates (spread.go)
-	watching bool              // push endpoint registered (watch.go)
+	mu      sync.Mutex
+	m       *ShardMap
+	ring    *Ring
+	callers map[string]*core.ResilientCaller
+	tokens  map[string]uint64 // shard -> position token (spread.go)
+	hot     hotKeys           // per-key read rates (spread.go)
 
 	rr atomic.Uint64 // hot-key rotation cursor
 
 	redirects    atomic.Int64
 	parks        atomic.Int64
 	refreshes    atomic.Int64
-	mapPushes    atomic.Int64
 	spreadReads  atomic.Int64
 	staleBounces atomic.Int64
 	escalations  atomic.Int64
@@ -142,7 +137,6 @@ func (c *Client) Stats() ClientStats {
 		Redirects:    c.redirects.Load(),
 		Parks:        c.parks.Load(),
 		Refreshes:    c.refreshes.Load(),
-		MapPushes:    c.mapPushes.Load(),
 		SpreadReads:  c.spreadReads.Load(),
 		StaleBounces: c.staleBounces.Load(),
 		Escalations:  c.escalations.Load(),
@@ -153,25 +147,18 @@ func (c *Client) Stats() ClientStats {
 
 // Refresh refetches the shard map from the binding agent, installing
 // it if its epoch is newer, and drops callers of shards that left the
-// map.
+// map. It is the only way a client learns a new map; wrong-shard and
+// parked refusals trigger it.
 func (c *Client) Refresh(ctx context.Context) error {
 	m, err := FetchShardMap(ctx, c.binder, c.service)
 	if err != nil {
 		return err
 	}
 	c.refreshes.Add(1)
-	c.install(m)
-	return nil
-}
-
-// install installs m if its epoch is newer than the cached map's,
-// dropping callers of shards that left, and reports whether it did.
-// Shared by the pull path (Refresh) and the push path (watch.go).
-func (c *Client) install(m *ShardMap) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.m != nil && m.Epoch <= c.m.Epoch {
-		return false
+		return nil
 	}
 	c.m, c.ring = m, m.Ring()
 	live := make(map[string]bool, len(m.Shards))
@@ -183,7 +170,7 @@ func (c *Client) install(m *ShardMap) bool {
 			delete(c.callers, name)
 		}
 	}
-	return true
+	return nil
 }
 
 // routes returns the cached map/ring pair.

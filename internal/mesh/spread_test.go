@@ -121,12 +121,12 @@ func TestSpreadReadPlantedBugCaught(t *testing.T) {
 	}
 }
 
-// TestSplitZeroRedirectsWithPush: a watcher-registered client learns
-// each epoch from the Ringmaster's push, so after a live split its
-// very first calls route by the new map — zero refusal-driven
-// redirects — where a pull-only client would burn a wrong-shard
-// round-trip per moved key.
-func TestSplitZeroRedirectsWithPush(t *testing.T) {
+// TestSplitRecoversByPull: a client learns a split's epochs only by
+// pulling the map after a refusal, so across a live split the serial
+// client pays at most one wrong-shard redirect and one refetch beyond
+// the fetch NewClient makes, and every key written before and after
+// the split reads back.
+func TestSplitRecoversByPull(t *testing.T) {
 	f := newFixture(t, 321)
 	f.addShard("kv/s0")
 	s1 := f.addShard("kv/s1")
@@ -143,9 +143,6 @@ func TestSplitZeroRedirectsWithPush(t *testing.T) {
 		g.Install(boot)
 	}
 	c := spreadClient(ctx, f, 322)
-	if err := c.EnableWatch(ctx); err != nil {
-		t.Fatal(err)
-	}
 
 	keys := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -163,11 +160,15 @@ func TestSplitZeroRedirectsWithPush(t *testing.T) {
 		}
 	}
 	keys(0, 24)
+	if st := c.Stats(); st.Redirects != 0 || st.Refreshes != 1 {
+		t.Fatalf("pre-split traffic needed routing recovery: stats %+v", st)
+	}
 	if err := ctl.Split(ctx, "kv/s1"); err != nil {
 		t.Fatal(err)
 	}
-	// The split's epoch publishes pushed the new map before Split
-	// returned; this traffic routes over both shards first try.
+	// The client still holds the pre-split map: the first key that
+	// moved is refused by its old owner, and one refetch installs the
+	// final epoch.
 	keys(24, 48)
 	for i := 0; i < 24; i++ {
 		key := fmt.Sprintf("k%d", i)
@@ -181,10 +182,11 @@ func TestSplitZeroRedirectsWithPush(t *testing.T) {
 	}
 
 	st := c.Stats()
-	if st.MapPushes == 0 {
-		t.Fatalf("no shard-map push reached the watcher: stats %+v", st)
+	if st.Redirects > 1 || st.Refreshes > 2 {
+		t.Fatalf("pull recovery cost more than one redirect and one refetch: stats %+v", st)
 	}
-	if st.Redirects != 0 {
-		t.Fatalf("push-fed client still redirected %d times: stats %+v", st.Redirects, st)
+	if got := c.Map().Epoch; got != boot.Epoch+2 {
+		t.Fatalf("client ended on epoch %d, want the split's final epoch %d", got, boot.Epoch+2)
 	}
+	t.Logf("client stats %+v", st)
 }

@@ -10,36 +10,27 @@ import (
 	"circus/internal/udptrans"
 )
 
-// forEachUDPPair runs f over two Conns wired across real loopback
-// sockets, once per way of listening: Listen is what circus.ListenUDP
-// — the two binaries and the benchmark's echo_udp — binds, two shards
-// the multi-core deployment. The endpoint implements
-// transport.Dispatcher, so this exercises handler delivery (recvmmsg
-// into pooled buffers, no recv channel) and the sendmmsg batch sender
-// end to end.
+// forEachUDPPair runs f, in a subtest named after udptrans.Listen,
+// over two Conns wired across real loopback sockets from the Listen
+// that circus.ListenUDP — the two binaries and the benchmark's echo_udp
+// — binds. The endpoint implements transport.Dispatcher, so this
+// exercises handler delivery (recvmmsg into pooled buffers, no recv
+// channel) and the sendmmsg batch sender end to end.
 func forEachUDPPair(t *testing.T, opts Options, f func(t *testing.T, a, b *Conn)) {
-	for _, l := range []struct {
-		name   string
-		listen func() (*udptrans.Endpoint, error)
-	}{
-		{"Listen", func() (*udptrans.Endpoint, error) { return udptrans.Listen(0) }},
-		{"ListenSharded2", func() (*udptrans.Endpoint, error) { return udptrans.ListenSharded(0, 2) }},
-	} {
-		t.Run(l.name, func(t *testing.T) {
-			epA, err := l.listen()
-			if err != nil {
-				t.Fatalf("%s: %v", l.name, err)
-			}
-			epB, err := l.listen()
-			if err != nil {
-				epA.Close()
-				t.Fatalf("%s: %v", l.name, err)
-			}
-			a, b := New(epA, opts), New(epB, opts)
-			defer func() { a.Close(); b.Close() }()
-			f(t, a, b)
-		})
-	}
+	t.Run("Listen", func(t *testing.T) {
+		epA, err := udptrans.Listen(0)
+		if err != nil {
+			t.Fatalf("Listen: %v", err)
+		}
+		epB, err := udptrans.Listen(0)
+		if err != nil {
+			epA.Close()
+			t.Fatalf("Listen: %v", err)
+		}
+		a, b := New(epA, opts), New(epB, opts)
+		defer func() { a.Close(); b.Close() }()
+		f(t, a, b)
+	})
 }
 
 func TestUDPShardedExchange(t *testing.T) {

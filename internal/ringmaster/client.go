@@ -222,25 +222,6 @@ func (c *Client) FetchMap(ctx context.Context, service string) (uint64, []byte, 
 	return rep.Epoch, rep.Data, nil
 }
 
-// WatchMap registers addr as a push endpoint for a service's
-// configuration blob: every accepted publish is then delivered to the
-// endpoint's ProcWatcherPush procedure. It returns the currently
-// published epoch and blob (zero and empty when none has been
-// published yet), so watch-then-use needs no separate fetch. The
-// registration is soft state on the binding agent — re-register after
-// reconnecting, and keep FetchMap as the fallback.
-func (c *Client) WatchMap(ctx context.Context, service string, addr core.ModuleAddr) (uint64, []byte, error) {
-	res, err := c.call(ctx, ProcWatchShardMap, watchMapArgs{Service: service, Watcher: toWire(addr)})
-	if err != nil {
-		return 0, nil, err
-	}
-	var rep mapReply
-	if err := wire.Unmarshal(res, &rep); err != nil {
-		return 0, nil, err
-	}
-	return rep.Epoch, rep.Data, nil
-}
-
 // ListNames enumerates every registered troupe name.
 func (c *Client) ListNames(ctx context.Context) ([]string, error) {
 	res, err := c.call(ctx, ProcListNames, struct{}{})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -342,6 +343,48 @@ func TestStateTransferToNewRingmasterMember(t *testing.T) {
 	st1, _ := fresh.GetState()
 	if !reflect.DeepEqual(st0, st1) {
 		t.Fatal("transferred state differs from source")
+	}
+}
+
+// TestPublishMapCompareAndSet: a map publish is accepted only at
+// exactly one past the stored epoch, FetchMap returns the latest
+// accepted map, and state transfer carries the map to a new member.
+func TestPublishMapCompareAndSet(t *testing.T) {
+	ctx := context.Background()
+	f := newFixture(t, 14, 1)
+	rtc, c := f.client()
+	if err := c.PublishMap(ctx, "kv", 1, []byte("one")); err != nil {
+		t.Fatalf("publish epoch 1: %v", err)
+	}
+	for _, epoch := range []uint64{1, 3} {
+		err := c.PublishMap(ctx, "kv", epoch, []byte("stale"))
+		if err == nil || !strings.Contains(err.Error(), "stale map publish") {
+			t.Fatalf("publish epoch %d over 1: err = %v, want the stale-publish error", epoch, err)
+		}
+	}
+	if err := c.PublishMap(ctx, "kv", 2, []byte("two")); err != nil {
+		t.Fatalf("publish epoch 2: %v", err)
+	}
+	if epoch, data, err := c.FetchMap(ctx, "kv"); err != nil || epoch != 2 || string(data) != "two" {
+		t.Fatalf("FetchMap = %d, %q, %v; want 2, \"two\"", epoch, data, err)
+	}
+	if epoch, data, err := c.FetchMap(ctx, "ghost"); err == nil || epoch != 0 || len(data) != 0 {
+		t.Fatalf("FetchMap of unknown service = %d, %q, %v; want 0, empty and an error", epoch, data, err)
+	}
+
+	// A member initialized by state transfer serves the same map.
+	st, err := f.svcs[0].GetState()
+	if err != nil {
+		t.Fatalf("GetState: %v", err)
+	}
+	fresh := NewService()
+	if err := fresh.SetState(st); err != nil {
+		t.Fatalf("SetState: %v", err)
+	}
+	addr := newRuntime(t, f.net).Export(fresh, core.ExportOptions{})
+	c2 := NewClient(rtc, core.Troupe{Members: []core.ModuleAddr{addr}})
+	if epoch, data, err := c2.FetchMap(ctx, "kv"); err != nil || epoch != 2 || string(data) != "two" {
+		t.Fatalf("transferred FetchMap = %d, %q, %v; want 2, \"two\"", epoch, data, err)
 	}
 }
 

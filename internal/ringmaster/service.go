@@ -21,7 +21,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
-	"time"
 
 	"circus/internal/core"
 	"circus/internal/trace"
@@ -46,31 +45,9 @@ const (
 	// coordinators cannot both win the same epoch.
 	ProcPublishMap uint16 = 8
 	ProcFetchMap   uint16 = 9
-	// ProcWatchShardMap registers a push endpoint for a service's map:
-	// every accepted publish is then pushed to the endpoint (see
-	// ProcWatcherPush), turning the refusal-driven pull of stale
-	// clients into an epoch-bump notification. Registration returns the
-	// currently published map, so watch-then-use needs no extra fetch.
-	// Watchers are soft state: they are not part of state transfer, and
-	// an endpoint that fails several consecutive pushes is dropped —
-	// the pull path remains the fallback either way.
-	ProcWatchShardMap uint16 = 10
+	// Procedure 10 is retired (it registered shard-map push
+	// endpoints) and not reused: a call to it gets ErrNoSuchProc.
 )
-
-// ProcWatcherPush is the procedure a registered watch endpoint must
-// implement: it receives the newly published configuration blob
-// (e.g. an encoded mesh shard map) as its argument. The Ringmaster
-// defines the number so watchers and pushers agree without a shared
-// application package.
-const ProcWatcherPush uint16 = 1
-
-// watchPushTimeout bounds one watcher notification, so a dead or
-// partitioned watcher cannot stall a publish for long.
-const watchPushTimeout = 800 * time.Millisecond
-
-// watchPushMaxFails is how many consecutive failed pushes a watcher
-// survives before being dropped (it can re-register any time).
-const watchPushMaxFails = 3
 
 // WellKnownPort is the degenerate bootstrap binding of §6.3: the
 // Ringmaster troupe is partially specified by a well-known port on
@@ -126,17 +103,6 @@ type mapReply struct {
 	Data  []byte
 }
 
-type watchMapArgs struct {
-	Service string
-	Watcher wireAddr
-}
-
-// mapWatcher is one registered push endpoint with its failure streak.
-type mapWatcher struct {
-	addr  core.ModuleAddr
-	fails int
-}
-
 // entry is the registration record for one troupe name.
 type entry struct {
 	id          uint64
@@ -147,16 +113,12 @@ type entry struct {
 // Service is the Ringmaster module. Export it on a core.Runtime (one
 // per Ringmaster troupe member); all state transitions are
 // deterministic functions of the operation sequence, as troupe
-// consistency requires (§3.5.2).
+// consistency requires (§3.5.2), and it keeps no soft state: GetState
+// carries everything a member holds.
 type Service struct {
 	mu      sync.Mutex
 	entries map[string]*entry
 	maps    map[string]mapReply // service -> latest published map
-	// watchers lists the push endpoints per service. Soft state by
-	// design: not serialized into GetState (a member initialized by
-	// state transfer starts with no watchers), because a watcher missed
-	// by a push recovers through the pull path regardless.
-	watchers map[string][]*mapWatcher
 
 	// InformMembers, when true (the default), makes membership
 	// changes call set_troupe_id at every member of the affected
@@ -173,7 +135,6 @@ func NewService() *Service {
 	return &Service{
 		entries:       make(map[string]*entry),
 		maps:          make(map[string]mapReply),
-		watchers:      make(map[string][]*mapWatcher),
 		InformMembers: true,
 	}
 }
@@ -243,13 +204,7 @@ func (s *Service) Dispatch(call *core.ServerCall, proc uint16, args []byte) ([]b
 		if err := wire.Unmarshal(args, &a); err != nil {
 			return nil, err
 		}
-		return s.publishMap(call, a)
-	case ProcWatchShardMap:
-		var a watchMapArgs
-		if err := wire.Unmarshal(args, &a); err != nil {
-			return nil, err
-		}
-		return s.watchShardMap(a)
+		return s.publishMap(a)
 	case ProcFetchMap:
 		var service string
 		if err := wire.Unmarshal(args, &service); err != nil {
@@ -441,7 +396,7 @@ func (s *Service) listNames() ([]byte, error) {
 // publishMap stores a configuration blob for a service iff the offered
 // epoch is exactly one past the stored one (zero when none): first-
 // writer-wins compare-and-set, so concurrent coordinators serialize.
-func (s *Service) publishMap(call *core.ServerCall, a publishMapArgs) ([]byte, error) {
+func (s *Service) publishMap(a publishMapArgs) ([]byte, error) {
 	s.mu.Lock()
 	cur := s.maps[a.Service].Epoch
 	if a.Epoch != cur+1 {
@@ -456,75 +411,7 @@ func (s *Service) publishMap(call *core.ServerCall, a publishMapArgs) ([]byte, e
 		s.Tracer.Emit(trace.Event{Kind: trace.KindRegister,
 			Troupe: a.Epoch, N: len(a.Data), Detail: "map:" + a.Service})
 	}
-	s.pushToWatchers(call, a.Service, data)
 	return wire.Marshal(a.Epoch)
-}
-
-// watchShardMap registers a push endpoint for a service's map and
-// returns the currently published map (epoch zero, empty data when
-// none has been published yet). Re-registering the same endpoint
-// resets its failure streak.
-func (s *Service) watchShardMap(a watchMapArgs) ([]byte, error) {
-	m := fromWire(a.Watcher)
-	s.mu.Lock()
-	found := false
-	for _, w := range s.watchers[a.Service] {
-		if w.addr == m {
-			w.fails = 0
-			found = true
-			break
-		}
-	}
-	if !found {
-		s.watchers[a.Service] = append(s.watchers[a.Service], &mapWatcher{addr: m})
-	}
-	rep := s.maps[a.Service]
-	s.mu.Unlock()
-	if s.Tracer.Enabled() {
-		s.Tracer.Emit(trace.Event{Kind: trace.KindRegister,
-			Peer: m.Addr, Module: m.Module, Troupe: rep.Epoch, Detail: "watch:" + a.Service})
-	}
-	return wire.Marshal(rep)
-}
-
-// pushToWatchers notifies every registered endpoint of the newly
-// published blob, best effort: failures never fail the publish, a
-// bounded per-watcher timeout keeps a dead endpoint from stalling it,
-// and an endpoint that fails watchPushMaxFails consecutive pushes is
-// dropped (the pull path covers it from then on). Pushes are nested
-// one-member calls expressed through the publish's own ServerCall, so
-// a replicated Ringmaster's members collate into one logical push per
-// watcher — the same trick informMembers plays.
-func (s *Service) pushToWatchers(call *core.ServerCall, service string, data []byte) {
-	if call == nil {
-		return
-	}
-	s.mu.Lock()
-	ws := append([]*mapWatcher(nil), s.watchers[service]...)
-	s.mu.Unlock()
-	if len(ws) == 0 {
-		return
-	}
-	for _, w := range ws {
-		dest := core.Troupe{Members: []core.ModuleAddr{w.addr}}
-		_, err := call.Call(dest, ProcWatcherPush, data, core.CallOptions{Timeout: watchPushTimeout})
-		s.mu.Lock()
-		if err != nil {
-			w.fails++
-		} else {
-			w.fails = 0
-		}
-		if w.fails >= watchPushMaxFails {
-			kept := s.watchers[service][:0]
-			for _, x := range s.watchers[service] {
-				if x != w {
-					kept = append(kept, x)
-				}
-			}
-			s.watchers[service] = kept
-		}
-		s.mu.Unlock()
-	}
 }
 
 // fetchMap returns the latest published map for a service.

@@ -88,7 +88,6 @@ const (
 	KindSpreadStale    // member refused a spread read below the token (Troupe = required position)
 	KindSpreadEscalate // spread read fell back to the strict replicated read
 	KindSpreadWiden    // hot key widened from affinity to whole-troupe rotation
-	KindShardMapPush   // newer shard map installed from a Ringmaster push (Troupe = epoch)
 
 	kindCount // sentinel: number of kinds
 )
@@ -130,7 +129,6 @@ var kindNames = [...]string{
 	KindSpreadStale:    "mesh.spread-stale",
 	KindSpreadEscalate: "mesh.spread-escalate",
 	KindSpreadWiden:    "mesh.spread-widen",
-	KindShardMapPush:   "mesh.map-push",
 }
 
 // String returns the stable dotted name of the kind, used in JSONL

@@ -99,16 +99,14 @@ type Multicaster interface {
 }
 
 // Dispatcher is implemented by endpoints that can deliver incoming
-// datagrams by invoking a handler from their own drain goroutines
+// datagrams by invoking a handler from their own drain goroutine
 // instead of queueing Packets on the Recv channel. A consumer that
 // installs a handler takes delivery that way exclusively: nothing more
 // arrives on Recv.
 //
-// The handler runs on the endpoint's receive goroutines, one packet
-// at a time per goroutine (a sharded endpoint may run it concurrently
-// from different shards, never concurrently for one shard, so one
-// sender's datagrams keep their arrival order when the network shards
-// by peer). It must not block indefinitely. After Close returns, the
+// The handler runs on the endpoint's receive goroutine, one packet at
+// a time in arrival order (udptrans calls it from its one drain
+// goroutine). It must not block indefinitely. After Close returns, the
 // handler is never invoked again. Packet ownership is unchanged: the
 // handler owns Data per the Packet contract.
 type Dispatcher interface {

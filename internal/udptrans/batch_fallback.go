@@ -9,9 +9,9 @@ import "circus/internal/transport"
 // The coalescing in the paired message layer still reduces datagram
 // count; only the syscall amortization is lost.
 
-func (s *socket) sendBatch(dgrams []transport.Datagram) error {
+func (e *Endpoint) sendBatch(dgrams []transport.Datagram) error {
 	for _, d := range dgrams {
-		if _, err := s.conn.WriteToUDPAddrPort(d.Data, toAddrPort(d.To)); err != nil {
+		if _, err := e.conn.WriteToUDPAddrPort(d.Data, toAddrPort(d.To)); err != nil {
 			return err
 		}
 	}
@@ -21,11 +21,11 @@ func (s *socket) sendBatch(dgrams []transport.Datagram) error {
 // drain is the portable receive goroutine: one datagram per read,
 // still into pooled buffers, so the upper layers see the identical
 // delivery contract.
-func (e *Endpoint) drain(s *socket) {
-	defer e.drains.Done()
+func (e *Endpoint) drain() {
+	defer close(e.drained)
 	for {
 		buf := pool.Get()
-		n, from, err := s.conn.ReadFromUDPAddrPort(buf.Bytes())
+		n, from, err := e.conn.ReadFromUDPAddrPort(buf.Bytes())
 		if err != nil {
 			buf.Release()
 			return

@@ -62,7 +62,7 @@ func fromSockaddr(sa *syscall.RawSockaddrInet4) (transport.Addr, bool) {
 // socket buffer allows, waiting for writability between partial sends.
 // Every message carries its own destination, so a flush to mixed
 // peers is still one call.
-func (s *socket) sendBatch(dgrams []transport.Datagram) error {
+func (e *Endpoint) sendBatch(dgrams []transport.Datagram) error {
 	sas := make([]syscall.RawSockaddrInet4, len(dgrams))
 	iovs := make([]syscall.Iovec, len(dgrams))
 	hdrs := make([]mmsghdr, len(dgrams))
@@ -81,7 +81,7 @@ func (s *socket) sendBatch(dgrams []transport.Datagram) error {
 	}
 	sent := 0
 	var sysErr error
-	err := s.raw.Write(func(fd uintptr) bool {
+	err := e.raw.Write(func(fd uintptr) bool {
 		for sent < len(hdrs) {
 			n, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
 				uintptr(unsafe.Pointer(&hdrs[sent])), uintptr(len(hdrs)-sent), 0, 0, 0)
@@ -102,7 +102,7 @@ func (s *socket) sendBatch(dgrams []transport.Datagram) error {
 	return sysErr
 }
 
-// recvBatch is the per-socket receive state for one recvmmsg drain
+// recvBatch is the endpoint's receive state for one recvmmsg drain
 // loop: a window of pooled buffers the kernel scatters datagrams into.
 // Handed-off buffers are replaced from the pool slot by slot, so a
 // drained burst costs zero allocations once the pool is warm.
@@ -183,16 +183,16 @@ func (rb *recvBatch) release() {
 	}
 }
 
-// drain is a socket's receive goroutine: recvmmsg bursts into pooled
-// buffers, each handed straight to the consumer. It returns when the
-// socket is closed.
-func (e *Endpoint) drain(s *socket) {
-	defer e.drains.Done()
+// drain is the endpoint's receive goroutine: recvmmsg bursts into
+// pooled buffers, each handed straight to the consumer. It returns
+// when the socket is closed.
+func (e *Endpoint) drain() {
+	defer close(e.drained)
 	var rb recvBatch
 	rb.init()
 	defer rb.release()
 	for {
-		got, err := rb.recv(s.raw)
+		got, err := rb.recv(e.raw)
 		if err != nil {
 			return
 		}

@@ -5,11 +5,12 @@
 // (the paper's repro band: multi-process on one laptop); the test
 // suites mostly use internal/netsim for determinism.
 //
-// There is one path: socket → drain goroutine → handler. Each socket's
-// drain goroutine pulls bursts of datagrams into pooled buffers
-// (recvmmsg on 64-bit Linux, one read per datagram elsewhere) and
-// hands each to the consumer itself; the kernel's socket buffer is the
-// only queue. Batched sends are one sendmmsg (a write loop elsewhere).
+// There is one path: socket → drain goroutine → handler. The
+// endpoint's one drain goroutine pulls bursts of datagrams into pooled
+// buffers (recvmmsg on 64-bit Linux, one read per datagram elsewhere)
+// and hands each to the consumer itself; the kernel's socket buffer is
+// the only queue. Batched sends are one sendmmsg (a write loop
+// elsewhere).
 package udptrans
 
 import (
@@ -17,36 +18,26 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"syscall"
 
 	"circus/internal/transport"
 )
 
-// Endpoint is a transport.Endpoint over one or more loopback UDP
-// sockets bound to one port with SO_REUSEPORT (Linux; elsewhere always
-// a single socket). The kernel hashes each peer's 4-tuple to one
-// socket, so a given peer's datagrams always arrive on the same socket
-// and keep their order, while different peers drain on different CPUs
-// in parallel.
+// Endpoint is a transport.Endpoint over one loopback UDP socket,
+// drained by one goroutine, so every datagram is delivered in the
+// order the kernel queued it.
 type Endpoint struct {
-	socks []*socket
-	addr  transport.Addr
-	recv  chan transport.Packet
+	conn *net.UDPConn
+	raw  syscall.RawConn // for sendmmsg/recvmmsg on platforms that have them
+	addr transport.Addr
+	recv chan transport.Packet
 
 	// handler, once set, takes delivery exclusively (transport.Dispatcher).
 	handler atomic.Pointer[func(transport.Packet)]
 
-	sendNext atomic.Uint32  // round-robin socket picker for sends
-	drains   sync.WaitGroup // drain goroutines; Close waits for these
-	closed   atomic.Bool
-}
-
-type socket struct {
-	conn *net.UDPConn
-	raw  syscall.RawConn // for sendmmsg/recvmmsg on platforms that have them
+	drained chan struct{} // closed when the drain goroutine returns
+	closed  atomic.Bool
 }
 
 // pool recycles receive buffers across every endpoint of the process
@@ -62,59 +53,28 @@ var (
 )
 
 // Listen binds one UDP socket on 127.0.0.1. Port 0 selects a free port.
-func Listen(port uint16) (*Endpoint, error) { return ListenSharded(port, 1) }
-
-// ListenSharded binds shards UDP sockets to one loopback port. Port 0
-// selects a free port (claimed by the first socket, shared by the
-// rest). shards <= 0 selects runtime.NumCPU(). On platforms without
-// SO_REUSEPORT the endpoint degrades to one socket.
-func ListenSharded(port uint16, shards int) (*Endpoint, error) {
-	if shards <= 0 {
-		shards = runtime.NumCPU()
-	}
-	if !reusePortAvailable {
-		shards = 1
-	}
-	// 1024: a Recv() consumer gets about the slack a default kernel
-	// socket buffer gives a handler, a few hundred small datagrams.
-	e := &Endpoint{recv: make(chan transport.Packet, 1024)}
-	for i := 0; i < shards; i++ {
-		s, a, err := listenSocket(port, shards > 1)
-		if err == nil && i > 0 && a != e.addr {
-			s.conn.Close()
-			err = fmt.Errorf("udptrans: socket %d bound %v, want %v", i, a, e.addr)
-		}
-		if err != nil {
-			e.Close()
-			return nil, err
-		}
-		e.socks = append(e.socks, s)
-		e.addr, port = a, a.Port // later sockets join the chosen port
-	}
-	e.drains.Add(len(e.socks))
-	for _, s := range e.socks {
-		go e.drain(s)
-	}
-	return e, nil
-}
-
-func listenSocket(port uint16, reuse bool) (*socket, transport.Addr, error) {
-	conn, err := listenUDP(port, reuse)
+func Listen(port uint16) (*Endpoint, error) {
+	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: int(port)})
 	if err != nil {
-		return nil, transport.Addr{}, err
+		return nil, err
 	}
 	raw, err := conn.SyscallConn()
 	if err != nil {
 		conn.Close()
-		return nil, transport.Addr{}, err
+		return nil, err
 	}
 	ap := conn.LocalAddr().(*net.UDPAddr).AddrPort()
 	a, ok := toAddr(ap)
 	if !ok {
 		conn.Close()
-		return nil, transport.Addr{}, fmt.Errorf("udptrans: %v is not an IPv4 address", ap.Addr())
+		return nil, fmt.Errorf("udptrans: %v is not an IPv4 address", ap.Addr())
 	}
-	return &socket{conn: conn, raw: raw}, a, nil
+	// 1024: a Recv() consumer gets about the slack a default kernel
+	// socket buffer gives a handler, a few hundred small datagrams.
+	e := &Endpoint{conn: conn, raw: raw, addr: a,
+		recv: make(chan transport.Packet, 1024), drained: make(chan struct{})}
+	go e.drain()
+	return e, nil
 }
 
 // toAddr converts a UDP address to the transport's 32-bit-host form;
@@ -136,7 +96,7 @@ func toAddrPort(a transport.Addr) netip.AddrPort {
 	return netip.AddrPortFrom(netip.AddrFrom4(ip4), a.Port)
 }
 
-// Addr returns the bound loopback address, shared by every socket.
+// Addr returns the bound loopback address.
 func (e *Endpoint) Addr() transport.Addr { return e.addr }
 
 // Recv returns the incoming datagram channel; unused once a Dispatcher
@@ -144,14 +104,13 @@ func (e *Endpoint) Addr() transport.Addr { return e.addr }
 func (e *Endpoint) Recv() <-chan transport.Packet { return e.recv }
 
 // SetHandler installs fn as the exclusive delivery path
-// (transport.Dispatcher). Packets from different sockets may invoke fn
-// concurrently; packets from one peer never do, because the kernel's
-// REUSEPORT hash pins each peer to one socket.
+// (transport.Dispatcher). The drain goroutine invokes fn one packet at
+// a time, in arrival order.
 func (e *Endpoint) SetHandler(fn func(transport.Packet)) {
 	e.handler.Store(&fn)
 }
 
-// deliver hands one packet up from a socket's drain goroutine: to the
+// deliver hands one packet up from the drain goroutine: to the
 // handler if one is installed, else to the Recv channel without
 // blocking. While the consumer works the kernel queues what follows;
 // when either queue is full the datagram is dropped and the paired
@@ -183,16 +142,6 @@ func check(to transport.Addr, data []byte) error {
 	return nil
 }
 
-// pickSocket spreads sends across the sockets. All share one local
-// port, so a peer's replies hash to the same receive socket regardless
-// of which one carried our send.
-func (e *Endpoint) pickSocket() *socket {
-	if len(e.socks) == 1 {
-		return e.socks[0]
-	}
-	return e.socks[int(e.sendNext.Add(1))%len(e.socks)]
-}
-
 // Send transmits one UDP datagram.
 func (e *Endpoint) Send(to transport.Addr, data []byte) error {
 	if err := check(to, data); err != nil {
@@ -201,7 +150,7 @@ func (e *Endpoint) Send(to transport.Addr, data []byte) error {
 	if e.closed.Load() {
 		return transport.ErrClosed
 	}
-	_, err := e.pickSocket().conn.WriteToUDPAddrPort(data, toAddrPort(to))
+	_, err := e.conn.WriteToUDPAddrPort(data, toAddrPort(to))
 	return err
 }
 
@@ -219,7 +168,7 @@ func (e *Endpoint) SendBatch(dgrams []transport.Datagram) error {
 	if e.closed.Load() {
 		return transport.ErrClosed
 	}
-	return e.pickSocket().sendBatch(dgrams)
+	return e.sendBatch(dgrams)
 }
 
 // Multicast sends data to every group member; UDP has no true
@@ -233,22 +182,28 @@ func (e *Endpoint) Multicast(group []transport.Addr, data []byte) error {
 	return e.SendBatch(dgrams)
 }
 
-// Close shuts every socket and waits for the drain goroutines to
-// observe it, so the Dispatcher handler is never invoked after Close
-// returns; then the Recv channel closes.
+// Close shuts the socket and waits for the drain goroutine to observe
+// it, so the Dispatcher handler is never invoked after Close returns;
+// then the Recv channel closes.
 func (e *Endpoint) Close() error {
 	if e.closed.Swap(true) {
 		return nil
 	}
-	var first error
-	for _, s := range e.socks {
-		if err := s.conn.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	e.drains.Wait()
+	err := e.conn.Close()
+	<-e.drained
 	close(e.recv)
-	return first
+	return err
+}
+
+// ListenSharded is Listen for shards == 1 and an error for any other
+// count: an endpoint owns one socket. Like UsingIOUring, it is kept
+// only because benchmark/probes.go, frozen for this change, calls it;
+// the next [benchmark] PR removes the call and this function with it.
+func ListenSharded(port uint16, shards int) (*Endpoint, error) {
+	if shards != 1 {
+		return nil, fmt.Errorf("udptrans: %d sockets requested; an endpoint owns one", shards)
+	}
+	return Listen(port)
 }
 
 // UsingIOUring is kept only because benchmark/probes.go, frozen for

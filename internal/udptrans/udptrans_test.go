@@ -9,22 +9,22 @@ import (
 	"circus/internal/transport"
 )
 
-// mode is one row of the table the delivery tests run over: how many
-// sockets the endpoint spans and which way it hands datagrams up.
+// mode is one row of the table the delivery tests run over: which way
+// the endpoint hands datagrams up. Row names keep their shards=1 prefix
+// (an endpoint owns one socket) so test IDs stay stable.
 type mode struct {
-	shards  int
 	handler bool // Dispatcher handler; false reads Recv()
 }
 
 func (m mode) String() string {
 	if m.handler {
-		return fmt.Sprintf("shards=%d/handler", m.shards)
+		return "shards=1/handler"
 	}
-	return fmt.Sprintf("shards=%d/recv", m.shards)
+	return "shards=1/recv"
 }
 
 func forEachMode(t *testing.T, f func(t *testing.T, m mode)) {
-	for _, m := range []mode{{1, false}, {1, true}, {2, false}, {2, true}} {
+	for _, m := range []mode{{false}, {true}} {
 		t.Run(m.String(), func(t *testing.T) { f(t, m) })
 	}
 }
@@ -33,9 +33,9 @@ func forEachMode(t *testing.T, f func(t *testing.T, m mode)) {
 // way it delivers, its packets come out of the returned channel.
 func (m mode) listen(t *testing.T) (*Endpoint, <-chan transport.Packet) {
 	t.Helper()
-	ep, err := ListenSharded(0, m.shards)
+	ep, err := Listen(0)
 	if err != nil {
-		t.Fatalf("ListenSharded(0, %d): %v", m.shards, err)
+		t.Fatalf("Listen(0): %v", err)
 	}
 	t.Cleanup(func() { ep.Close() })
 	if !m.handler {
@@ -107,9 +107,9 @@ func TestBurstInOrder(t *testing.T) {
 	})
 }
 
-// TestShardedRoundTrip checks what sharding promises: with more peers
-// than sockets, every peer's datagrams still arrive complete and in
-// that peer's order, and every reply carries the one shared address.
+// TestShardedRoundTrip has many peers send to one endpoint at once:
+// every peer's datagrams arrive complete and in that peer's order, and
+// every reply carries the endpoint's address.
 func TestShardedRoundTrip(t *testing.T) {
 	forEachMode(t, func(t *testing.T, m mode) {
 		const peers, each = 6, 32
@@ -239,103 +239,111 @@ func TestShardedMulticast(t *testing.T) {
 // pairedmsg.New does: until then datagrams wait on Recv(), afterwards
 // the handler takes every one and Recv() sees no more.
 func TestShardedHandlerDelivery(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		a, _ := mode{shards, false}.listen(t)
-		b, recv := mode{shards, false}.listen(t)
-		if err := a.Send(b.Addr(), []byte("early")); err != nil {
-			t.Fatalf("Send: %v", err)
-		}
-		if _, data := next(t, recv); data != "early" {
-			t.Fatalf("Recv() gave %q, want early", data)
-		}
-		handled := make(chan transport.Packet, 1)
-		b.SetHandler(func(pkt transport.Packet) { handled <- pkt })
-		if err := a.Send(b.Addr(), []byte("late")); err != nil {
-			t.Fatalf("Send: %v", err)
-		}
-		if _, data := next(t, handled); data != "late" {
-			t.Fatalf("handler got %q, want late", data)
-		}
-		select {
-		case pkt := <-recv:
-			t.Fatalf("Recv() gave %q after SetHandler", pkt.Data)
-		default:
-		}
+	a, _ := mode{}.listen(t)
+	b, recv := mode{}.listen(t)
+	if err := a.Send(b.Addr(), []byte("early")); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	if _, data := next(t, recv); data != "early" {
+		t.Fatalf("Recv() gave %q, want early", data)
+	}
+	handled := make(chan transport.Packet, 1)
+	b.SetHandler(func(pkt transport.Packet) { handled <- pkt })
+	if err := a.Send(b.Addr(), []byte("late")); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	if _, data := next(t, handled); data != "late" {
+		t.Fatalf("handler got %q, want late", data)
+	}
+	select {
+	case pkt := <-recv:
+		t.Fatalf("Recv() gave %q after SetHandler", pkt.Data)
+	default:
 	}
 }
 
 func TestAddrIsLoopback(t *testing.T) {
-	a, _ := mode{shards: 2}.listen(t)
+	a, _ := mode{}.listen(t)
 	if addr := a.Addr(); addr.Host != 0x7f000001 || addr.Port == 0 {
 		t.Errorf("addr = %v, want 127.0.0.1 and an assigned port", addr)
 	}
 }
 
+// TestListenShardedOneSocket: the ListenSharded shim opens an endpoint
+// only for a count of one socket.
+func TestListenShardedOneSocket(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		if ep, err := ListenSharded(0, shards); err == nil {
+			ep.Close()
+			t.Errorf("ListenSharded(0, %d) succeeded; want an error", shards)
+		}
+	}
+	ep, err := ListenSharded(0, 1)
+	if err != nil {
+		t.Fatalf("ListenSharded(0, 1): %v", err)
+	}
+	ep.Close()
+}
+
 func TestSendTooLarge(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		a, _ := mode{shards: shards}.listen(t)
-		big := make([]byte, transport.MaxDatagram+1)
-		if err := a.Send(a.Addr(), big); err != transport.ErrTooLarge {
-			t.Errorf("shards=%d: Send = %v, want ErrTooLarge", shards, err)
-		}
-		err := a.SendBatch([]transport.Datagram{{To: a.Addr(), Data: []byte("ok")}, {To: a.Addr(), Data: big}})
-		if err != transport.ErrTooLarge {
-			t.Errorf("shards=%d: SendBatch = %v, want ErrTooLarge", shards, err)
-		}
+	a, _ := mode{}.listen(t)
+	big := make([]byte, transport.MaxDatagram+1)
+	if err := a.Send(a.Addr(), big); err != transport.ErrTooLarge {
+		t.Errorf("Send = %v, want ErrTooLarge", err)
+	}
+	err := a.SendBatch([]transport.Datagram{{To: a.Addr(), Data: []byte("ok")}, {To: a.Addr(), Data: big}})
+	if err != transport.ErrTooLarge {
+		t.Errorf("SendBatch = %v, want ErrTooLarge", err)
 	}
 }
 
 func TestSendRejectsZeroAddr(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		a, recv := mode{shards: shards}.listen(t)
-		if err := a.Send(transport.Addr{}, []byte("x")); err == nil {
-			t.Errorf("shards=%d: Send to zero addr succeeded; want clear encode error", shards)
-		}
-		err := a.SendBatch([]transport.Datagram{
-			{To: a.Addr(), Data: []byte("ok")},
-			{To: transport.Addr{}, Data: []byte("bad")},
-		})
-		if err == nil {
-			t.Errorf("shards=%d: SendBatch with zero addr succeeded; want clear encode error", shards)
-		}
-		// A rejected batch is rejected whole: "ok" was not sent.
-		select {
-		case pkt := <-recv:
-			t.Errorf("shards=%d: rejected batch still delivered %q", shards, pkt.Data)
-		case <-time.After(20 * time.Millisecond):
-		}
+	a, recv := mode{}.listen(t)
+	if err := a.Send(transport.Addr{}, []byte("x")); err == nil {
+		t.Error("Send to zero addr succeeded; want clear encode error")
+	}
+	err := a.SendBatch([]transport.Datagram{
+		{To: a.Addr(), Data: []byte("ok")},
+		{To: transport.Addr{}, Data: []byte("bad")},
+	})
+	if err == nil {
+		t.Error("SendBatch with zero addr succeeded; want clear encode error")
+	}
+	// A rejected batch is rejected whole: "ok" was not sent.
+	select {
+	case pkt := <-recv:
+		t.Errorf("rejected batch still delivered %q", pkt.Data)
+	case <-time.After(20 * time.Millisecond):
 	}
 }
 
 // TestCloseUnblocksRecv: Close closes Recv(), fails later sends, and
 // may be repeated.
 func TestCloseUnblocksRecv(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		a, recv := mode{shards: shards}.listen(t)
-		if err := a.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
+	a, recv := mode{}.listen(t)
+	if err := a.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	// Close waited for the drain goroutine, so the channel is already
+	// closed, not merely about to be.
+	select {
+	case _, ok := <-recv:
+		if ok {
+			t.Error("unexpected packet from closed endpoint")
 		}
-		// Close waited for the drain goroutines, so the channel is
-		// already closed, not merely about to be.
-		select {
-		case _, ok := <-recv:
-			if ok {
-				t.Error("unexpected packet from closed endpoint")
-			}
-		default:
-			t.Fatal("Recv channel not closed when Close returned")
-		}
-		if err := a.Send(a.Addr(), []byte("x")); err != transport.ErrClosed {
-			t.Errorf("Send after close = %v, want ErrClosed", err)
-		}
-		if err := a.Close(); err != nil {
-			t.Errorf("second Close = %v, want nil", err)
-		}
+	default:
+		t.Fatal("Recv channel not closed when Close returned")
+	}
+	if err := a.Send(a.Addr(), []byte("x")); err != transport.ErrClosed {
+		t.Errorf("Send after close = %v, want ErrClosed", err)
+	}
+	if err := a.Close(); err != nil {
+		t.Errorf("second Close = %v, want nil", err)
 	}
 }
 
 func TestSendBatchAfterClose(t *testing.T) {
-	a, _ := mode{shards: 2}.listen(t)
+	a, _ := mode{}.listen(t)
 	a.Close()
 	err := a.SendBatch([]transport.Datagram{{To: a.Addr(), Data: []byte("x")}})
 	if err != transport.ErrClosed {
@@ -346,47 +354,46 @@ func TestSendBatchAfterClose(t *testing.T) {
 // TestShardedCloseStopsHandler closes an endpoint under fire: once
 // Close has returned, no handler call may be running or start.
 func TestShardedCloseStopsHandler(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			a, _ := mode{shards: shards}.listen(t)
-			b, _ := mode{shards: shards}.listen(t)
-			var calls atomic.Int64
-			var closed atomic.Bool
-			b.SetHandler(func(pkt transport.Packet) {
-				calls.Add(1)
-				time.Sleep(50 * time.Microsecond) // be in the handler when Close comes
-				if closed.Load() {
-					t.Error("handler running after Close returned")
-				}
-				pkt.Buf.Release()
-			})
-			stop, stopped := make(chan struct{}), make(chan struct{})
-			go func() {
-				defer close(stopped)
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-						a.Send(b.Addr(), []byte("x"))
-					}
-				}
-			}()
-			defer func() { close(stop); <-stopped }()
-			for deadline := time.Now().Add(2 * time.Second); calls.Load() < 20; time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatalf("handler saw %d datagrams under continuous sends", calls.Load())
-				}
+	// The subtest name keeps its shards=1 prefix, as the table rows do.
+	t.Run("shards=1", func(t *testing.T) {
+		a, _ := mode{}.listen(t)
+		b, _ := mode{}.listen(t)
+		var calls atomic.Int64
+		var closed atomic.Bool
+		b.SetHandler(func(pkt transport.Packet) {
+			calls.Add(1)
+			time.Sleep(50 * time.Microsecond) // be in the handler when Close comes
+			if closed.Load() {
+				t.Error("handler running after Close returned")
 			}
-			if err := b.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			closed.Store(true)
-			final := calls.Load()
-			time.Sleep(10 * time.Millisecond) // the sends go on; none may reach the handler
-			if got := calls.Load(); got != final {
-				t.Errorf("handler ran %d more times after Close returned", got-final)
-			}
+			pkt.Buf.Release()
 		})
-	}
+		stop, stopped := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(stopped)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					a.Send(b.Addr(), []byte("x"))
+				}
+			}
+		}()
+		defer func() { close(stop); <-stopped }()
+		for deadline := time.Now().Add(2 * time.Second); calls.Load() < 20; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("handler saw %d datagrams under continuous sends", calls.Load())
+			}
+		}
+		if err := b.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		closed.Store(true)
+		final := calls.Load()
+		time.Sleep(10 * time.Millisecond) // the sends go on; none may reach the handler
+		if got := calls.Load(); got != final {
+			t.Errorf("handler ran %d more times after Close returned", got-final)
+		}
+	})
 }

@@ -146,18 +146,9 @@ func (s *SimNetwork) NewNodeOnHost(peer *Node, opts ...Option) (*Node, error) {
 }
 
 // ListenUDP creates a node on a real UDP loopback socket (port 0
-// selects a free port), the multi-process deployment of §4.2. It is
-// ListenUDPSharded with one socket.
+// selects a free port), the multi-process deployment of §4.2.
 func ListenUDP(port uint16, opts ...Option) (*Node, error) {
-	return ListenUDPSharded(port, 1, opts...)
-}
-
-// ListenUDPSharded creates a node on shards SO_REUSEPORT sockets
-// behind one address, each drained by its own goroutine straight into
-// the protocol: the deployment for multi-core machines (shards <= 0
-// selects one socket per CPU).
-func ListenUDPSharded(port uint16, shards int, opts ...Option) (*Node, error) {
-	ep, err := udptrans.ListenSharded(port, shards)
+	ep, err := udptrans.Listen(port)
 	if err != nil {
 		return nil, err
 	}
