@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"circus/internal/precise"
 	"circus/internal/transport"
 )
 
@@ -63,7 +64,16 @@ type Network struct {
 	split     bool
 	capture   func(transport.Packet) bool
 	stats     Stats
-	closed    bool
+
+	// Datagrams on a link with delay wait in queue, a min-heap by due
+	// time and then send order, for the one delivery goroutine that
+	// runs while the queue is not empty (deliverLoop). While it waits,
+	// timer is set for wake, the earliest due time it has seen.
+	queue      []delayed
+	sent       uint64 // send sequence, the tie-break at equal due times
+	delivering bool
+	timer      *precise.Timer
+	wake       time.Time
 }
 
 // New creates a network whose fault injection is driven by seed.
@@ -222,9 +232,6 @@ var (
 func (n *Network) Listen(host uint32, port uint16) (*Endpoint, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed {
-		return nil, transport.ErrClosed
-	}
 	if port == 0 {
 		for {
 			port = n.nextPort[host]
@@ -392,13 +399,102 @@ func (n *Network) transmitLocked(e *Endpoint, to transport.Addr, data []byte) {
 		if delay <= 0 {
 			n.deliverLocked(pkt)
 		} else {
-			time.AfterFunc(delay, func() {
-				n.mu.Lock()
-				defer n.mu.Unlock()
-				n.deliverLocked(pkt)
-			})
+			n.enqueueLocked(time.Now().Add(delay), pkt)
 		}
 	}
+}
+
+// A delayed datagram waits in Network.queue until due.
+type delayed struct {
+	due time.Time
+	seq uint64
+	pkt transport.Packet
+}
+
+func (d *delayed) before(e *delayed) bool {
+	return d.due.Before(e.due) || d.due.Equal(e.due) && d.seq < e.seq
+}
+
+// enqueueLocked puts a datagram on the wire until due: it starts the
+// delivery goroutine if none runs, or moves its wake earlier if this
+// datagram is due first. Caller holds n.mu.
+func (n *Network) enqueueLocked(due time.Time, pkt transport.Packet) {
+	n.sent++
+	n.queue = append(n.queue, delayed{due: due, seq: n.sent, pkt: pkt})
+	for i := len(n.queue) - 1; i > 0; { // sift up
+		p := (i - 1) / 2
+		if !n.queue[i].before(&n.queue[p]) {
+			break
+		}
+		n.queue[i], n.queue[p] = n.queue[p], n.queue[i]
+		i = p
+	}
+	switch {
+	case !n.delivering:
+		n.delivering = true
+		go n.deliverLoop()
+	case n.timer != nil && due.Before(n.wake):
+		n.wake = due
+		n.timer.Set(due)
+	}
+}
+
+// popLocked removes the earliest datagram from the queue. Caller holds
+// n.mu.
+func (n *Network) popLocked() transport.Packet {
+	q := n.queue
+	pkt := q[0].pkt
+	last := len(q) - 1
+	q[0] = q[last]
+	q[last] = delayed{}
+	q = q[:last]
+	for i := 0; ; { // sift down
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	n.queue = q
+	return pkt
+}
+
+// deliverLoop is the network's one delivery goroutine. It hands every
+// due datagram to deliverLocked, in due-time order and in send order
+// at equal due times, then waits for the next due time on a precise
+// timer, and returns when the queue is empty.
+func (n *Network) deliverLoop() {
+	t := precise.NewTimer()
+	n.mu.Lock()
+	n.timer = t
+	for {
+		now := time.Now()
+		for len(n.queue) > 0 && !n.queue[0].due.After(now) {
+			n.deliverLocked(n.popLocked())
+		}
+		if len(n.queue) == 0 {
+			break
+		}
+		if due := n.queue[0].due; !due.Equal(n.wake) {
+			n.wake = due
+			t.Set(due)
+		}
+		n.mu.Unlock()
+		t.Wait()
+		n.mu.Lock()
+	}
+	n.delivering = false
+	n.timer = nil
+	n.wake = time.Time{}
+	n.mu.Unlock()
+	t.Release()
 }
 
 // deliverLocked hands a datagram to its destination endpoint if the

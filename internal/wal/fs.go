@@ -16,6 +16,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"circus/internal/precise"
 )
 
 // ErrNoSpace reports a write rejected because the disk is full.
@@ -304,7 +306,7 @@ func (h *memHandle) Sync() error {
 	delay := m.syncDelay
 	m.mu.Unlock()
 	if delay > 0 {
-		preciseSleep(delay)
+		precise.Sleep(delay)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
