@@ -27,75 +27,14 @@ import (
 	"net/netip"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"circus"
+	"circus/internal/kv"
 )
 
 const serviceName = "circus-kv"
-
-// kvArgs is the wire format of put/get arguments.
-type kvArgs struct {
-	K string
-	V string
-}
-
-// kv is the replicated module: an ordinary map with deterministic
-// state transitions and sorted state transfer.
-type kv struct {
-	mu   sync.Mutex
-	data map[string]string
-}
-
-func newKV() *kv { return &kv{data: map[string]string{}} }
-
-func (m *kv) Dispatch(call *circus.ServerCall, proc uint16, args []byte) ([]byte, error) {
-	var a kvArgs
-	if err := circus.Unmarshal(args, &a); err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	switch proc {
-	case 1: // put
-		m.data[a.K] = a.V
-		return circus.Marshal(uint32(len(m.data)))
-	case 2: // get
-		v, ok := m.data[a.K]
-		if !ok {
-			return nil, &circus.AppError{Msg: "no such key: " + a.K}
-		}
-		return circus.Marshal(v)
-	case 3: // del
-		delete(m.data, a.K)
-		return circus.Marshal(uint32(len(m.data)))
-	case 4: // list
-		keys := make([]string, 0, len(m.data))
-		for k := range m.data {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		return circus.Marshal(keys)
-	default:
-		return nil, circus.ErrNoSuchProc
-	}
-}
-
-func (m *kv) GetState() ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return circus.Marshal(m.data)
-}
-
-func (m *kv) SetState(b []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.data = map[string]string{}
-	return circus.Unmarshal(b, &m.data)
-}
 
 // parseBinder reads comma-separated binder addresses, each four dotted
 // octets and a port in 0–65535.
@@ -115,6 +54,26 @@ func parseBinder(s string) ([]circus.ModuleAddr, error) {
 		})
 	}
 	return members, nil
+}
+
+// request maps a command onto the store's procedure and arguments.
+func request(cmd string, args []string) (uint16, []byte, error) {
+	want := map[string]int{"put": 2, "get": 1, "del": 1, "list": 0}[cmd]
+	if len(args) < want {
+		return 0, nil, fmt.Errorf("%s needs %d argument(s)", cmd, want)
+	}
+	switch cmd {
+	case "put":
+		b, err := kv.PutArgs(args[0], args[1])
+		return kv.ProcPut, b, err
+	case "get":
+		return kv.ProcGet, []byte(args[0]), nil
+	case "del":
+		b, err := circus.Marshal([]string{args[0]})
+		return kv.ProcDel, b, err
+	default:
+		return kv.ProcDump, nil, nil
+	}
 }
 
 func main() {
@@ -138,7 +97,7 @@ func main() {
 
 	switch cmd := flag.Arg(0); cmd {
 	case "serve":
-		addr, err := node.JoinTroupe(ctx, serviceName, newKV())
+		addr, err := node.JoinTroupe(ctx, serviceName, kv.New())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -147,51 +106,32 @@ func main() {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt)
 		<-sig
-	case "put", "get", "del":
-		if flag.NArg() < 2 {
-			log.Fatalf("%s needs a key", cmd)
-		}
+	case "put", "get", "del", "list":
 		stub, err := node.Import(ctx, serviceName)
 		if err != nil {
 			log.Fatal(err)
 		}
-		a := kvArgs{K: flag.Arg(1)}
-		proc := map[string]uint16{"put": 1, "get": 2, "del": 3}[cmd]
-		if cmd == "put" {
-			if flag.NArg() < 3 {
-				log.Fatal("put needs a value")
-			}
-			a.V = flag.Arg(2)
+		proc, args, err := request(cmd, flag.Args()[1:])
+		if err != nil {
+			log.Fatal(err)
 		}
-		args, _ := circus.Marshal(a)
 		res, err := stub.Call(node.Context(ctx), proc, args)
 		if err != nil {
 			log.Fatal(err)
 		}
 		switch cmd {
 		case "get":
-			var v string
-			circus.Unmarshal(res, &v)
-			fmt.Println(v)
+			fmt.Println(string(res))
+		case "list":
+			pairs, err := kv.DecodePairs(res)
+			if err != nil {
+				log.Fatal(err)
+			}
+			for _, p := range pairs {
+				fmt.Println(p.Key)
+			}
 		default:
-			var n uint32
-			circus.Unmarshal(res, &n)
-			fmt.Printf("ok (%d keys, %d replicas unanimous)\n", n, stub.Troupe().Degree())
-		}
-	case "list":
-		stub, err := node.Import(ctx, serviceName)
-		if err != nil {
-			log.Fatal(err)
-		}
-		args, _ := circus.Marshal(kvArgs{})
-		res, err := stub.Call(node.Context(ctx), 4, args)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var keys []string
-		circus.Unmarshal(res, &keys)
-		for _, k := range keys {
-			fmt.Println(k)
+			fmt.Printf("ok (%d replicas unanimous)\n", stub.Troupe().Degree())
 		}
 	case "members":
 		stub, err := node.Import(ctx, serviceName)

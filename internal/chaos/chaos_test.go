@@ -160,7 +160,7 @@ func TestRebindDuringReconfiguration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	args, _ := circus.Marshal(kvPair{Key: "a", Val: "1"})
+	args, _ := PutArgs("a", "1")
 	if _, err := stub.Call(ctx, ProcPut, args, circus.WithTimeout(2*time.Second)); err != nil {
 		t.Fatalf("call before reconfiguration: %v", err)
 	}
@@ -172,7 +172,7 @@ func TestRebindDuringReconfiguration(t *testing.T) {
 	}
 	cn.Binder().InvalidateAll() // the stub must not ride the local cache
 
-	args, _ = circus.Marshal(kvPair{Key: "b", Val: "2"})
+	args, _ = PutArgs("b", "2")
 	if _, err := stub.Call(ctx, ProcPut, args, circus.WithTimeout(2*time.Second)); err != nil {
 		t.Fatalf("call across reconfiguration surfaced an error: %v", err)
 	}

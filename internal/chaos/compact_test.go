@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"circus"
+	"circus/internal/kv"
 	"circus/internal/wal"
 )
 
@@ -31,7 +32,7 @@ func TestCompactionRecoveryStaysLiveKeys(t *testing.T) {
 
 	const total, live = 400, 20
 	for i := 0; i < total; i++ {
-		if err := kv.put(kvPair{Key: fmt.Sprintf("k%03d", i), Val: fmt.Sprintf("v%03d", i)}, ""); err != nil {
+		if err := put(kv, kvPair{Key: fmt.Sprintf("k%03d", i), Val: fmt.Sprintf("v%03d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -41,16 +42,16 @@ func TestCompactionRecoveryStaysLiveKeys(t *testing.T) {
 		for i := lo; i < lo+10; i++ {
 			keys = append(keys, fmt.Sprintf("k%03d", i))
 		}
-		if err := kv.del(keys, ""); err != nil {
+		if err := del(kv, keys); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Deleting an already-absent key (a retry after compaction) must
 	// still ack cleanly.
-	if err := kv.del([]string{"k000"}, ""); err != nil {
+	if err := del(kv, []string{"k000"}); err != nil {
 		t.Fatalf("retried delete of absent key: %v", err)
 	}
-	kv.snapshot() // final compaction covering the tail
+	kv.Checkpoint() // final compaction covering the tail
 	wantPos := kv.Position()
 	wantState := kv.Snapshot()
 	if len(wantState) != live {
@@ -71,7 +72,10 @@ func TestCompactionRecoveryStaysLiveKeys(t *testing.T) {
 	if rec2.Snapshot == nil {
 		t.Fatal("recovery found no snapshot")
 	}
-	var img kvImage
+	var img struct {
+		Position uint64
+		Pairs    []kvPair
+	}
 	if err := circus.Unmarshal(rec2.Snapshot, &img); err != nil {
 		t.Fatal(err)
 	}
@@ -110,15 +114,15 @@ func TestDeleteTombstonesFlowThroughDelta(t *testing.T) {
 	a, b := NewKV(), NewKV()
 	for i := 0; i < 8; i++ {
 		p := kvPair{Key: fmt.Sprintf("k%d", i), Val: "v"}
-		if err := a.put(p, ""); err != nil {
+		if err := put(a, p); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.put(p, ""); err != nil {
+		if err := put(b, p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	from := b.Position()
-	if err := a.del([]string{"k1", "k3"}, ""); err != nil {
+	if err := del(a, []string{"k1", "k3"}); err != nil {
 		t.Fatal(err)
 	}
 	dump, err := a.DumpSince(from)
@@ -132,7 +136,7 @@ func TestDeleteTombstonesFlowThroughDelta(t *testing.T) {
 	if len(pairs) != 2 || !pairs[0].Del || !pairs[1].Del {
 		t.Fatalf("delta = %+v, want two tombstones", pairs)
 	}
-	if err := b.merge(pairs); err != nil {
+	if _, err := b.Merge(pairs); err != nil {
 		t.Fatal(err)
 	}
 	got := b.Snapshot()
@@ -159,11 +163,11 @@ func TestDeleteTombstonesFlowThroughDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := c.put(kvPair{Key: fmt.Sprintf("k%d", i), Val: "v"}, ""); err != nil {
+		if err := put(c, kvPair{Key: fmt.Sprintf("k%d", i), Val: "v"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c.snapshot()
+	c.Checkpoint()
 	if _, err := c.DumpSince(5); err == nil || !strings.Contains(err.Error(), "compacted") {
 		t.Fatalf("DumpSince inside the compacted prefix: err = %v, want compacted", err)
 	}
@@ -181,4 +185,23 @@ func fileNames(t *testing.T, fs *wal.MemFS) []string {
 		t.Fatal(err)
 	}
 	return names
+}
+
+// Shorthands over the store's API for the tests of this package.
+type kvPair = kv.Pair
+
+var decodePairs = kv.DecodePairs
+
+func put(s *KV, p kvPair) error {
+	_, err := s.Write([]kvPair{p})
+	return err
+}
+
+func del(s *KV, keys []string) error {
+	batch := make([]kvPair, len(keys))
+	for i, k := range keys {
+		batch[i] = kvPair{Key: k, Del: true}
+	}
+	_, err := s.Write(batch)
+	return err
 }

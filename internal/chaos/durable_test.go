@@ -158,7 +158,7 @@ func TestCrashBetweenAppendAndFsync(t *testing.T) {
 					}
 					key := fmt.Sprintf("g%d.k%d", g, op)
 					p := kvPair{Key: key, Val: "v." + key}
-					if err := kv.put(p, ""); err == nil {
+					if err := put(kv, p); err == nil {
 						mu.Lock()
 						acked[key] = p.Val
 						mu.Unlock()
@@ -274,7 +274,7 @@ func TestDeltaRejoinTransfersDelta(t *testing.T) {
 	}
 	put := func(i int) {
 		t.Helper()
-		args, _ := circus.Marshal(kvPair{Key: fmt.Sprintf("k%03d", i), Val: fmt.Sprintf("v%03d", i)})
+		args, _ := PutArgs(fmt.Sprintf("k%03d", i), fmt.Sprintf("v%03d", i))
 		if _, err := stub.Call(ctx, ProcPut, args, circus.WithTimeout(2*time.Second)); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}

@@ -18,561 +18,119 @@
 package chaos
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"circus"
+	"circus/internal/kv"
 	"circus/internal/wal"
 )
 
-// KV procedure numbers.
+// What benchmark/ and the mesh tests use of the store, under the names
+// they know.
 const (
-	// ProcPut stores a key/value pair. Puts are idempotent per key —
-	// the chaos workload writes each key once with an immutable value —
-	// so the resilient caller's retries are safe.
-	ProcPut uint16 = 1
+	// ProcPut stores a key/value pair. The chaos workload writes each
+	// key once with an immutable value, so a put over a different value
+	// is a conflict.
+	ProcPut = kv.ProcPut
 	// ProcGet returns the value of a key, empty if absent.
-	ProcGet uint16 = 2
-	// ProcDump returns the whole map, for reconciliation and checking.
-	ProcDump uint16 = 3
-	// ProcMerge adds every entry of the argument map that is absent
-	// locally: the repair half of state transfer (§6.4.1), safe to
-	// apply in any order because keys are unique and values immutable.
-	ProcMerge uint16 = 4
-	// ProcPosition returns the member's absolute state position (apply-
-	// order entries applied ever, compacted ones included) as 8 bytes
-	// big-endian: the rejoin handshake the repairman uses to choose
-	// delta over full state transfer.
-	ProcPosition uint16 = 5
-	// ProcDumpSince returns the apply-order suffix from the argument
-	// position (8 bytes big-endian): the delta half of state transfer.
-	ProcDumpSince uint16 = 6
-	// ProcDel deletes a batch of keys (a marshaled []string). Deletes
-	// append tombstone pairs to the apply-order log — so delta transfers
-	// propagate them — and in durable mode are redo-logged and fsynced
-	// like puts. The mesh migration coordinator uses it to drop a moved
-	// key range from its old shard after the epoch flip.
-	ProcDel uint16 = 7
+	ProcGet = kv.ProcGet
 )
 
-type kvPair struct {
-	Key, Val string
-	// Del marks a tombstone: the pair records the deletion of Key, and
-	// Val is empty. Tombstones live in the apply-order log (and its WAL
-	// records) only until the next snapshot compacts them away.
-	Del bool
-}
+var (
+	// KVKeys extracts the routing key from a KV call.
+	KVKeys = kv.Keys
+	// PutArgs externalizes one put.
+	PutArgs = kv.PutArgs
+)
 
-// KV is the replicated module under test: a map plus the
+// KV is the replicated module under test: a kv.Store plus the
 // instrumentation the invariant checker needs. Executions are counted
 // per replicated call, keyed by the thread ID and call path of the
 // executing frame (§4.3.2): replicas executing the same replicated
 // call observe equal keys, and a member that executes the same
-// replicated call twice has violated exactly-once semantics.
-//
-// Besides the map the member keeps order, the apply-order log of its
-// pairs. Its length is the member's position: a rejoining member
-// reports its position and receives a peer's suffix instead of the
-// whole map (repair.go). In durable mode every state change is also
-// appended to the WAL and fsynced before the call returns, so an
-// acked write survives even a whole-troupe power loss.
+// replicated call twice has violated exactly-once semantics. The
+// instrumentation survives Restart: it belongs to the checker, not the
+// member.
 type KV struct {
-	wal *wal.Log // nil = in-memory member
-
-	// snapMu serializes snapshot compactions: the covered-prefix
-	// truncation must see the same order log the image captured.
-	snapMu sync.Mutex
+	*kv.Store
 
 	mu        sync.Mutex
-	data      map[string]string
-	order     []kvPair          // applied pairs since the last compaction
-	base      int               // apply-order entries compacted away; position = base + len(order)
-	gen       int               // bumped by Restart, so a stale compaction aborts
-	keyPos    map[string]uint64 // key -> WAL position of its redo record
 	execs     map[string]int
-	conflicts []string // put/merge collisions with a different value
+	conflicts []string // puts and merges that met a different value
 }
 
 // NewKV returns an empty instrumented in-memory store.
-func NewKV() *KV {
-	return &KV{data: make(map[string]string), keyPos: make(map[string]uint64), execs: make(map[string]int)}
-}
+func NewKV() *KV { return wrap(kv.New()) }
 
 // NewDurableKV returns a store whose acked writes are redo-logged to
 // log, first replaying what a previous incarnation left on disk.
 func NewDurableKV(log *wal.Log, rec *wal.Recovered) (*KV, error) {
-	s := NewKV()
-	s.wal = log
-	if rec != nil {
-		s.mu.Lock()
-		err := s.replayLocked(rec)
-		s.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// Restart simulates the member process dying and coming back with
-// only its disk: the in-memory state is discarded and rebuilt from
-// the WAL's snapshot and tail. In-flight appends fail with
-// wal.ErrReopened, so a write racing the crash is never acked.
-// Instrumentation (execs, conflicts) survives — it belongs to the
-// checker, not the member. No-op for in-memory members.
-func (s *KV) Restart() error {
-	if s.wal == nil {
-		return nil
-	}
-	rec, err := s.wal.Reopen()
+	s, err := kv.Open(log, rec)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.data = make(map[string]string)
-	s.order = nil
-	s.base = 0
-	s.gen++
-	s.keyPos = make(map[string]uint64)
-	return s.replayLocked(rec)
+	return wrap(s), nil
 }
 
-// kvImage is the snapshot wire format: the live pairs plus the
-// apply-order position they cover. Replaying an image costs O(live
-// keys) no matter how many puts and deletes preceded it — tombstones
-// and overwritten history are compacted away at snapshot time.
-type kvImage struct {
-	Position uint64
-	Pairs    []kvPair
-}
+func wrap(s *kv.Store) *KV { return &KV{Store: s, execs: make(map[string]int)} }
 
-// replayLocked rebuilds data and order from a recovery image: the
-// compacted snapshot (live pairs at a recorded apply position), then
-// the redo records after it.
-func (s *KV) replayLocked(rec *wal.Recovered) error {
-	if rec.Snapshot != nil {
-		var img kvImage
-		if err := circus.Unmarshal(rec.Snapshot, &img); err != nil {
-			return errors.New("chaos: garbled snapshot: " + err.Error())
-		}
-		for _, p := range img.Pairs {
-			s.applyLocked(p)
-		}
-		// The image's pairs land at the start of the rebuilt order log;
-		// base re-anchors the member's absolute position so that peers'
-		// position comparisons stay meaningful across the restart.
-		s.base = int(img.Position) - len(s.order)
-	}
-	for _, r := range rec.Records {
-		pairs, err := decodePairs(r)
-		if err != nil {
-			return err
-		}
-		for _, p := range pairs {
-			s.applyLocked(p)
-		}
-	}
-	return nil
-}
-
-// applyLocked applies one pair, reporting whether it changed state
-// and what it displaced. Replay and live puts share it, so replayed
-// state is bit-identical to what memory held.
-func (s *KV) applyLocked(p kvPair) (changed, hadOld bool, old string) {
-	if p.Del {
-		old, ok := s.data[p.Key]
-		if !ok {
-			return false, false, "" // idempotent: already gone
-		}
-		delete(s.data, p.Key)
-		s.order = append(s.order, p)
-		return true, true, old
-	}
-	if old, ok := s.data[p.Key]; ok {
-		if old == p.Val {
-			return false, true, old // idempotent duplicate
-		}
-		s.conflicts = append(s.conflicts, fmt.Sprintf("put %q: %q over %q", p.Key, p.Val, old))
-		s.data[p.Key] = p.Val
-		s.order = append(s.order, p)
-		return true, true, old
-	}
-	s.data[p.Key] = p.Val
-	s.order = append(s.order, p)
-	return true, false, ""
-}
-
-// undoLocked reverses the applyLocked of p that just happened: its
-// redo record could not be appended, so the change must not stay
-// visible (it would be acked-by-retry yet unrecoverable).
-func (s *KV) undoLocked(p kvPair, hadOld bool, old string) {
-	if n := len(s.order); n > 0 && s.order[n-1] == p {
-		s.order = s.order[:n-1]
-	}
-	if p.Del {
-		if hadOld {
-			s.data[p.Key] = old
-		}
-		return
-	}
-	if hadOld {
-		s.data[p.Key] = old
-	} else {
-		delete(s.data, p.Key)
-	}
-}
-
-// logLocked appends one redo record covering pairs and records their
-// log position, so a future retry knows what durability to wait for.
-// Called with s.mu held so the WAL order equals the apply order; the
-// fsync is awaited by the caller outside the lock.
-func (s *KV) logLocked(pairs []kvPair) (uint64, error) {
-	b, err := circus.Marshal(pairs)
-	if err != nil {
-		return 0, err
-	}
-	pos, err := s.wal.Append(b)
-	if err != nil {
-		return 0, err
-	}
-	for _, p := range pairs {
-		s.keyPos[p.Key] = pos
-	}
-	return pos, nil
-}
-
-// ackDurable awaits durability through log position target (group
-// commit batches concurrent callers under one fsync) and snapshots
-// when enough log has accumulated. Must be called before acking a
-// state change; nil error means the change is on disk. target 0 means
-// the state in question is already durable (snapshot or replay).
-func (s *KV) ackDurable(target uint64) error {
-	if s.wal == nil || target == 0 {
-		return nil
-	}
-	if err := s.wal.SyncTo(target); err != nil {
-		return err
-	}
-	if s.wal.NeedSnapshot() {
-		s.snapshot()
-	}
-	return nil
-}
-
-// snapshot writes the live state as a compacted snapshot, truncating
-// the WAL, then drops the covered apply-order prefix (tombstones
-// included) from memory. Position and state are captured under s.mu —
-// appends also happen under s.mu, so the position exactly covers the
-// captured state. The image holds live pairs only: a delete-heavy
-// history costs O(live keys) to replay, not O(operations ever).
-func (s *KV) snapshot() {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	s.mu.Lock()
-	gen := s.gen
-	pos := s.wal.Pos()
-	covered := len(s.order)
-	img := kvImage{Position: uint64(s.base + covered)}
-	img.Pairs = make([]kvPair, 0, len(s.data))
-	for k, v := range s.data {
-		img.Pairs = append(img.Pairs, kvPair{Key: k, Val: v})
-	}
-	s.mu.Unlock()
-	sort.Slice(img.Pairs, func(i, j int) bool { return img.Pairs[i].Key < img.Pairs[j].Key })
-	state, err := circus.Marshal(img)
-	if err != nil {
-		return
-	}
-	if s.wal.SnapshotAt(state, pos) != nil {
-		return // failure just delays truncation and compaction
-	}
-	s.mu.Lock()
-	if s.gen != gen {
-		// The member restarted under us: replay already rebuilt (and
-		// re-anchored) the order log, so the captured prefix is gone.
-		s.mu.Unlock()
-		return
-	}
-	// Appends that raced in since the capture stay in the suffix; only
-	// the covered prefix is compacted. Retry-durability bookkeeping for
-	// anything the snapshot covers is settled (the image is on disk), so
-	// prune keyPos entries of keys that no longer exist.
-	s.base += covered
-	s.order = append([]kvPair(nil), s.order[covered:]...)
-	for k, p := range s.keyPos {
-		if p <= pos {
-			if _, live := s.data[k]; !live {
-				delete(s.keyPos, k)
-			}
-		}
-	}
-	s.mu.Unlock()
-}
-
-// Dispatch implements circus.Module.
-func (s *KV) Dispatch(call *circus.ServerCall, proc uint16, args []byte) ([]byte, error) {
+// Dispatch implements circus.Module: the store's procedures, with puts
+// and deletes counted per call frame and conflicts recorded.
+func (k *KV) Dispatch(call *circus.ServerCall, proc uint16, args []byte) ([]byte, error) {
 	switch proc {
-	case ProcPut:
-		var p kvPair
+	case kv.ProcPut:
+		var p kv.Pair
 		if err := circus.Unmarshal(args, &p); err != nil {
 			return nil, err
 		}
-		if err := s.put(p, call.Thread().Key()); err != nil {
+		k.count(call)
+		overwritten, err := k.Write([]kv.Pair{p})
+		for _, o := range overwritten {
+			k.conflict(fmt.Sprintf("put %q: %q over %q", p.Key, p.Val, o.Val))
+		}
+		if err != nil {
 			return nil, err
 		}
 		return []byte(p.Key), nil
-	case ProcGet:
-		s.mu.Lock()
-		v := s.data[string(args)]
-		s.mu.Unlock()
-		return []byte(v), nil
-	case ProcDump:
-		return s.GetState()
-	case ProcMerge:
-		var dump []kvPair
-		if err := circus.Unmarshal(args, &dump); err != nil {
-			return nil, err
-		}
-		if err := s.merge(dump); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	case ProcDel:
-		var keys []string
-		if err := circus.Unmarshal(args, &keys); err != nil {
-			return nil, err
-		}
-		if err := s.del(keys, call.Thread().Key()); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	case ProcPosition:
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], uint64(s.Position()))
-		return b[:], nil
-	case ProcDumpSince:
-		if len(args) != 8 {
-			return nil, errors.New("chaos: dump-since wants an 8-byte position")
-		}
-		return s.DumpSince(int(binary.BigEndian.Uint64(args)))
-	default:
-		return nil, circus.ErrNoSuchProc
-	}
-}
-
-// put applies one pair and, for durable members, awaits durability
-// before acking. execKey identifies the replicated call frame for the
-// exactly-once counter; the crash-consistency test drives put directly
-// with an empty key. When the redo append itself fails the apply is
-// undone — otherwise a retry would find the value present and ack a
-// write the log cannot recover. When only the fsync fails the record
-// stays appended and keyPos remembers it, so the retry waits for that
-// exact record's durability instead of acking for free.
-func (s *KV) put(p kvPair, execKey string) error {
-	s.mu.Lock()
-	if execKey != "" {
-		s.execs[execKey]++
-	}
-	changed, hadOld, old := s.applyLocked(p)
-	var target uint64
-	if s.wal != nil {
-		if changed {
-			pos, err := s.logLocked([]kvPair{p})
-			if err != nil {
-				s.undoLocked(p, hadOld, old)
-				s.mu.Unlock()
-				return err
-			}
-			target = pos
-		} else {
-			// A retry of a write whose append succeeded but whose
-			// fsync did not: wait for its original record.
-			target = s.keyPos[p.Key]
-		}
-	}
-	s.mu.Unlock()
-	return s.ackDurable(target)
-}
-
-// del applies a batch of tombstones and, for durable members, awaits
-// their durability before acking — the mirror of put. A retry of a
-// delete whose key is already gone waits on the original tombstone
-// record's durability (keyPos), exactly like a retried put whose fsync
-// failed; if the tombstone was already compacted into a snapshot,
-// keyPos is empty and the state is durable by construction.
-func (s *KV) del(keys []string, execKey string) error {
-	s.mu.Lock()
-	if execKey != "" {
-		s.execs[execKey]++
-	}
-	var applied []kvPair
-	var olds []string
-	var target uint64
-	for _, k := range keys {
-		p := kvPair{Key: k, Del: true}
-		changed, _, old := s.applyLocked(p)
-		if changed {
-			applied = append(applied, p)
-			olds = append(olds, old)
-		} else if s.wal != nil {
-			if pos := s.keyPos[k]; pos > target {
-				target = pos
-			}
-		}
-	}
-	if s.wal != nil && len(applied) > 0 {
-		pos, err := s.logLocked(applied)
+	case kv.ProcDel:
+		k.count(call)
+	case kv.ProcMerge:
+		dump, err := kv.DecodePairs(args)
 		if err != nil {
-			for i := len(applied) - 1; i >= 0; i-- {
-				s.undoLocked(applied[i], true, olds[i])
-			}
-			s.mu.Unlock()
-			return err
+			return nil, err
 		}
-		if pos > target {
-			target = pos
+		kept, err := k.Merge(dump)
+		for _, o := range kept {
+			k.conflict(fmt.Sprintf("merge %q: kept %q over a different value", o.Key, o.Val))
 		}
+		return nil, err
 	}
-	s.mu.Unlock()
-	return s.ackDurable(target)
+	return k.Store.Dispatch(call, proc, args)
 }
 
-// merge folds a peer's pairs in — adds skipping those already present,
-// tombstones deleting what is — and in durable mode redo-logs what it
-// applied (one batch record) before returning.
-func (s *KV) merge(dump []kvPair) error {
-	s.mu.Lock()
-	var added []kvPair
-	var olds []string
-	for _, p := range dump {
-		if p.Del {
-			old, ok := s.data[p.Key]
-			if !ok {
-				continue
-			}
-			delete(s.data, p.Key)
-			s.order = append(s.order, p)
-			added = append(added, p)
-			olds = append(olds, old)
-			continue
-		}
-		if old, ok := s.data[p.Key]; ok {
-			if old != p.Val {
-				s.conflicts = append(s.conflicts, fmt.Sprintf("merge %q: %q vs %q", p.Key, p.Val, old))
-			}
-			continue
-		}
-		s.data[p.Key] = p.Val
-		s.order = append(s.order, p)
-		added = append(added, p)
-		olds = append(olds, "")
-	}
-	var target uint64
-	if s.wal != nil && len(added) > 0 {
-		pos, err := s.logLocked(added)
-		if err != nil {
-			for i := len(added) - 1; i >= 0; i-- {
-				s.undoLocked(added[i], added[i].Del, olds[i])
-			}
-			s.mu.Unlock()
-			return err
-		}
-		target = pos
-	}
-	s.mu.Unlock()
-	return s.ackDurable(target)
+func (k *KV) count(call *circus.ServerCall) {
+	k.mu.Lock()
+	k.execs[call.Thread().Key()]++
+	k.mu.Unlock()
 }
 
-// Position returns the member's absolute apply-order position — how
-// much state it has, in its own ordering, counting entries already
-// compacted into a snapshot.
-func (s *KV) Position() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.base + len(s.order)
-}
-
-// DumpSince externalizes the apply-order suffix from absolute position
-// from — the delta a briefly-absent member needs. A position beyond
-// the log yields an empty dump; a position inside the compacted prefix
-// is an error, which sends the repairman down its full-transfer path.
-func (s *KV) DumpSince(from int) ([]byte, error) {
-	s.mu.Lock()
-	if from < s.base {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("chaos: suffix from %d compacted away (base %d)", from, s.base)
-	}
-	rel := from - s.base
-	if rel > len(s.order) {
-		rel = len(s.order)
-	}
-	dump := append([]kvPair(nil), s.order[rel:]...)
-	s.mu.Unlock()
-	return circus.Marshal(dump)
-}
-
-// GetState externalizes the map (§6.4.1), sorted for determinism.
-func (s *KV) GetState() ([]byte, error) {
-	s.mu.Lock()
-	dump := make([]kvPair, 0, len(s.data))
-	for k, v := range s.data {
-		dump = append(dump, kvPair{Key: k, Val: v})
-	}
-	s.mu.Unlock()
-	sort.Slice(dump, func(i, j int) bool { return dump[i].Key < dump[j].Key })
-	return circus.Marshal(dump)
-}
-
-// SetState internalizes a peer's state by merging it (§6.4.1). Merge
-// rather than replace: a rejoining member may already have accepted
-// writes under the new binding while the transfer was in flight.
-func (s *KV) SetState(data []byte) error {
-	dump, err := decodePairs(data)
-	if err != nil {
-		return err
-	}
-	return s.merge(dump)
-}
-
-// Snapshot copies the current map.
-func (s *KV) Snapshot() map[string]string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]string, len(s.data))
-	for k, v := range s.data {
-		out[k] = v
-	}
-	return out
+func (k *KV) conflict(msg string) {
+	k.mu.Lock()
+	k.conflicts = append(k.conflicts, msg)
+	k.mu.Unlock()
 }
 
 // Violations returns this member's local invariant breaches: multiply
 // executed replicated calls and conflicting writes.
-func (s *KV) Violations() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (k *KV) Violations() []string {
+	k.mu.Lock()
+	defer k.mu.Unlock()
 	var out []string
-	for key, n := range s.execs {
+	for key, n := range k.execs {
 		if n > 1 {
 			out = append(out, fmt.Sprintf("replicated call %x executed %d times", key, n))
 		}
 	}
-	out = append(out, s.conflicts...)
-	return out
-}
-
-// WAL exposes the member's log (nil for in-memory members), for the
-// runner's stats.
-func (s *KV) WAL() *wal.Log { return s.wal }
-
-// decodePairs is shared by the repairman.
-func decodePairs(data []byte) ([]kvPair, error) {
-	var dump []kvPair
-	if err := circus.Unmarshal(data, &dump); err != nil {
-		return nil, errors.New("chaos: garbled dump: " + err.Error())
-	}
-	return dump, nil
+	return append(out, k.conflicts...)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"circus"
+	"circus/internal/kv"
 	"circus/internal/trace"
 )
 
@@ -98,7 +99,7 @@ func (r *repairman) sweep(ctx context.Context, force bool) bool {
 		// The rejoin handshake: ask the member how much state it
 		// already has before re-admitting it.
 		pos := -1
-		if b, err := direct.Call(sctx, ProcPosition, nil,
+		if b, err := direct.Call(sctx, kv.ProcPosition, nil,
 			circus.WithTimeout(150*time.Millisecond)); err == nil && len(b) == 8 {
 			pos = int(binary.BigEndian.Uint64(b))
 		}
@@ -128,7 +129,7 @@ func (r *repairman) transfer(ctx context.Context, addr circus.ModuleAddr, pos in
 		var args [8]byte
 		binary.BigEndian.PutUint64(args[:], uint64(from))
 		donor := r.node.StubFor(circus.Troupe{Members: []circus.ModuleAddr{live[0]}})
-		b, err := donor.Call(ctx, ProcDumpSince, args[:], circus.WithTimeout(300*time.Millisecond))
+		b, err := donor.Call(ctx, kv.ProcDumpSince, args[:], circus.WithTimeout(300*time.Millisecond))
 		if err != nil {
 			delta = false
 		} else {
@@ -146,14 +147,14 @@ func (r *repairman) transfer(ctx context.Context, addr circus.ModuleAddr, pos in
 			src = live[0]
 		}
 		donor := r.node.StubFor(circus.Troupe{Members: []circus.ModuleAddr{src}})
-		b, err := donor.Call(ctx, ProcDump, nil, circus.WithTimeout(300*time.Millisecond))
+		b, err := donor.Call(ctx, kv.ProcDump, nil, circus.WithTimeout(300*time.Millisecond))
 		if err != nil {
 			return // reconcile will finish the job
 		}
 		dump = b
 	}
 	direct := r.node.StubFor(circus.Troupe{Members: []circus.ModuleAddr{addr}})
-	if _, err := direct.Call(ctx, ProcMerge, dump, circus.WithTimeout(300*time.Millisecond)); err != nil {
+	if _, err := direct.Call(ctx, kv.ProcMerge, dump, circus.WithTimeout(300*time.Millisecond)); err != nil {
 		return
 	}
 	if delta {
@@ -192,7 +193,7 @@ func (r *repairman) reconcile(ctx context.Context, force bool) bool {
 	complete := true
 	for _, m := range t.Members {
 		direct := r.node.StubFor(circus.Troupe{Members: []circus.ModuleAddr{m}})
-		data, err := direct.Call(ctx, ProcDump, nil, circus.WithTimeout(300*time.Millisecond))
+		data, err := direct.Call(ctx, kv.ProcDump, nil, circus.WithTimeout(300*time.Millisecond))
 		if err != nil {
 			complete = false
 			continue
@@ -201,13 +202,13 @@ func (r *repairman) reconcile(ctx context.Context, force bool) bool {
 	}
 	// Values are write-once per key, so the union is order-free; a
 	// member holding a different value records the conflict on merge.
-	args, err := KVCodec{}.Union(dumps)
+	args, err := kv.Codec{}.Union(dumps)
 	if err != nil {
 		return false
 	}
 	for _, m := range t.Members {
 		direct := r.node.StubFor(circus.Troupe{Members: []circus.ModuleAddr{m}})
-		if _, err := direct.Call(ctx, ProcMerge, args, circus.WithTimeout(300*time.Millisecond)); err != nil {
+		if _, err := direct.Call(ctx, kv.ProcMerge, args, circus.WithTimeout(300*time.Millisecond)); err != nil {
 			complete = false
 		}
 	}
@@ -224,7 +225,7 @@ func (r *repairman) positionsAgree(ctx context.Context, members []circus.ModuleA
 	first := int64(-1)
 	for _, m := range members {
 		direct := r.node.StubFor(circus.Troupe{Members: []circus.ModuleAddr{m}})
-		b, err := direct.Call(ctx, ProcPosition, nil, circus.WithTimeout(150*time.Millisecond))
+		b, err := direct.Call(ctx, kv.ProcPosition, nil, circus.WithTimeout(150*time.Millisecond))
 		if err != nil || len(b) != 8 {
 			return false
 		}

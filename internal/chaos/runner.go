@@ -13,6 +13,7 @@ import (
 	"circus"
 	"circus/internal/chaos/linear"
 	"circus/internal/core"
+	"circus/internal/kv"
 	"circus/internal/mesh"
 	"circus/internal/trace"
 	"circus/internal/trace/check"
@@ -589,7 +590,7 @@ func (c *campaign) build() error {
 		if c.admin, err = c.newNode(nodeOpts...); err != nil {
 			return err
 		}
-		c.ctl = mesh.NewController(c.admin.Runtime(), c.admin.Binder(), service, KVCodec{})
+		c.ctl = mesh.NewController(c.admin.Runtime(), c.admin.Binder(), service, kv.Codec{})
 		c.ctl.Resilient = resilient(cfg.Seed ^ 0xc01)
 		c.ctl.MinCopyDonors = c.majority
 		// A park only protects the migration once so many members hold
@@ -671,7 +672,7 @@ func (c *campaign) caller(cl *client, ci, gi int, scheduleDone <-chan struct{}) 
 		}
 		key := fmt.Sprintf("c%d.g%d.k%d", ci, gi, op)
 		val := fmt.Sprintf("v%d.%s", cfg.Seed, key)
-		args, _ := circus.Marshal(kvPair{Key: key, Val: val})
+		args, _ := PutArgs(key, val)
 		var pend *linear.Pending
 		if c.hist != nil {
 			pend = c.hist.Invoke(who, linear.Write, key, val)

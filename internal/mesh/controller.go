@@ -11,8 +11,8 @@ import (
 
 // StateCodec adapts a shard module's own dump/merge/delete procedures
 // for the migration coordinator, which moves key ranges without
-// understanding the module's record format. The chaos KV implements
-// it over its repair procedures.
+// understanding the module's record format. kv.Codec implements it
+// over the key-value store's repair procedures.
 type StateCodec interface {
 	// Procs returns the module's dump (full state out), merge (state
 	// subset in), and delete (batch of keys) procedure numbers.

@@ -30,8 +30,8 @@ const (
 
 // Positioned is the inner-module hook of the spread read: the member's
 // absolute apply-order position, the same number the rejoin handshake
-// exchanges (chaos KV's ProcPosition, the WAL position of durable
-// stores). A module that cannot report a position cannot serve spread
+// exchanges (kv.Store's ProcPosition, re-anchored on recovery for
+// durable stores). A module that cannot report a position cannot serve spread
 // reads.
 type Positioned interface {
 	Position() int

@@ -11,6 +11,7 @@ import (
 	"circus"
 	"circus/internal/chaos"
 	"circus/internal/core"
+	"circus/internal/kv"
 	"circus/internal/mesh"
 )
 
@@ -94,7 +95,7 @@ func (f *fixture) controller() *mesh.Controller {
 		f.t.Fatal(err)
 	}
 	f.t.Cleanup(func() { n.Close() })
-	ctl := mesh.NewController(n.Runtime(), n.Binder(), "kv", chaos.KVCodec{})
+	ctl := mesh.NewController(n.Runtime(), n.Binder(), "kv", kv.Codec{})
 	ctl.Resilient = simResilient(77)
 	return ctl
 }

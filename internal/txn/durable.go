@@ -6,143 +6,34 @@
 // may optionally carry a write-ahead log: every top-level commit is
 // redo-logged and fsynced (group commit) before Commit returns, and
 // the store periodically snapshots itself so recovery replays a short
-// tail instead of history.
-//
-// Ordering is apply-then-log-then-ack: the writes land in memory and
-// the redo record is appended under the same store mutex (so log
-// order equals apply order), then the fsync is awaited outside the
-// lock, then the commit is acknowledged. Memory is primary and the
-// log trails it; the unsynced suffix of memory is exactly the
-// unacknowledged window, which the durability contract permits to
-// vanish in a crash.
+// tail instead of history. The committed state's kv.Store does all of
+// it: apply and append under one mutex (so log order equals apply
+// order), fsync outside it, undo on a failed append, snapshot, replay.
 package txn
 
 import (
-	"sort"
-
+	"circus/internal/kv"
 	"circus/internal/wal"
-	"circus/internal/wire"
 )
-
-// walWrite is one key's redo entry within a committed transaction's
-// log record.
-type walWrite struct {
-	Key string
-	Val []byte
-	Del bool
-}
 
 // OpenDurableStore builds a store whose top-level commits are
 // redo-logged to log, first replaying what a previous incarnation left
 // behind (rec, as returned by wal.Open or wal.Reopen).
 func OpenDurableStore(policy Policy, log *wal.Log, rec *wal.Recovered) (*Store, error) {
-	s := NewStore(policy)
-	s.wal = log
-	if rec != nil {
-		if err := s.Recover(rec); err != nil {
-			return nil, err
-		}
+	committed, err := kv.Open(log, rec)
+	if err != nil {
+		return nil, err
 	}
+	s := NewStore(policy)
+	s.kv = committed
 	return s, nil
 }
 
 // Recover resets the committed state to what the log holds: the
 // snapshot image, then the redo records after it, in log order. Used
-// at open and by the chaos harness after a simulated power loss.
-func (s *Store) Recover(rec *wal.Recovered) error {
-	data := make(map[string][]byte)
-	if rec.Snapshot != nil {
-		if err := wire.Unmarshal(rec.Snapshot, &data); err != nil {
-			return err
-		}
-	}
-	for _, r := range rec.Records {
-		var writes []walWrite
-		if err := wire.Unmarshal(r, &writes); err != nil {
-			return err
-		}
-		for _, w := range writes {
-			if w.Del {
-				delete(data, w.Key)
-			} else {
-				data[w.Key] = w.Val
-			}
-		}
-	}
-	s.mu.Lock()
-	s.data = data
-	// Re-base the apply-order position to the log's: one redo record
-	// per state-changing commit, so the position a member reported
-	// before the crash is never exceeded by a client token the
-	// recovered member cannot honor.
-	s.commits = rec.SnapshotPos + uint64(len(rec.Records))
-	s.mu.Unlock()
-	return nil
-}
-
-// logCommitLocked appends the redo record for a top-level commit.
-// Called with s.mu held so records are appended in apply order; the
-// append only buffers (one copy into the active segment), durability
-// waits in syncCommit.
-func (s *Store) logCommitLocked(writes map[string]*[]byte) error {
-	if s.wal == nil || len(writes) == 0 {
-		return nil
-	}
-	rec := make([]walWrite, 0, len(writes))
-	for k, vp := range writes {
-		w := walWrite{Key: k}
-		if *vp == nil {
-			w.Del = true
-		} else {
-			w.Val = *vp
-		}
-		rec = append(rec, w)
-	}
-	sort.Slice(rec, func(i, j int) bool { return rec[i].Key < rec[j].Key })
-	b, err := wire.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	_, err = s.wal.Append(b)
-	return err
-}
-
-// syncCommit awaits durability of the commit's redo record (group
-// commit batches concurrent committers under one fsync) and takes a
-// snapshot when enough log has accumulated.
-func (s *Store) syncCommit(nwrites int) error {
-	if s.wal == nil || nwrites == 0 {
-		return nil
-	}
-	if err := s.wal.Sync(); err != nil {
-		return err
-	}
-	if s.wal.NeedSnapshot() {
-		s.snapshot()
-	}
-	return nil
-}
-
-// snapshot writes the committed state as a snapshot, truncating the
-// log. Concurrent committers skip rather than queue: one snapshot in
-// flight is enough.
-func (s *Store) snapshot() {
-	if !s.snapMu.TryLock() {
-		return
-	}
-	defer s.snapMu.Unlock()
-	// Position and state are captured under s.mu; appends also happen
-	// under s.mu, so the position exactly covers the captured state.
-	s.mu.Lock()
-	pos := s.wal.Pos()
-	state, err := wire.Marshal(s.data)
-	s.mu.Unlock()
-	if err != nil {
-		return
-	}
-	_ = s.wal.SnapshotAt(state, pos) // failure just delays truncation
-}
+// after a simulated power loss.
+func (s *Store) Recover(rec *wal.Recovered) error { return s.kv.Recover(rec) }
 
 // WAL exposes the store's log (nil for in-memory stores), for stats
 // and tests.
-func (s *Store) WAL() *wal.Log { return s.wal }
+func (s *Store) WAL() *wal.Log { return s.kv.WAL() }

@@ -171,3 +171,63 @@ func TestDurableStoreFsyncFailureFailsCommit(t *testing.T) {
 		t.Fatalf("c = %q, %v", v, ok)
 	}
 }
+
+// TestDurableStoreFailedAppendUndoesCommit: when the redo record
+// cannot be appended (a full disk), the commit fails and leaves no
+// trace — neither its writes nor a position advance — since nothing on
+// disk could restore them after a crash.
+func TestDurableStoreFailedAppendUndoesCommit(t *testing.T) {
+	mfs := wal.NewMemFS(6)
+	s := openDurable(t, mfs, 0)
+	mustCommit(t, s, map[string]string{"a": "1"})
+	pos := s.Position()
+	mfs.FillDisk()
+	tx := s.Begin()
+	if err := tx.Set("a", []byte("2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Set("b", []byte("2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err == nil {
+		t.Fatal("Commit acknowledged on a full disk")
+	}
+	if v, ok := s.ReadCommitted("b"); ok {
+		t.Fatalf("b = %q visible after its commit failed", v)
+	}
+	if v, ok := s.ReadCommitted("a"); !ok || string(v) != "1" {
+		t.Fatalf("a = %q, %v after a failed overwrite; want \"1\"", v, ok)
+	}
+	if got := s.Position(); got != pos {
+		t.Fatalf("Position = %d after a failed commit, want %d", got, pos)
+	}
+	mfs.SetQuota(0)
+	mustCommit(t, s, map[string]string{"c": "3"})
+	powerLoss(t, mfs, s)
+	if v, ok := s.ReadCommitted("c"); !ok || string(v) != "3" {
+		t.Fatalf("c = %q, %v after recovery", v, ok)
+	}
+}
+
+// TestDurableSetStateSurvivesPowerLoss: state a durable member
+// received by transfer (§6.4.1) is logged like a commit, so the member
+// still holds it after a power loss.
+func TestDurableSetStateSurvivesPowerLoss(t *testing.T) {
+	src := NewStore(DetectDeadlock)
+	mustCommit(t, src, map[string]string{"x": "1", "y": "2"})
+	state, err := NewStoreModule(src, 0).GetState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mfs := wal.NewMemFS(7)
+	s := openDurable(t, mfs, 0)
+	if err := NewStoreModule(s, 0).SetState(state); err != nil {
+		t.Fatal(err)
+	}
+	powerLoss(t, mfs, s)
+	for k, want := range map[string]string{"x": "1", "y": "2"} {
+		if v, ok := s.ReadCommitted(k); !ok || string(v) != want {
+			t.Fatalf("%s = %q, %v after recovery; want %q", k, v, ok, want)
+		}
+	}
+}

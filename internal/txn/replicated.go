@@ -284,23 +284,11 @@ func (m *StoreModule) commit(call *core.ServerCall, id thread.ID, a commitArgs) 
 // store contents transfer to a joining member (§6.4.1). In-flight
 // transactions do not transfer; get_state runs as a read-only snapshot
 // of committed state.
-func (m *StoreModule) GetState() ([]byte, error) {
-	m.store.mu.Lock()
-	defer m.store.mu.Unlock()
-	return wire.Marshal(m.store.data)
-}
+func (m *StoreModule) GetState() ([]byte, error) { return m.store.kv.GetState() }
 
-// SetState implements core.StateProvider.
-func (m *StoreModule) SetState(b []byte) error {
-	data := make(map[string][]byte)
-	if err := wire.Unmarshal(b, &data); err != nil {
-		return err
-	}
-	m.store.mu.Lock()
-	m.store.data = data
-	m.store.mu.Unlock()
-	return nil
-}
+// SetState implements core.StateProvider. A durable member logs the
+// transferred state like a commit.
+func (m *StoreModule) SetState(b []byte) error { return m.store.kv.SetState(b) }
 
 // RemoteStore is the client library of the replicated transactional
 // store: it owns a coordinator module (exported on the client's

@@ -18,11 +18,14 @@ package txn
 import (
 	"errors"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"circus/internal/kv"
 	"circus/internal/trace"
-	"circus/internal/wal"
 )
 
 // ErrTxDone reports use of a committed or aborted transaction.
@@ -33,34 +36,19 @@ var ErrNotFound = errors.New("txn: key not found")
 
 // Store is a transactional in-memory object store: the state variable
 // of a module (§3.1), structured so that tentative updates can be
-// undone (§5.2).
+// undone (§5.2). Its committed state is a kv.Store, which also
+// redo-logs it for a durable store (durable.go).
 type Store struct {
-	lm *LockManager
-	tr trace.Sink // nil disables transaction tracing
-
-	// wal, when set, redo-logs every top-level commit before it is
-	// acknowledged (see durable.go); nil keeps the store lightweight.
-	wal    *wal.Log
-	snapMu sync.Mutex // serializes background snapshots
-
-	mu      sync.Mutex
-	data    map[string][]byte
-	nextTx  uint64
-	commits uint64 // state-changing top-level commits applied (see Position)
+	lm     *LockManager
+	tr     trace.Sink // nil disables transaction tracing
+	kv     *kv.Store
+	nextTx atomic.Uint64
 }
 
-// Position returns the store's apply-order position: the number of
-// state-changing top-level commits applied, aligned with the WAL
-// record position for durable stores (one redo record per such
-// commit, and recovery re-bases the counter), so it survives restarts
-// and is comparable across troupe members applying the same commit
-// sequence. This is the freshness bound mesh spread reads check
-// client position tokens against.
-func (s *Store) Position() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int(s.commits)
-}
+// Position returns the committed state's apply-order position (see
+// kv.Store.Position): it survives restarts of a durable store and is
+// comparable across troupe members applying the same commit sequence.
+func (s *Store) Position() int { return s.kv.Position() }
 
 // SetTrace installs a sink recording transaction commits and aborts
 // (and, via the lock manager, lock grants and releases). Transaction
@@ -72,10 +60,7 @@ func (s *Store) SetTrace(sink trace.Sink) {
 
 // NewStore returns an empty store using the given locking policy.
 func NewStore(policy Policy) *Store {
-	return &Store{
-		lm:   NewLockManager(policy),
-		data: make(map[string][]byte),
-	}
+	return &Store{lm: NewLockManager(policy), kv: kv.New()}
 }
 
 // txState is the lifecycle of a transaction.
@@ -107,11 +92,7 @@ type Tx struct {
 // increasing order and double as the timestamps of the wait-die
 // policy.
 func (s *Store) Begin() *Tx {
-	s.mu.Lock()
-	s.nextTx++
-	id := s.nextTx
-	s.mu.Unlock()
-	return &Tx{store: s, id: id, writes: make(map[string]*[]byte)}
+	return &Tx{store: s, id: s.nextTx.Add(1), writes: make(map[string]*[]byte)}
 }
 
 // Begin starts a subtransaction, nested dynamically like a procedure
@@ -179,13 +160,11 @@ func (t *Tx) Get(key string) ([]byte, error) {
 			return append([]byte(nil), (*vp)...), nil
 		}
 	}
-	t.store.mu.Lock()
-	v, ok := t.store.data[key]
-	t.store.mu.Unlock()
+	v, ok := t.store.kv.Get(key)
 	if !ok {
 		return nil, ErrNotFound
 	}
-	return append([]byte(nil), v...), nil
+	return []byte(v), nil
 }
 
 // Set tentatively writes a key under a write lock.
@@ -260,33 +239,24 @@ func (t *Tx) Commit() error {
 		return nil
 	}
 
-	t.store.mu.Lock()
+	// One kv batch, so one redo record that is undone if its append
+	// fails; sorted so every member logs the same record.
+	batch := make([]kv.Pair, 0, len(writes))
 	for k, vp := range writes {
 		if *vp == nil {
-			delete(t.store.data, k)
+			batch = append(batch, kv.Pair{Key: k, Del: true})
 		} else {
-			t.store.data[k] = *vp
+			batch = append(batch, kv.Pair{Key: k, Val: string(*vp)})
 		}
 	}
-	if len(writes) > 0 {
-		t.store.commits++
-	}
-	// The redo record is appended while s.mu is held so the log order
-	// equals the apply order; the fsync waits outside the lock (see
-	// durable.go). Without this, two commits could apply in one order
-	// and log in the other, and replay would diverge from memory.
-	appendErr := t.store.logCommitLocked(writes)
-	t.store.mu.Unlock()
+	slices.SortFunc(batch, func(a, b kv.Pair) int { return strings.Compare(a.Key, b.Key) })
+	_, err := t.store.kv.Write(batch)
 	if t.store.tr != nil {
 		trace.Stamp(t.store.tr, trace.Event{Kind: trace.KindTxnCommit,
 			Troupe: t.id, N: len(writes)})
 	}
-	walErr := appendErr
-	if walErr == nil {
-		walErr = t.store.syncCommit(len(writes))
-	}
 	t.store.lm.ReleaseAll(t.id)
-	return walErr
+	return err
 }
 
 // Abort undoes the transaction: tentative updates vanish without a
@@ -328,21 +298,18 @@ func (t *Tx) Abort() error {
 // committed state (used by state transfer, §6.4.1, which runs as a
 // read-only transaction; callers needing strictness should use Get).
 func (s *Store) ReadCommitted(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.data[key]
+	v, ok := s.kv.Get(key)
 	if !ok {
 		return nil, false
 	}
-	return append([]byte(nil), v...), true
+	return []byte(v), true
 }
 
 // Keys returns the committed keys in unspecified order.
 func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
+	m := s.kv.Snapshot()
+	keys := make([]string, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	return keys

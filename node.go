@@ -26,7 +26,6 @@ type nodeConfig struct {
 	binder    []ModuleAddr
 	msg       pairedmsg.Options
 	m2oWait   time.Duration
-	retention time.Duration
 	multicast bool
 	trace     []trace.Sink
 	metrics   bool
@@ -176,7 +175,6 @@ func newNode(ep transport.Endpoint, msg pairedmsg.Options, opts ...Option) (*Nod
 	rt := core.NewRuntime(ep, core.Options{
 		Message:          cfg.msg,
 		ManyToOneTimeout: cfg.m2oWait,
-		CallRetention:    cfg.retention,
 		Multicast:        cfg.multicast,
 		Trace:            trace.Multi(cfg.trace...),
 	})
