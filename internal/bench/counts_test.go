@@ -2,29 +2,35 @@ package bench
 
 import (
 	"fmt"
+	"runtime/metrics"
 	"testing"
 	"time"
 )
 
-// TestCallCounts pins the two per-call costs of a replicated echo call
-// that are exact, so no timing noise can hide a regression in them:
-// allocations and datagrams. Allocations are measured the way
-// `go test -bench NativeReplicatedCall` measures them (a serial caller
-// on an instant netsim, under testing.Benchmark): 49 at degree 3 and
-// 23 at degree 1, three above the 46 and 20 read once member legs
-// stopped being goroutines (57 and 27 before). A
+// TestCallCounts pins the per-call costs of a replicated echo call
+// that are counts, so no timing noise can hide a regression in them:
+// allocations, datagrams and goroutine wake-ups. Allocations are
+// measured the way `go test -bench NativeReplicatedCall` measures them
+// (a serial caller on an instant netsim, under testing.Benchmark): 49
+// at degree 3 and 23 at degree 1, three above the 46 and 20 read once
+// member legs stopped being goroutines (57 and 27 before). A
 // serial degree-n call is n calls and n returns, acks implicit: 6.00
-// datagrams at degree 3. Sixteen callers over a 1 ms wire share
-// bundles and acks: 3.28 when the gate was set, 9.00 before PR 5.
+// datagrams at degree 3. Wake-ups count every hand-off between
+// goroutines: 6.05 at degree 1 and 18.0 at degree 3 once dispatch
+// workers read the message layer's queue directly, 8.05 and 23.9 with
+// a fan-out goroutine between them. Sixteen callers over a 1 ms wire
+// share bundles and acks: 3.28 when the gate was set, 9.00 with
+// neither.
 func TestCallCounts(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations and slows the wire")
 	}
 	payload := []byte("0123456789abcdef")
 	for _, tc := range []struct {
-		degree    int
-		maxAllocs int64
-	}{{1, 23}, {3, 49}} {
+		degree     int
+		maxAllocs  int64
+		maxWakeups float64
+	}{{1, 23, 6.2}, {3, 49, 18.3}} {
 		t.Run(fmt.Sprintf("degree=%d", tc.degree), func(t *testing.T) {
 			c, err := NewCluster(int64(tc.degree), tc.degree, 0)
 			if err != nil {
@@ -39,21 +45,27 @@ func TestCallCounts(t *testing.T) {
 				b.ReportAllocs()
 				c.Net.ResetStats()
 				b.ResetTimer()
+				wakeups := schedules()
 				for i := 0; i < b.N; i++ {
 					if callErr = c.Call(payload); callErr != nil {
 						b.FailNow()
 					}
 				}
+				wakeups = schedules() - wakeups
 				b.StopTimer()
 				b.ReportMetric(float64(c.Net.Stats().Datagrams)/float64(b.N), "datagrams/op")
+				b.ReportMetric(float64(wakeups)/float64(b.N), "wakeups/op")
 			})
 			if callErr != nil {
 				t.Fatal(callErr)
 			}
-			allocs, dgrams := r.AllocsPerOp(), r.Extra["datagrams/op"]
-			t.Logf("%d calls: %d allocs/call, %.3f datagrams/call", r.N, allocs, dgrams)
+			allocs, dgrams, wakeups := r.AllocsPerOp(), r.Extra["datagrams/op"], r.Extra["wakeups/op"]
+			t.Logf("%d calls: %d allocs/call, %.3f datagrams/call, %.2f wake-ups/call", r.N, allocs, dgrams, wakeups)
 			if allocs > tc.maxAllocs {
 				t.Errorf("%d allocs per call, budget %d", allocs, tc.maxAllocs)
+			}
+			if wakeups > tc.maxWakeups {
+				t.Errorf("%.2f goroutine wake-ups per call, budget %.1f", wakeups, tc.maxWakeups)
 			}
 			if want := float64(2 * tc.degree); dgrams < want || dgrams > want+0.05 {
 				t.Errorf("%.3f datagrams per call, want %.2f to %.2f", dgrams, want, want+0.05)
@@ -81,4 +93,20 @@ func TestCallCounts(t *testing.T) {
 			t.Errorf("%.3f datagrams per call with %d callers, want <= 4.00", dgrams, callers)
 		}
 	})
+}
+
+// schedules estimates how many times, so far, a goroutine was made to
+// run after waiting in a run queue: every wake-up, and every hand-off
+// from one goroutine to another. The runtime records the scheduling
+// latency of one in eight of each goroutine's schedules in
+// /sched/latencies:seconds, so its total count times eight is the
+// estimate.
+func schedules() uint64 {
+	s := []metrics.Sample{{Name: "/sched/latencies:seconds"}}
+	metrics.Read(s)
+	var n uint64
+	for _, c := range s[0].Value.Float64Histogram().Counts {
+		n += c
+	}
+	return 8 * n
 }

@@ -117,7 +117,9 @@ func (o Options) withDefaults() Options {
 // Runtime is the replicated procedure call run-time system linked with
 // each user program (§4.3): it owns the paired message connection,
 // dispatches incoming calls to exported modules, and implements the
-// one-to-many and many-to-one algorithms.
+// one-to-many and many-to-one algorithms. Its dispatch workers (see
+// dispatchLoop) take each completed message straight off the
+// connection's incoming queue and hand calls to the execute pool.
 type Runtime struct {
 	conn *pairedmsg.Conn
 	opts Options
@@ -147,15 +149,6 @@ type Runtime struct {
 	calls     map[string]*serverCall
 	tombs     tombTable
 	tombTimer *time.Timer
-
-	// workers are the dispatch pool's per-worker queues, indexed by a
-	// hash of the sender address: max(4, GOMAXPROCS) of them handle
-	// incoming messages off the receive loop, so different senders'
-	// calls are parsed, collated, and answered concurrently while each
-	// sender's message stream is still handled in arrival order (the
-	// ordering the paired message layer's per-peer FIFO guarantees
-	// end-to-end).
-	workers []chan pairedmsg.Message
 
 	// execIdlers is the stack of parked execute workers; popping one
 	// under execMu transfers ownership of its one-slot channel to the
@@ -200,18 +193,13 @@ func NewRuntime(ep transport.Endpoint, opts Options) *Runtime {
 	rt.nextThread = (threadSeq.Add(1) * 0x9E3779B1) ^
 		(uint32(ep.Addr().Port) * 0x85EBCA6B) ^ threadSalt
 	rt.ctx, rt.cancel = context.WithCancel(context.Background())
-	rt.workers = make([]chan pairedmsg.Message, max(4, runtime.GOMAXPROCS(0)))
-	for i := range rt.workers {
-		ch := make(chan pairedmsg.Message, workerQueueLen)
-		rt.workers[i] = ch
-		rt.bg.Add(1)
-		go rt.dispatchLoop(ch)
-	}
 	rt.callMu.Lock()
 	rt.tombTimer = time.AfterFunc(rt.opts.CallRetention/2, rt.rotateTombs)
 	rt.callMu.Unlock()
-	rt.bg.Add(1)
-	go rt.recvLoop()
+	for i := max(4, runtime.GOMAXPROCS(0)); i > 0; i-- {
+		rt.bg.Add(1)
+		go rt.dispatchLoop()
+	}
 	return rt
 }
 
@@ -247,12 +235,6 @@ func (rt *Runtime) CallTable() CallTableStats {
 	defer rt.callMu.Unlock()
 	return CallTableStats{Live: len(rt.calls), Tombstones: rt.tombs.len(), Pending: pending}
 }
-
-// workerQueueLen is the per-worker dispatch queue depth. The receive
-// loop blocks when one sender's queue fills, which is fine: the
-// paired message layer's incoming queue above it applies its own
-// backpressure policy, and a worker drains its queue continuously.
-const workerQueueLen = 128
 
 // Addr returns the process address of this runtime.
 func (rt *Runtime) Addr() transport.Addr { return rt.conn.Addr() }
@@ -387,29 +369,17 @@ func (rt *Runtime) MessageStats() pairedmsg.Stats { return rt.conn.Stats() }
 // message-layer events.
 func (rt *Runtime) Tracer() *trace.Local { return rt.tr }
 
-func (rt *Runtime) recvLoop() {
-	defer rt.bg.Done()
-	// Distribute by sender so one sender's messages are handled in
-	// arrival order by one worker, while different senders proceed in
-	// parallel. The per-(sender, thread) execution order the collation
-	// layer depends on is therefore preserved: a sender's messages
-	// never overtake each other.
-	n := uint32(len(rt.workers))
-	for msg := range rt.conn.Incoming() {
-		h := msg.From.Host*0x9E3779B1 ^ uint32(msg.From.Port)*0x85EBCA6B
-		rt.workers[h%n] <- msg
-	}
-	for _, ch := range rt.workers {
-		close(ch)
-	}
-}
-
-// dispatchLoop is one dispatch worker: it applies the same handling
-// the receive loop would, for the subset of senders hashed to it.
-func (rt *Runtime) dispatchLoop(ch <-chan pairedmsg.Message) {
+// dispatchLoop is one dispatch worker. NewRuntime starts
+// max(4, GOMAXPROCS) of them, all reading the paired message layer's
+// one bounded incoming queue, so any worker takes the next completed
+// message from any sender: calls are parsed, collated and answered
+// concurrently, and the queue's withheld-ack backpressure is the only
+// flow control between the message layer and the call layer. The
+// loops end when Close closes the connection, which closes the queue.
+func (rt *Runtime) dispatchLoop() {
 	defer rt.bg.Done()
 	var scr msgScratch
-	for msg := range ch {
+	for msg := range rt.conn.Incoming() {
 		rt.handleMsg(msg, &scr)
 	}
 }

@@ -17,11 +17,10 @@ import (
 // exactly once and every transfer completes.
 func TestIncomingBackpressureDropAndRedeliver(t *testing.T) {
 	opts := fastOpts()
-	opts.IncomingBuffer = 1
 	opts.MaxRetries = 200 // keep senders retrying while deliveries are parked
 	p, rec := newPairTraced(t, 7, netsim.LinkConfig{}, opts)
 
-	const calls = 4
+	const calls = incomingBuffer + 3
 	transfers := make([]*outTransfer, 0, calls)
 	sent := make(map[uint32]bool, calls)
 	for i := 0; i < calls; i++ {
@@ -34,8 +33,8 @@ func TestIncomingBackpressureDropAndRedeliver(t *testing.T) {
 		sent[cn] = true
 	}
 
-	// With a 1-slot queue and no consumer, at least one assembled
-	// message must be refused and counted.
+	// With more calls than queue slots and no consumer, at least one
+	// assembled message must be refused and counted.
 	deadline := time.Now().Add(2 * time.Second)
 	for p.b.Stats().DeliveryDrops == 0 {
 		if time.Now().After(deadline) {

@@ -80,14 +80,6 @@ type Options struct {
 	// exchange is retained to suppress replay of delayed duplicate
 	// segments (§4.2.4); it is dropped within 1.5 times that.
 	CompletedTTL time.Duration
-	// IncomingBuffer is the capacity of the reassembled-message queue
-	// behind Incoming(). Zero means 256. When the queue is full a
-	// completed message is not handed up: the attempt is counted
-	// (Stats.DeliveryDrops, trace event msg.delivery-drop) and the
-	// final acknowledgment withheld, so the sender's retransmission
-	// drives a later redelivery attempt — backpressure without losing
-	// the at-most-once guarantee (see DESIGN.md "Concurrency model").
-	IncomingBuffer int
 	// AckDelay bounds how long a non-urgent acknowledgment may wait
 	// for a chance to piggyback on an outbound segment to the same
 	// peer before a cumulative standalone ack is sent. Zero derives
@@ -118,11 +110,19 @@ func (o Options) withDefaults() Options {
 	if o.CompletedTTL == 0 {
 		o.CompletedTTL = 30 * time.Second
 	}
-	if o.IncomingBuffer == 0 {
-		o.IncomingBuffer = 256
-	}
 	return o
 }
+
+// incomingBuffer is the capacity of the reassembled-message queue
+// behind Incoming(), the one queue between the message layer and the
+// call layer's dispatch workers. When it is full a completed message
+// is not handed up: the attempt is counted (Stats.DeliveryDrops, trace
+// event msg.delivery-drop) and the final acknowledgment withheld, so
+// the sender's retransmission drives a later redelivery attempt —
+// backpressure without losing the at-most-once guarantee (see
+// DESIGN.md "Concurrency model"). At 256 slots no benchmark workload
+// records a delivery drop.
+const incomingBuffer = 256
 
 // paceInFlightMin is how many transfers a session must have in flight
 // before a new transfer's segments are paced (held briefly for
@@ -674,7 +674,7 @@ func New(ep transport.Endpoint, opts Options) *Conn {
 		callBase: ((connSeq.Add(1) * 0x9E3779B1) ^ connSalt) & 0x3FFF_FFFF,
 		stop:     make(chan struct{}),
 	}
-	c.incoming = make(chan Message, c.opts.IncomingBuffer)
+	c.incoming = make(chan Message, incomingBuffer)
 	c.peers.Store(&map[transport.Addr]*session{})
 	c.tr = trace.NewLocal(c.opts.Trace, ep.Addr(), trace.NextIncarnation())
 	if d, ok := ep.(transport.Dispatcher); ok {
@@ -725,8 +725,8 @@ func (c *Conn) Addr() transport.Addr { return c.ep.Addr() }
 // Higher layers share it so one process's events carry one identity.
 func (c *Conn) Tracer() *trace.Local { return c.tr }
 
-// Incoming returns the stream of reassembled messages. The channel is
-// closed by Close.
+// Incoming returns the stream of reassembled messages. Any number of
+// goroutines may receive from it; the channel is closed by Close.
 func (c *Conn) Incoming() <-chan Message { return c.incoming }
 
 // Stats returns a snapshot of the protocol counters.
