@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -204,5 +206,52 @@ func TestCoLocatedTroupeMembers(t *testing.T) {
 	}
 	if m1.execs.Load() != 1 || m2.execs.Load() != 1 {
 		t.Fatalf("execs = %d, %d; want 1, 1", m1.execs.Load(), m2.execs.Load())
+	}
+}
+
+// TestNestedCallsBeyondWorkerCount pins the dispatch workers' liveness
+// invariant: some worker always reads the incoming queue. A middle-tier
+// member takes three times as many concurrent calls as it keeps
+// dispatch workers, and each execution blocks in a nested call to a
+// back member whose executions wait on a gate. Every worker that runs
+// a call blocks with it, so the later calls, and the nested returns
+// once the gate opens, are only read if a worker that left the queue
+// as its last reader started another.
+func TestNestedCallsBeyondWorkerCount(t *testing.T) {
+	calls := 3 * max(4, runtime.GOMAXPROCS(0))
+	net := netsim.New(86)
+	opts := fastOpts()
+	back := newRuntime(t, net, opts)
+	backTroupe, g := gate(t, []*Runtime{back}, 7)
+	middle := newRuntime(t, net, opts)
+	mod := &nestedModule{downstream: backTroupe}
+	tr := Troupe{Members: []ModuleAddr{middle.Export(mod, ExportOptions{})}}
+	driver := newRuntime(t, net, opts)
+
+	errc := make(chan error, calls)
+	for i := 0; i < calls; i++ {
+		go func() {
+			arg := []byte{byte(i)}
+			got, err := driver.Call(context.Background(), tr, 1, arg, CallOptions{})
+			if err == nil && !bytes.Equal(got, arg) {
+				err = &AppError{Msg: "cross-wired reply"}
+			}
+			errc <- err
+		}()
+	}
+	g.waitEntered(t, int64(calls))
+	g.release()
+	for i := 0; i < calls; i++ {
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d calls completed after the gate opened", i, calls)
+		}
+	}
+	if n := mod.execs.Load(); n != int64(calls) {
+		t.Fatalf("middle executed %d calls, want %d", n, calls)
 	}
 }

@@ -235,3 +235,41 @@ func TestLegGoroutines(t *testing.T) {
 	}
 	waitDrained(t, c.client)
 }
+
+// TestDispatchWorkersRetireAfterBurst bounds the dispatch workers: a
+// burst of executions parked at one member each hold a worker, and
+// once the burst is released every worker beyond max(4, GOMAXPROCS)
+// exits, so the process's goroutines return to their level before it.
+func TestDispatchWorkersRetireAfterBurst(t *testing.T) {
+	const calls, slack = 64, 4
+	c := newCluster(t, 49, 1, ExportOptions{})
+	tr, g := gate(t, c.servers, 7)
+	if _, err := c.client.Call(context.Background(), c.troupe, 1, []byte("x"), CallOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	errc := make(chan error, calls)
+	for i := 0; i < calls; i++ {
+		go func() {
+			_, err := c.client.Call(context.Background(), tr, 1, []byte("x"), CallOptions{})
+			errc <- err
+		}()
+	}
+	g.waitEntered(t, calls)
+	peak := runtime.NumGoroutine()
+	g.release()
+	for i := 0; i < calls; i++ {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before+slack {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 1 s after the burst, %d before it (%d at its peak), want <= %d",
+				runtime.NumGoroutine(), before, peak, before+slack)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Logf("goroutines: %d before the burst, %d at its peak, %d after", before, peak, runtime.NumGoroutine())
+}

@@ -119,7 +119,8 @@ func (o Options) withDefaults() Options {
 // dispatches incoming calls to exported modules, and implements the
 // one-to-many and many-to-one algorithms. Its dispatch workers (see
 // dispatchLoop) take each completed message straight off the
-// connection's incoming queue and hand calls to the execute pool.
+// connection's incoming queue, and the worker whose message readies a
+// call executes it.
 type Runtime struct {
 	conn *pairedmsg.Conn
 	opts Options
@@ -150,11 +151,10 @@ type Runtime struct {
 	tombs     tombTable
 	tombTimer *time.Timer
 
-	// execIdlers is the stack of parked execute workers; popping one
-	// under execMu transfers ownership of its one-slot channel to the
-	// caller (see maybeStart / executeBGWorker).
-	execMu     sync.Mutex
-	execIdlers []*execWorker
+	// readers counts the dispatch workers reading the incoming queue,
+	// as opposed to executing a call; at most readersMax read.
+	readers    atomic.Int32
+	readersMax int32
 
 	nextThread uint32
 	done       chan struct{}
@@ -196,9 +196,9 @@ func NewRuntime(ep transport.Endpoint, opts Options) *Runtime {
 	rt.callMu.Lock()
 	rt.tombTimer = time.AfterFunc(rt.opts.CallRetention/2, rt.rotateTombs)
 	rt.callMu.Unlock()
-	for i := max(4, runtime.GOMAXPROCS(0)); i > 0; i-- {
-		rt.bg.Add(1)
-		go rt.dispatchLoop()
+	rt.readersMax = int32(max(4, runtime.GOMAXPROCS(0)))
+	for i := rt.readersMax; i > 0; i-- {
+		rt.startWorker()
 	}
 	return rt
 }
@@ -376,11 +376,50 @@ func (rt *Runtime) Tracer() *trace.Local { return rt.tr }
 // concurrently, and the queue's withheld-ack backpressure is the only
 // flow control between the message layer and the call layer. The
 // loops end when Close closes the connection, which closes the queue.
+//
+// The worker whose message readies a call executes it, once the
+// message is released (the call record holds copies of everything it
+// needs). One invariant keeps the queue read however long modules
+// block — in a nested call, a WAL fsync, a test gate: some worker is
+// always reading it. A worker that leaves the queue as its last reader
+// starts another first, and after the call it reads again unless
+// readersMax workers already do, in which case it exits.
 func (rt *Runtime) dispatchLoop() {
 	defer rt.bg.Done()
 	var scr msgScratch
 	for msg := range rt.conn.Incoming() {
-		rt.handleMsg(msg, &scr)
+		sc := rt.handleMsg(msg, &scr)
+		if sc == nil {
+			continue
+		}
+		if rt.readers.Add(-1) == 0 {
+			rt.startWorker()
+		}
+		rt.execute(sc)
+		if !rt.rejoinReaders() {
+			return
+		}
+	}
+}
+
+// startWorker starts one more dispatch worker, counted as a reader.
+func (rt *Runtime) startWorker() {
+	rt.readers.Add(1)
+	rt.bg.Add(1)
+	go rt.dispatchLoop()
+}
+
+// rejoinReaders counts a worker that has executed a call among the
+// readers again, or reports false when readersMax already read.
+func (rt *Runtime) rejoinReaders() bool {
+	for {
+		n := rt.readers.Load()
+		if n >= rt.readersMax {
+			return false
+		}
+		if rt.readers.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
 }
 
@@ -395,10 +434,13 @@ type msgScratch struct {
 	ret  returnHeader
 }
 
-func (rt *Runtime) handleMsg(msg pairedmsg.Message, scr *msgScratch) {
+// handleMsg handles one completed message and returns the call it
+// readied, if any, for the worker to execute.
+func (rt *Runtime) handleMsg(msg pairedmsg.Message, scr *msgScratch) *serverCall {
+	var sc *serverCall
 	switch msg.Type {
 	case pairedmsg.Call:
-		rt.handleCall(msg, &scr.call)
+		sc = rt.handleCall(msg, &scr.call)
 	case pairedmsg.Return:
 		rt.handleReturn(msg, &scr.ret)
 	}
@@ -406,6 +448,7 @@ func (rt *Runtime) handleMsg(msg pairedmsg.Message, scr *msgScratch) {
 	// retains msg.Data: recycle its pooled backing (no-op when the
 	// transport delivered a fresh buffer).
 	msg.Release()
+	return sc
 }
 
 // handleReturn finishes the client leg a return message answers. The

@@ -73,17 +73,18 @@ func appendCallKey(buf []byte, tid thread.ID, path []uint32, module uint16) []by
 }
 
 // handleCall processes one incoming call message: the entry point of
-// the many-to-one algorithm (Figure 4.4). hdr is the worker's decode
-// scratch (see msgScratch); everything stored past this call is copied
-// out of it.
-func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) {
+// the many-to-one algorithm (Figure 4.4). It returns the call when this
+// message readied it, for the dispatch worker to execute. hdr is the
+// worker's decode scratch (see msgScratch); everything stored past this
+// call is copied out of it.
+func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) *serverCall {
 	// The arguments escape into the call record, so they must land in
 	// fresh storage; the path is only read (and copied if stored), so
 	// its scratch backing is reused across messages.
 	hdr.Args = nil
 	if err := wire.Unmarshal(msg.Data, hdr); err != nil {
 		rt.sendReturn(msg.From, msg.CallNum, returnHeader{Status: statusBadMessage})
-		return
+		return nil
 	}
 	tid := thread.ID{Host: hdr.ThreadHost, Proc: hdr.ThreadProc}
 
@@ -96,7 +97,7 @@ func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) {
 	rt.mu.RUnlock()
 	if !haveModule {
 		rt.sendReturn(msg.From, msg.CallNum, returnHeader{Status: statusNoModule})
-		return
+		return nil
 	}
 	// Incarnation check (§6.2): a member accepts a call only if it
 	// bears the member's current troupe ID, which is the case only if
@@ -105,7 +106,7 @@ func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) {
 	// ID means the member has not yet been registered.
 	if hdr.DestTroupe != 0 && myTroupe != 0 && TroupeID(hdr.DestTroupe) != myTroupe {
 		rt.sendReturn(msg.From, msg.CallNum, returnHeader{Status: statusBadTroupe})
-		return
+		return nil
 	}
 
 	var keyArr [64]byte
@@ -116,7 +117,7 @@ func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) {
 		if status, result, done := rt.tombs.get(key); done {
 			rt.callMu.Unlock()
 			rt.replayReturn(msg, hdr, status, result)
-			return
+			return nil
 		}
 		sc = &serverCall{hdr: *hdr, tid: tid, exp: exp}
 		// The stored header must not alias the decode scratch.
@@ -134,7 +135,7 @@ func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) {
 		status, result := sc.status, sc.result
 		sc.mu.Unlock()
 		rt.replayReturn(msg, hdr, status, result)
-		return
+		return nil
 	}
 	seen := -1
 	for i, a := range sc.callers {
@@ -150,7 +151,7 @@ func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) {
 	} else {
 		sc.callNums[seen] = msg.CallNum
 	}
-	first := len(sc.callers) == 1
+	first := seen < 0 && len(sc.callers) == 1
 	if first && hdr.ClientTroupe == 0 {
 		// An unreplicated client sends exactly one call message; no
 		// membership lookup is needed.
@@ -163,7 +164,7 @@ func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) {
 	// starts right here, and a started call needs no availability
 	// timeout at all.
 	if rt.maybeStart(sc) {
-		return
+		return sc
 	}
 	if first {
 		rt.armTimeout(sc)
@@ -174,6 +175,7 @@ func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) {
 			rt.background(func() { rt.resolveExpected(sc, ct) })
 		}
 	}
+	return nil
 }
 
 // replayReturn answers a call message that arrives after its call has
@@ -193,7 +195,8 @@ func (rt *Runtime) replayReturn(msg pairedmsg.Message, hdr *callHeader, status u
 }
 
 // resolveExpected learns how many call messages to expect as part of
-// the many-to-one call (§4.3.2).
+// the many-to-one call (§4.3.2), and executes the call if that readies
+// it.
 func (rt *Runtime) resolveExpected(sc *serverCall, clientTroupe TroupeID) {
 	expected := 1
 	if clientTroupe != 0 {
@@ -209,7 +212,9 @@ func (rt *Runtime) resolveExpected(sc *serverCall, clientTroupe TroupeID) {
 	sc.mu.Lock()
 	sc.expected = expected
 	sc.mu.Unlock()
-	rt.maybeStart(sc)
+	if rt.maybeStart(sc) {
+		rt.execute(sc)
+	}
 }
 
 // armTimeout starts execution after ManyToOneTimeout even if some
@@ -274,142 +279,32 @@ func (rt *Runtime) timeoutFire(sc *serverCall) {
 	}
 }
 
-// maybeStart begins execution once the waiting discipline of the
+// maybeStart marks the call started once the waiting discipline of the
 // module's ArgPolicy is satisfied (§4.3.4, §4.3.5). It reports whether
-// the call has started (now or earlier), so handleCall can skip arming
-// an availability timeout the call no longer needs.
+// this invocation started it, in which case the caller executes it.
 func (rt *Runtime) maybeStart(sc *serverCall) bool {
 	sc.mu.Lock()
+	defer sc.mu.Unlock()
 	var need int
 	switch sc.exp.opts.Policy {
 	case ArgFirstCome:
 		need = 1
 	case ArgMajority:
 		if sc.expected == 0 {
-			sc.mu.Unlock()
 			return false // not resolved yet
 		}
 		need = sc.expected/2 + 1
 	default: // ArgWaitAll
 		if sc.expected == 0 {
-			sc.mu.Unlock()
 			return false // not resolved yet
 		}
 		need = sc.expected
 	}
-	start := !sc.started && len(sc.callers) >= need
-	if start {
-		sc.markStartedLocked()
+	if sc.started || len(sc.callers) < need {
+		return false
 	}
-	started := sc.started
-	sc.mu.Unlock()
-	if start {
-		rt.bg.Add(1)
-		// Hand the call to a parked execute worker when one is free —
-		// reusing its goroutine — and spawn a fresh one otherwise, so
-		// blocking module code can never starve unrelated calls. A
-		// popped worker is exclusively ours and its channel has one
-		// slot, so the send never blocks.
-		if w := rt.popIdleExecWorker(); w != nil {
-			w.ch <- sc
-			return true
-		}
-		go rt.executeBGWorker(sc)
-	}
-	return started
-}
-
-// execIdleTTL is how long a finished execute worker stays parked for
-// another call before retiring.
-const execIdleTTL = 100 * time.Millisecond
-
-// execWorker is one parked execute goroutine. Its one-slot channel
-// makes the hand-off non-blocking for whoever pops it off the idle
-// stack.
-type execWorker struct {
-	ch chan *serverCall
-}
-
-// popIdleExecWorker claims a parked execute worker, or nil. Removal
-// from the stack is the ownership transfer: only the claimant may
-// send on the worker's channel, and a worker absent from the stack
-// knows a hand-off is in flight.
-func (rt *Runtime) popIdleExecWorker() *execWorker {
-	rt.execMu.Lock()
-	defer rt.execMu.Unlock()
-	n := len(rt.execIdlers)
-	if n == 0 {
-		return nil
-	}
-	w := rt.execIdlers[n-1]
-	rt.execIdlers[n-1] = nil
-	rt.execIdlers = rt.execIdlers[:n-1]
-	return w
-}
-
-// removeIdleExecWorker takes w off the idle stack, reporting false if
-// a producer already popped it (a call is about to land on w.ch).
-func (rt *Runtime) removeIdleExecWorker(w *execWorker) bool {
-	rt.execMu.Lock()
-	defer rt.execMu.Unlock()
-	for i, o := range rt.execIdlers {
-		if o == w {
-			n := len(rt.execIdlers)
-			rt.execIdlers[i] = rt.execIdlers[n-1]
-			rt.execIdlers[n-1] = nil
-			rt.execIdlers = rt.execIdlers[:n-1]
-			return true
-		}
-	}
-	return false
-}
-
-// executeBGWorker executes sc, then parks briefly as a reusable
-// execute worker. Each executed call carries its own bg token (added
-// by maybeStart, released here), so a parked worker never delays
-// Close; it exits on rt.done or after execIdleTTL without work. The
-// worker pushes itself onto the idle stack before parking — a mutex
-// op right after the reply send, so on the serial path it is visibly
-// idle long before the next call can arrive.
-func (rt *Runtime) executeBGWorker(sc *serverCall) {
-	w := &execWorker{ch: make(chan *serverCall, 1)}
-	var idle *time.Timer
-	for {
-		rt.execute(sc)
-		rt.execMu.Lock()
-		rt.execIdlers = append(rt.execIdlers, w)
-		rt.execMu.Unlock()
-		rt.bg.Done()
-		if idle == nil {
-			idle = time.NewTimer(execIdleTTL)
-		} else {
-			idle.Reset(execIdleTTL)
-		}
-		select {
-		case sc = <-w.ch:
-			if !idle.Stop() {
-				<-idle.C
-			}
-		case <-idle.C:
-			if rt.removeIdleExecWorker(w) {
-				return
-			}
-			// Popped concurrently: the hand-off is committed, so the
-			// call is (or is about to be) in the one-slot channel.
-			sc = <-w.ch
-		case <-rt.done:
-			if !idle.Stop() {
-				<-idle.C
-			}
-			if rt.removeIdleExecWorker(w) {
-				return
-			}
-			// A hand-off is in flight even though we are shutting
-			// down; execute it so its bg token is released, then the
-			// next pass of the select observes rt.done again.
-			sc = <-w.ch
-		}
-	}
+	sc.markStartedLocked()
+	return true
 }
 
 // execute performs the requested procedure exactly once and sends a
