@@ -592,10 +592,10 @@ func (c *campaign) build() error {
 		}
 		c.ctl = mesh.NewController(c.admin.Runtime(), c.admin.Binder(), service, kv.Codec{})
 		c.ctl.Resilient = resilient(cfg.Seed ^ 0xc01)
-		c.ctl.MinCopyDonors = c.majority
 		// A park only protects the migration once so many members hold
-		// it that the remaining stragglers cannot form a write quorum.
-		c.ctl.PushQuorum = c.majority
+		// it that the remaining stragglers cannot form a write quorum,
+		// and a dump from that many holds every acked write.
+		c.ctl.Quorum = c.majority
 		c.ctl.Log = func(format string, args ...any) { cfg.Log("seed %d: "+format, append([]any{cfg.Seed}, args...)...) }
 	}
 	// Each troupe's repairman, on its own machine.

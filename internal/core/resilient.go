@@ -35,12 +35,14 @@ type Backoff struct {
 	Initial time.Duration
 	// Max caps the delay. Zero means 1 second.
 	Max time.Duration
-	// Factor multiplies the delay each attempt. Zero means 2.
-	Factor float64
-	// Jitter spreads each delay uniformly over ±Jitter of its nominal
-	// value. Zero means 0.2; negative disables jitter.
-	Jitter float64
 }
+
+// The delay doubles each attempt, and each delay is spread uniformly
+// over ±20 % of its nominal value.
+const (
+	backoffFactor = 2
+	backoffJitter = 0.2
+)
 
 func (b Backoff) withDefaults() Backoff {
 	if b.Initial == 0 {
@@ -49,12 +51,6 @@ func (b Backoff) withDefaults() Backoff {
 	if b.Max == 0 {
 		b.Max = time.Second
 	}
-	if b.Factor == 0 {
-		b.Factor = 2
-	}
-	if b.Jitter == 0 {
-		b.Jitter = 0.2
-	}
 	return b
 }
 
@@ -62,7 +58,7 @@ func (b Backoff) withDefaults() Backoff {
 func (b Backoff) delay(n int) time.Duration {
 	d := float64(b.Initial)
 	for i := 1; i < n; i++ {
-		d *= b.Factor
+		d *= backoffFactor
 		if d >= float64(b.Max) {
 			break
 		}
@@ -329,12 +325,8 @@ func (c *ResilientCaller) rebind(ctx context.Context) error {
 // retry following attempt n.
 func (c *ResilientCaller) backoffDelay(n int) time.Duration {
 	d := c.opts.Backoff.delay(n)
-	j := c.opts.Backoff.Jitter
-	if j <= 0 {
-		return d
-	}
 	c.rngMu.Lock()
-	f := 1 + j*(2*c.rng.Float64()-1)
+	f := 1 + backoffJitter*(2*c.rng.Float64()-1)
 	c.rngMu.Unlock()
 	return time.Duration(float64(d) * f)
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestBackoffDelaySchedule(t *testing.T) {
-	b := Backoff{Initial: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2}.withDefaults()
+	b := Backoff{Initial: 10 * time.Millisecond, Max: 80 * time.Millisecond}.withDefaults()
 	want := []time.Duration{
 		10 * time.Millisecond,
 		20 * time.Millisecond,

@@ -31,41 +31,49 @@ type StateCodec interface {
 // Controller performs live rebalancing: splitting a shard into the
 // mesh or merging one out, while client traffic keeps flowing.
 //
-// The protocol parks the moving range rather than dual-logging it.
-// For a split of new shard B at epoch e:
+// Split and Merge run one procedure, which moves the mesh from the
+// assignment from (the shards before) to the assignment to (the shards
+// after) through a range that is parked rather than dual-logged. The
+// subject is the shard that joins (a split) or leaves (a merge); with
+// the map at epoch e:
 //
-//  1. publish e+1 = shards∪{B}, B parked, and push it to every shard
-//     troupe. From here no guard accepts a write to B's range (its
-//     old owners refuse the keys as parked; B refuses likewise), so
-//     the range is immutable.
-//  2. copy: dump each old shard, keep the pairs B now owns, merge
-//     them into B's troupe — a replicated call, so the copy is on
-//     every member of B (and fsynced, for durable members) before it
-//     is acknowledged.
-//  3. publish e+2 = shards∪{B}, nothing parked; push. Writes to the
-//     range now flow to B.
-//  4. delete the moved keys from their old shards (tombstones ride
-//     the apply-order log, so shard-internal repair propagates them).
+//  1. park: publish e+1 = from∪to with the subject parked, and push it
+//     to every shard troupe. From here no guard accepts a write to the
+//     subject's range (its owners under either assignment refuse the
+//     keys as parked), so the range is immutable.
+//  2. copy: dump the donors — every shard of from for a split, the
+//     subject alone for a merge — and merge each pair whose owner
+//     under to is another shard into that owner's troupe. Consistent
+//     hashing moves keys only onto a new shard or off a removed one,
+//     so the parked range holds every pair that moves. Each merge is a
+//     replicated call, so the copy is on every member (and fsynced,
+//     for durable members) before it is acknowledged.
+//  3. flip: publish e+2 = to, nothing parked, and push it to every
+//     shard of from∪to. Writes to the range now flow to their new
+//     owners, and the guard of a merged-away shard redirects
+//     stragglers instead of serving stale data.
+//  4. clean up: best effort, delete the moved keys from their donors
+//     (tombstones ride the apply-order log, so shard-internal repair
+//     propagates them).
 //
-// No acknowledged write is lost: every write acked before e+1 is in
-// some old shard's dump and therefore copied; during [e+1, e+2) the
-// range accepts no writes (clients see parked and retry); after e+2
-// writes land on B. If the copy fails (a shard died mid-migration),
-// the controller rolls back by publishing the original assignment at
-// a fresh epoch — the moved-so-far copies on B are unreachable
-// garbage, not lost data. If the controller itself dies (or its
-// rollback publish fails) while the published map still parks B, a
-// later Split of B finds the parked entry and resumes: re-push the
-// park, redo the copy, flip — never a phantom "already in the map"
-// success that would strand the range parked and empty.
+// No acknowledged write is lost: every write acked before e+1 is in a
+// donor's dump and therefore copied; during [e+1, e+2) the range
+// accepts no writes (clients see parked and retry); after e+2 writes
+// land on the new owners. If the copy fails (a shard died
+// mid-migration), the controller rolls back by publishing from at a
+// fresh epoch: the copies made so far are unreachable garbage, not
+// lost data.
 //
-// A merge of shard B is the mirror image: park B's range, copy B's
-// pairs to the shards that inherit them (consistent hashing moves
-// keys only off the removed shard), publish the map without B.
-//
-// Consistent hashing guarantees the only ranges that change owners
-// are those moving to (split) or off (merge) the subject shard, so
-// parking the subject's range alone suffices.
+// If the controller itself dies (or its rollback publish fails) while
+// the published map still parks the subject, the next Split or Merge
+// of that subject resumes the migration in its own direction: re-push
+// the park, redo the copy, and flip at the parked epoch + 1. So a
+// Merge cancels a split that died after its park and a Split finishes
+// it; neither reports a phantom success that would strand the range
+// parked and empty. A resumed copy that fails leaves the park
+// published instead of rolling back: the map does not say which way
+// the stuck attempt was going, so it does not say whether from or to
+// holds the range's data.
 type Controller struct {
 	rt      *core.Runtime
 	binder  *ringmaster.Client
@@ -73,24 +81,19 @@ type Controller struct {
 	codec   StateCodec
 	// Resilient configures the callers used to reach shard troupes.
 	Resilient core.ResilientOptions
-	// MinCopyDonors, when set, additionally requires at least that
-	// many members' dumps before a range copy proceeds. Set it to a
-	// majority of the shard's full degree when writes are acked by
-	// quorum (or by unanimity-of-unsuspected): the binding may have
-	// been shrunken by repair, and a dump drawn from too few members
-	// might miss an acked record the absentees hold. A refused dump
-	// fails — and rolls back — the migration, which is the safe side.
-	MinCopyDonors int
-	// PushQuorum, when set, requires that many identical answers
-	// before a map push (ProcSetShardMap) is considered installed,
-	// instead of the default unanimity-of-survivors, which is
-	// satisfied by a single live member. Set it so that fewer than a
-	// write quorum of members can remain un-parked (degree minus
-	// write quorum plus one): otherwise a park "completes" having
-	// reached too few members, and stragglers that never saw it can
-	// still form a write quorum after their state was dumped — an
-	// acked write the copy misses.
-	PushQuorum int
+	// Quorum, when set, is how many members of a shard troupe each
+	// migration step must reach. A map push (ProcSetShardMap) counts as
+	// installed only on that many identical answers, instead of the
+	// default unanimity of survivors, which one live member satisfies.
+	// A copy's dump needs at least that many members' states, besides
+	// every bound member's. Set it to the shard degree minus the write
+	// quorum plus one, so the members a step missed cannot form a write
+	// quorum: a park that reached fewer would let stragglers ack a write
+	// after their state was dumped, and a dump drawn from fewer (repair
+	// may have shrunk the binding) might miss an acked record the
+	// absentees hold. A refused dump fails, and rolls back, the
+	// migration, which is the safe side.
+	Quorum int
 	// Log, when set, receives progress lines.
 	Log func(format string, args ...any)
 }
@@ -127,8 +130,8 @@ func (c *Controller) push(ctx context.Context, m *ShardMap, shards []string) err
 		return err
 	}
 	var opts core.CallOptions
-	if c.PushQuorum > 0 {
-		opts.Collator = func(n int) collate.Collator { return collate.Quorum(n, c.PushQuorum) }
+	if c.Quorum > 0 {
+		opts.Collator = func(n int) collate.Collator { return collate.Quorum(n, c.Quorum) }
 	}
 	for _, name := range shards {
 		rc, err := c.binder.NewResilientCaller(ctx, name, c.Resilient)
@@ -174,213 +177,164 @@ func (c *Controller) dumpShard(ctx context.Context, name string) ([]byte, error)
 			dumps = append(dumps, it.Data)
 		}
 	}
-	if len(dumps) < t.Degree() || len(dumps) < c.MinCopyDonors {
+	if len(dumps) < t.Degree() || len(dumps) < c.Quorum {
 		return nil, fmt.Errorf("mesh: migration dump of %q reached %d of %d members (floor %d): refusing a partial copy",
-			name, len(dumps), t.Degree(), c.MinCopyDonors)
+			name, len(dumps), t.Degree(), c.Quorum)
 	}
 	return c.codec.Union(dumps)
 }
 
 // Split grows the mesh by newShard, an already-registered troupe
 // absent from the current map, carving its consistent-hash range out
-// of every existing shard while traffic flows.
+// of every existing shard while traffic flows. A map that parks
+// newShard is a stuck migration, which Split completes.
 func (c *Controller) Split(ctx context.Context, newShard string) error {
-	cur, err := FetchShardMap(ctx, c.binder, c.service)
-	if err != nil {
-		return err
-	}
-	// base is the assignment without newShard — the donors of the copy
-	// and the rollback target. newShard may already appear in the
-	// published map if a previous attempt parked the range and then
-	// failed before the flip (a push that never reached a partitioned
-	// shard, or a rollback whose own publish failed): that migration is
-	// stuck, not done, and must be resumed — reporting "already in the
-	// map" would strand the range parked forever, refusing its writes
-	// and owning none of its acked data.
-	base := make([]string, 0, len(cur.Shards))
-	present := false
-	for _, s := range cur.Shards {
-		if s == newShard {
-			present = true
-			continue
-		}
-		base = append(base, s)
-	}
-	parkedAlready := false
-	for _, p := range cur.Parked {
-		if p == newShard {
-			parkedAlready = true
-		}
-	}
-	if present && !parkedAlready {
-		return fmt.Errorf("mesh: shard %q already in the map", newShard)
-	}
-
-	// Step 1: park the moving range (or resume a park already
-	// published — the range has been immutable since, so skipping
-	// straight to the copy is safe).
-	var grown *ShardMap
-	if present {
-		grown = cur
-		// The stuck attempt may have died before its park push reached
-		// every member; the park only protects the copy once every
-		// guard holds it, so re-push before touching any state.
-		if err := c.push(ctx, grown, grown.Shards); err != nil {
-			return err
-		}
-		c.logf("mesh: split %s: resuming parked migration at epoch %d", newShard, cur.Epoch)
-	} else {
-		grown = &ShardMap{Service: c.service, Epoch: cur.Epoch + 1, Vnodes: cur.Vnodes,
-			Shards: append(append([]string(nil), base...), newShard),
-			Parked: []string{newShard}}
-		if err := c.publishNext(ctx, grown, grown.Shards); err != nil {
-			return err
-		}
-		c.logf("mesh: split %s: epoch %d published, %s parked", newShard, grown.Epoch, newShard)
-	}
-
-	// Step 2: copy the range. A failure here rolls the map back — the
-	// range never unparked, so nothing acked can be lost.
-	ring := grown.Ring()
-	moved := make(map[string][]string) // source shard -> keys moved off it
-	_, mergeProc, delProc := c.codec.Procs()
-	copyRange := func() error {
-		for _, src := range base {
-			dump, err := c.dumpShard(ctx, src)
-			if err != nil {
-				return err
-			}
-			subset, keys, err := c.codec.Filter(dump, func(k string) bool { return ring.Owner(k) == newShard })
-			if err != nil {
-				return err
-			}
-			if len(keys) == 0 {
-				continue
-			}
-			rc, err := c.binder.NewResilientCaller(ctx, newShard, c.Resilient)
-			if err != nil {
-				return err
-			}
-			if _, err := rc.Call(ctx, mergeProc, subset, core.CallOptions{}); err != nil {
-				return fmt.Errorf("mesh: copying %d keys from %q to %q: %w", len(keys), src, newShard, err)
-			}
-			moved[src] = keys
-			c.logf("mesh: split %s: copied %d keys from %s", newShard, len(keys), src)
-		}
-		return nil
-	}
-	if err := copyRange(); err != nil {
-		rollback := &ShardMap{Service: c.service, Epoch: grown.Epoch + 1, Vnodes: cur.Vnodes,
-			Shards: append([]string(nil), base...)}
-		if rerr := c.publishNext(ctx, rollback, grown.Shards); rerr != nil {
-			return fmt.Errorf("mesh: split %q failed (%v) and rollback failed: %w", newShard, err, rerr)
-		}
-		c.logf("mesh: split %s: rolled back to original assignment at epoch %d", newShard, rollback.Epoch)
-		return fmt.Errorf("mesh: split %q rolled back: %w", newShard, err)
-	}
-
-	// Step 3: unpark — the epoch flip that makes B the range's owner.
-	flipped := &ShardMap{Service: c.service, Epoch: grown.Epoch + 1, Vnodes: cur.Vnodes,
-		Shards: append([]string(nil), grown.Shards...)}
-	if err := c.publishNext(ctx, flipped, flipped.Shards); err != nil {
-		return err
-	}
-	c.logf("mesh: split %s: epoch %d live", newShard, flipped.Epoch)
-
-	// Step 4: drop the moved keys from their old owners. Best effort —
-	// a leftover copy is unreachable behind the wrong-shard check and
-	// costs only space.
-	for src, keys := range moved {
-		args, err := c.codec.EncodeKeys(keys)
-		if err != nil {
-			return err
-		}
-		rc, err := c.binder.NewResilientCaller(ctx, src, c.Resilient)
-		if err != nil {
-			continue
-		}
-		if _, err := rc.Call(ctx, delProc, args, core.CallOptions{}); err != nil {
-			c.logf("mesh: split %s: cleanup at %s failed (stale copies remain): %v", newShard, src, err)
-		}
-	}
-	return nil
+	return c.migrate(ctx, newShard, true)
 }
 
 // Merge shrinks the mesh by victim: its range is parked, its pairs
 // are copied to the shards that inherit them, and the map without it
 // is published. The victim troupe itself is left registered; retiring
-// it is the caller's decision.
+// it is the caller's decision. A map that parks victim is a stuck
+// migration, which Merge cancels.
 func (c *Controller) Merge(ctx context.Context, victim string) error {
+	return c.migrate(ctx, victim, false)
+}
+
+// migrate moves the mesh from the published assignment to the one with
+// subject added (grow) or removed, by the park, copy, flip and clean-up
+// steps of the Controller comment, resuming a published park of
+// subject in either direction.
+func (c *Controller) migrate(ctx context.Context, subject string, grow bool) error {
 	cur, err := FetchShardMap(ctx, c.binder, c.service)
 	if err != nil {
 		return err
 	}
-	rest := make([]string, 0, len(cur.Shards))
+	verb := "merge"
+	if grow {
+		verb = "split"
+	}
+	others := make([]string, 0, len(cur.Shards))
 	for _, s := range cur.Shards {
-		if s != victim {
-			rest = append(rest, s)
+		if s != subject {
+			others = append(others, s)
 		}
 	}
-	if len(rest) == len(cur.Shards) {
-		return fmt.Errorf("mesh: shard %q not in the map", victim)
+	present, resume := len(others) < len(cur.Shards), cur.IsParked(subject)
+	switch {
+	case grow && present && !resume:
+		return fmt.Errorf("mesh: shard %q already in the map", subject)
+	case !grow && !present:
+		return fmt.Errorf("mesh: shard %q not in the map", subject)
+	case !grow && len(others) == 0:
+		return fmt.Errorf("mesh: refusing to merge away the last shard %q", subject)
 	}
-	if len(rest) == 0 {
-		return fmt.Errorf("mesh: refusing to merge away the last shard %q", victim)
+	wide := cur.Shards
+	if !present {
+		wide = append(others[:len(others):len(others)], subject)
+	}
+	from, to, donors := others, wide, others
+	if !grow {
+		from, to, donors = wide, others, []string{subject}
 	}
 
-	// Step 1: park the victim's range.
-	parked := &ShardMap{Service: c.service, Epoch: cur.Epoch + 1, Vnodes: cur.Vnodes,
-		Shards: append([]string(nil), cur.Shards...), Parked: []string{victim}}
-	if err := c.publishNext(ctx, parked, parked.Shards); err != nil {
+	// Park the subject's range, or resume a park already published:
+	// the range has been immutable since, but the stuck attempt may
+	// have died before its push reached every member, and the park
+	// only protects the copy once every guard holds it.
+	parked := cur
+	if resume {
+		if err := c.push(ctx, parked, wide); err != nil {
+			return err
+		}
+		c.logf("mesh: %s %s: resuming parked migration at epoch %d", verb, subject, parked.Epoch)
+	} else {
+		parked = &ShardMap{Service: c.service, Epoch: cur.Epoch + 1, Vnodes: cur.Vnodes,
+			Shards: wide, Parked: []string{subject}}
+		if err := c.publishNext(ctx, parked, wide); err != nil {
+			return err
+		}
+		c.logf("mesh: %s %s: epoch %d published, %s parked", verb, subject, parked.Epoch, subject)
+	}
+	next := func(shards []string) *ShardMap {
+		return &ShardMap{Service: c.service, Epoch: parked.Epoch + 1, Vnodes: cur.Vnodes, Shards: shards}
+	}
+
+	// Copy the pairs that change owner. A failure rolls the map back
+	// (the range never unparked, so nothing acked can be lost), except
+	// on a resume, where only a completed copy makes either assignment
+	// safe to publish.
+	moved, err := c.copyMoved(ctx, donors, to, cur.Vnodes)
+	if err != nil && resume {
+		return fmt.Errorf("mesh: %s %q left parked at epoch %d: %w", verb, subject, parked.Epoch, err)
+	}
+	if err != nil {
+		if rerr := c.publishNext(ctx, next(from), wide); rerr != nil {
+			return fmt.Errorf("mesh: %s %q failed (%v) and rollback failed: %w", verb, subject, err, rerr)
+		}
+		c.logf("mesh: %s %s: rolled back at epoch %d", verb, subject, parked.Epoch+1)
+		return fmt.Errorf("mesh: %s %q rolled back: %w", verb, subject, err)
+	}
+
+	// Flip: the epoch that hands the range to its new owners.
+	if err := c.publishNext(ctx, next(to), wide); err != nil {
 		return err
 	}
-	c.logf("mesh: merge %s: epoch %d published, %s parked", victim, parked.Epoch, victim)
+	c.logf("mesh: %s %s: epoch %d live on %d shards", verb, subject, parked.Epoch+1, len(to))
 
-	// Step 2: copy the victim's pairs to their inheritors under the
-	// shrunken ring.
-	restRing := NewRing(rest, cur.Vnodes)
-	_, mergeProc, _ := c.codec.Procs()
-	copyOut := func() error {
-		dump, err := c.dumpShard(ctx, victim)
+	// Drop the moved keys from their donors. Best effort: a leftover
+	// copy is unreachable behind the wrong-shard check and costs only
+	// space.
+	_, _, delProc := c.codec.Procs()
+	for donor, keys := range moved {
+		args, err := c.codec.EncodeKeys(keys)
 		if err != nil {
 			return err
 		}
-		for _, heir := range rest {
-			subset, keys, err := c.codec.Filter(dump, func(k string) bool { return restRing.Owner(k) == heir })
+		rc, err := c.binder.NewResilientCaller(ctx, donor, c.Resilient)
+		if err != nil {
+			continue
+		}
+		if _, err := rc.Call(ctx, delProc, args, core.CallOptions{}); err != nil {
+			c.logf("mesh: %s %s: cleanup at %s failed (stale copies remain): %v", verb, subject, donor, err)
+		}
+	}
+	return nil
+}
+
+// copyMoved dumps each donor and merges every pair that the ring of
+// to assigns to another shard into that shard's troupe. It returns the
+// keys moved off each donor.
+func (c *Controller) copyMoved(ctx context.Context, donors, to []string, vnodes int) (map[string][]string, error) {
+	ring := NewRing(to, vnodes)
+	_, mergeProc, _ := c.codec.Procs()
+	moved := make(map[string][]string)
+	for _, donor := range donors {
+		dump, err := c.dumpShard(ctx, donor)
+		if err != nil {
+			return nil, err
+		}
+		for _, heir := range to {
+			if heir == donor {
+				continue
+			}
+			subset, keys, err := c.codec.Filter(dump, func(k string) bool { return ring.Owner(k) == heir })
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if len(keys) == 0 {
 				continue
 			}
 			rc, err := c.binder.NewResilientCaller(ctx, heir, c.Resilient)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if _, err := rc.Call(ctx, mergeProc, subset, core.CallOptions{}); err != nil {
-				return fmt.Errorf("mesh: moving %d keys from %q to %q: %w", len(keys), victim, heir, err)
+				return nil, fmt.Errorf("mesh: copying %d keys from %q to %q: %w", len(keys), donor, heir, err)
 			}
-			c.logf("mesh: merge %s: moved %d keys to %s", victim, len(keys), heir)
+			moved[donor] = append(moved[donor], keys...)
+			c.logf("mesh: copied %d keys from %s to %s", len(keys), donor, heir)
 		}
-		return nil
 	}
-	if err := copyOut(); err != nil {
-		rollback := &ShardMap{Service: c.service, Epoch: parked.Epoch + 1, Vnodes: cur.Vnodes,
-			Shards: append([]string(nil), cur.Shards...)}
-		if rerr := c.publishNext(ctx, rollback, rollback.Shards); rerr != nil {
-			return fmt.Errorf("mesh: merge %q failed (%v) and rollback failed: %w", victim, err, rerr)
-		}
-		c.logf("mesh: merge %s: rolled back at epoch %d", victim, rollback.Epoch)
-		return fmt.Errorf("mesh: merge %q rolled back: %w", victim, err)
-	}
-
-	// Step 3: publish the map without the victim. The victim's guard
-	// gets the push too, so straggler clients are redirected rather
-	// than served stale data.
-	shrunk := &ShardMap{Service: c.service, Epoch: parked.Epoch + 1, Vnodes: cur.Vnodes, Shards: rest}
-	if err := c.publishNext(ctx, shrunk, cur.Shards); err != nil {
-		return err
-	}
-	c.logf("mesh: merge %s: epoch %d live on %d shards", victim, shrunk.Epoch, len(rest))
-	return nil
+	return moved, nil
 }

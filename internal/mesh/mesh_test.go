@@ -530,26 +530,107 @@ func TestMeshTroupeReplaced(t *testing.T) {
 	}
 }
 
-// TestMeshSplitResumesParked covers the stuck-migration state: a split
-// attempt that published the park epoch but then died before its push
-// reached any guard (or before the copy and flip) leaves the new shard
-// present-but-parked in the binder's map. A later Split of the same
-// shard must resume that migration — re-push the park, copy the range,
-// flip — not report "already in the map": a phantom success there
-// strands the range parked forever, owning none of its acked data.
+// TestMeshSplitResumesParked covers the stuck-migration state: an
+// attempt that published its park epoch but then died before its push
+// reached any guard (or before the copy and flip) leaves the subject
+// shard present but parked in the binder's map. Whichever way the stuck
+// attempt was going, a Split of the parked shard must complete it
+// with the shard in, and a Merge with the shard out: re-push the park,
+// copy, and flip at the parked epoch + 1, losing no acked write. A
+// phantom "already in the map" would strand the range parked forever,
+// and a second park would leave the stuck one behind.
 func TestMeshSplitResumesParked(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		stuckSplit bool // the stuck attempt was a split: kv/s2 held no range before its park
+		grow       bool // resume with Split, else Merge
+	}{
+		{"split-park/Split", true, true},
+		{"split-park/Merge", true, false},
+		{"merge-park/Split", false, true},
+		{"merge-park/Merge", false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			f, c, stuck, acked := parkedFixture(t, tc.stuckSplit)
+			ctl := f.controller()
+			ctl.Log = t.Logf
+			var err error
+			if tc.grow {
+				err = ctl.Split(ctx, "kv/s2")
+			} else {
+				err = ctl.Merge(ctx, "kv/s2")
+			}
+			if err != nil {
+				t.Fatalf("did not complete the parked migration: %v", err)
+			}
+
+			final, err := mesh.FetchShardMap(ctx, f.admin.Binder(), "kv")
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantShards := 2
+			if tc.grow {
+				wantShards = 3
+			}
+			if len(final.Shards) != wantShards || len(final.Parked) != 0 || final.Epoch != stuck.Epoch+1 {
+				t.Fatalf("final map after resume: %+v", final)
+			}
+
+			// Every acked key reads back through routing (the client's
+			// stale cache reconciles via refusals), and a key that changed
+			// owner is on every member of its new owner: the copy ran.
+			before := mesh.NewRing(stuck.Shards, stuck.Vnodes)
+			if tc.stuckSplit {
+				before = mesh.NewRing([]string{"kv/s0", "kv/s1"}, stuck.Vnodes)
+			}
+			ring := final.Ring()
+			moved := 0
+			for k, v := range acked {
+				if got, err := get(ctx, c, k); err != nil || got != v {
+					t.Fatalf("acked write lost after resume: %s = %q, %v", k, got, err)
+				}
+				owner := ring.Owner(k)
+				if owner == before.Owner(k) {
+					continue
+				}
+				moved++
+				for i, kv := range f.shards[owner].kvs {
+					if kv.Snapshot()[k] != v {
+						t.Fatalf("moved key %s missing from %s member %d", k, owner, i)
+					}
+				}
+			}
+			if tc.stuckSplit == tc.grow && moved == 0 {
+				t.Fatal("resumed migration moved no keys")
+			}
+			t.Logf("resume: %d/%d keys changed owner", moved, len(acked))
+		})
+	}
+}
+
+// parkedFixture builds the stuck state TestMeshSplitResumesParked and
+// TestMeshResumeFailureStaysParked start from: 120 keys acked, then a
+// map parking kv/s2 published at the next epoch, as a split
+// (stuckSplit: kv/s2 joins, holding nothing) or a merge (kv/s2 leaves,
+// holding its range) would publish it, with no guard told and no state
+// moved.
+func parkedFixture(t *testing.T, stuckSplit bool) (*fixture, *mesh.Client, *mesh.ShardMap, map[string]string) {
 	ctx := context.Background()
 	f := newFixture(t, 23)
-	f.addShard("kv/s0")
-	f.addShard("kv/s1")
-	ctl := f.controller()
-	ctl.Log = t.Logf
-	boot, err := ctl.Bootstrap(ctx, []string{"kv/s0", "kv/s1"}, 0)
+	all := []string{"kv/s0", "kv/s1", "kv/s2"}
+	for _, s := range all {
+		f.addShard(s)
+	}
+	initial := all
+	if stuckSplit {
+		initial = all[:2]
+	}
+	boot, err := f.controller().Bootstrap(ctx, initial, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := f.client(ctx, 5)
-
 	acked := map[string]string{}
 	for i := 0; i < 120; i++ {
 		k, v := fmt.Sprintf("pre.k%03d", i), fmt.Sprintf("v%03d", i)
@@ -558,49 +639,49 @@ func TestMeshSplitResumesParked(t *testing.T) {
 		}
 		acked[k] = v
 	}
-
-	// The stuck attempt: the parked map reached the binder, no guard
-	// ever saw it, no state moved.
-	f.addShard("kv/s2")
 	stuck := &mesh.ShardMap{Service: "kv", Epoch: boot.Epoch + 1, Vnodes: boot.Vnodes,
-		Shards: []string{"kv/s0", "kv/s1", "kv/s2"}, Parked: []string{"kv/s2"}}
+		Shards: all, Parked: []string{"kv/s2"}}
 	if err := mesh.PublishMap(ctx, f.admin.Binder(), stuck); err != nil {
 		t.Fatal(err)
 	}
+	return f, c, stuck, acked
+}
 
-	if err := ctl.Split(ctx, "kv/s2"); err != nil {
-		t.Fatalf("split did not resume the parked migration: %v", err)
+// TestMeshResumeFailureStaysParked pins what a resumed migration does
+// when its copy fails: nothing. The map alone does not say which way
+// the stuck attempt was going, so it does not say which assignment
+// holds the parked range's data; rolling back to the map without the
+// subject would hand a stuck merge's range to shards that never got
+// it. Here the stuck attempt is a merge, so kv/s2 holds its range, and
+// a Split's copy fails on a donor with a member down: the park must
+// stay published, and once the member is back a Split completes with
+// every acked write.
+func TestMeshResumeFailureStaysParked(t *testing.T) {
+	ctx := context.Background()
+	f, c, stuck, acked := parkedFixture(t, false)
+	ctl := f.controller()
+	ctl.Log = t.Logf
+	ctl.Quorum = 2 // the park re-push succeeds, the dump does not
+	down := f.shards["kv/s0"].nodes[2]
+	f.sim.Crash(down)
+	if err := ctl.Split(ctx, "kv/s2"); err == nil {
+		t.Fatal("split succeeded with a donor member down")
 	}
-
-	final, err := mesh.FetchShardMap(ctx, f.admin.Binder(), "kv")
+	m, err := mesh.FetchShardMap(ctx, f.admin.Binder(), "kv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(final.Shards) != 3 || final.IsParked("kv/s2") || final.Epoch != stuck.Epoch+1 {
-		t.Fatalf("final map after resume: %+v", final)
+	if m.Epoch != stuck.Epoch || !m.IsParked("kv/s2") {
+		t.Fatalf("failed resume published %+v; want the park at epoch %d kept", m, stuck.Epoch)
 	}
 
-	// The copy really ran: every acked key the grown ring assigns to
-	// kv/s2 is on its members, and every key still reads back through
-	// routing (stale client cache reconciles via refusals).
-	ring := final.Ring()
-	ownedByNew := 0
+	f.sim.Restart(down)
+	if err := ctl.Split(ctx, "kv/s2"); err != nil {
+		t.Fatalf("split after restart: %v", err)
+	}
 	for k, v := range acked {
 		if got, err := get(ctx, c, k); err != nil || got != v {
-			t.Fatalf("acked write lost after resumed split: %s = %q, %v", k, got, err)
-		}
-		if ring.Owner(k) != "kv/s2" {
-			continue
-		}
-		ownedByNew++
-		for i, kv := range f.shards["kv/s2"].kvs {
-			if kv.Snapshot()[k] != v {
-				t.Fatalf("moved key %s missing from kv/s2 member %d", k, i)
-			}
+			t.Fatalf("acked write lost: %s = %q, %v", k, got, err)
 		}
 	}
-	if ownedByNew == 0 {
-		t.Fatal("resumed split moved no keys to the new shard")
-	}
-	t.Logf("resumed split: %d/%d keys now on kv/s2", ownedByNew, len(acked))
 }

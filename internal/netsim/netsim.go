@@ -215,11 +215,15 @@ func (n *Network) Inject(pkt transport.Packet) {
 const recvBuffer = 4096
 
 // Endpoint is a simulated datagram socket bound to one host and port.
+// Delivered datagrams wait on its receive channel: for Recv's reader,
+// or for the one goroutine SetHandler starts to drain it into the
+// handler.
 type Endpoint struct {
-	net    *Network
-	addr   transport.Addr
-	recv   chan transport.Packet
-	closed bool // guarded by net.mu
+	net     *Network
+	addr    transport.Addr
+	recv    chan transport.Packet
+	drained chan struct{} // closed when the drain goroutine returns; guarded by net.mu
+	closed  bool          // guarded by net.mu
 }
 
 var (
@@ -263,19 +267,47 @@ func (e transportError) Error() string { return "netsim: " + string(e) }
 // Addr returns the bound address.
 func (e *Endpoint) Addr() transport.Addr { return e.addr }
 
-// Recv returns the incoming datagram channel.
+// Recv returns the incoming datagram channel, for readers that install
+// no handler.
 func (e *Endpoint) Recv() <-chan transport.Packet { return e.recv }
 
-// Close unbinds the endpoint and closes its receive channel.
-func (e *Endpoint) Close() error {
-	e.net.mu.Lock()
-	defer e.net.mu.Unlock()
-	if e.closed {
-		return nil
+// SetHandler installs fn as the exclusive delivery path: it starts one
+// goroutine that drains the receive channel into fn, one packet at a
+// time in arrival order. Call it at most once.
+func (e *Endpoint) SetHandler(fn func(transport.Packet)) {
+	n := e.net
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !e.closed {
+		e.drained = make(chan struct{})
+		go e.drain(fn, e.drained)
 	}
-	e.closed = true
-	delete(e.net.endpoints, e.addr)
-	close(e.recv)
+}
+
+func (e *Endpoint) drain(fn func(transport.Packet), done chan struct{}) {
+	defer close(done)
+	for pkt := range e.recv {
+		fn(pkt)
+	}
+}
+
+// Close unbinds the endpoint and closes its receive channel. With a
+// handler installed, it then waits for the drain goroutine to hand up
+// what was queued, so the handler never runs after Close returns;
+// Close must not be called from the handler.
+func (e *Endpoint) Close() error {
+	n := e.net
+	n.mu.Lock()
+	if !e.closed {
+		e.closed = true
+		delete(n.endpoints, e.addr)
+		close(e.recv)
+	}
+	drained := e.drained
+	n.mu.Unlock()
+	if drained != nil {
+		<-drained
+	}
 	return nil
 }
 

@@ -677,18 +677,10 @@ func New(ep transport.Endpoint, opts Options) *Conn {
 	c.incoming = make(chan Message, incomingBuffer)
 	c.peers.Store(&map[transport.Addr]*session{})
 	c.tr = trace.NewLocal(c.opts.Trace, ep.Addr(), trace.NextIncarnation())
-	if d, ok := ep.(transport.Dispatcher); ok {
-		// The endpoint invokes the protocol directly from its drain
-		// goroutines, skipping the Recv channel and its per-datagram
-		// goroutine wake. netsim endpoints cannot, so recvLoop stays.
-		d.SetHandler(c.handlePacket)
-		c.wg.Add(1)
-		go c.timerLoop()
-	} else {
-		c.wg.Add(2)
-		go c.recvLoop()
-		go c.timerLoop()
-	}
+	// The endpoint's own receive goroutine runs the protocol.
+	ep.SetHandler(c.handlePacket)
+	c.wg.Add(1)
+	go c.timerLoop()
 	return c
 }
 
@@ -1093,18 +1085,11 @@ func (c *Conn) Abandon(to transport.Addr, callNum uint32) {
 	s.mu.Unlock()
 }
 
-func (c *Conn) recvLoop() {
-	defer c.wg.Done()
-	for pkt := range c.ep.Recv() {
-		c.handlePacket(pkt)
-	}
-}
-
-// handlePacket processes one incoming datagram — the receive entry
-// point for both the Recv-channel loop and a Dispatcher endpoint's
-// drain goroutines — and releases the packet's pooled buffer (if any)
-// when done. Segments stored for reassembly retain their own reference
-// first, so the release here only ends the packet-wide hold.
+// handlePacket processes one incoming datagram — the handler the
+// endpoint's receive goroutine invokes — and releases the packet's
+// pooled buffer (if any) when done. Segments stored for reassembly
+// retain their own reference first, so the release here only ends the
+// packet-wide hold.
 func (c *Conn) handlePacket(pkt transport.Packet) {
 	if len(pkt.Data) > 0 && pkt.Data[0] == bundleMagic {
 		// A coalesced datagram: unpack and handle each segment in

@@ -48,7 +48,7 @@ func FuzzSegmentReassembly(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Drive the pure reassembly bookkeeping the way recvLoop does.
+		// Drive the pure reassembly bookkeeping the way handlePacket does.
 		in := &inTransfer{total: int(h.totalSegs), segs: make([][]byte, int(h.totalSegs)+1)}
 		if int(h.segNum) >= 1 && int(h.segNum) <= in.total {
 			seg := make([]byte, len(payload))
@@ -108,7 +108,7 @@ func FuzzBundleDecode(f *testing.F) {
 			t.Fatalf("yielded frames span %d bytes of a %d-byte bundle", total, len(data))
 		}
 		// Every yielded frame must survive the segment decoder without
-		// panicking, the way recvLoop consumes them.
+		// panicking, the way handlePacket consumes them.
 		for _, fr := range frames {
 			decodeSegment(fr)
 		}

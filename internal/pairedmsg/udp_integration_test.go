@@ -13,9 +13,9 @@ import (
 // forEachUDPPair runs f, in a subtest named after udptrans.Listen,
 // over two Conns wired across real loopback sockets from the Listen
 // that circus.ListenUDP — the two binaries and the benchmark's echo_udp
-// — binds. The endpoint implements transport.Dispatcher, so this
-// exercises handler delivery (recvmmsg into pooled buffers, no recv
-// channel) and the sendmmsg batch sender end to end.
+// — binds. This exercises the endpoint's handler delivery (recvmmsg
+// into pooled buffers, no recv channel) and the sendmmsg batch sender
+// end to end.
 func forEachUDPPair(t *testing.T, opts Options, f func(t *testing.T, a, b *Conn)) {
 	t.Run("Listen", func(t *testing.T) {
 		epA, err := udptrans.Listen(0)

@@ -66,7 +66,7 @@ var ErrTooLarge = errors.New("transport: datagram exceeds maximum size")
 // Endpoint is a bound datagram socket. Implementations must make Send
 // non-blocking with respect to the receiver (datagrams are queued or
 // dropped, never flow-controlled) and must deliver incoming datagrams
-// on the channel returned by Recv until Close.
+// to the handler installed by SetHandler until Close.
 type Endpoint interface {
 	// Addr returns the local address the endpoint is bound to.
 	Addr() Addr
@@ -78,9 +78,14 @@ type Endpoint interface {
 	// (the paired message layer sends from pooled buffers).
 	Send(to Addr, data []byte) error
 
-	// Recv returns the channel of incoming datagrams. The channel is
-	// closed when the endpoint is closed.
-	Recv() <-chan Packet
+	// SetHandler installs fn as the endpoint's one delivery path; call
+	// it at most once. The endpoint invokes fn from one goroutine of
+	// its own, one packet at a time in arrival order; fn owns each
+	// packet's Data per the Packet contract and must not block
+	// indefinitely. A datagram that arrives before SetHandler may be
+	// lost, like any other. After Close returns, fn is never invoked
+	// again.
+	SetHandler(fn func(Packet))
 
 	// Close releases the endpoint. Further Sends fail with ErrClosed.
 	Close() error
@@ -96,21 +101,6 @@ type Multicaster interface {
 	// operation. Per-recipient delivery remains unreliable and
 	// independent (§2.2).
 	Multicast(group []Addr, data []byte) error
-}
-
-// Dispatcher is implemented by endpoints that can deliver incoming
-// datagrams by invoking a handler from their own drain goroutine
-// instead of queueing Packets on the Recv channel. A consumer that
-// installs a handler takes delivery that way exclusively: nothing more
-// arrives on Recv.
-//
-// The handler runs on the endpoint's receive goroutine, one packet at
-// a time in arrival order (udptrans calls it from its one drain
-// goroutine). It must not block indefinitely. After Close returns, the
-// handler is never invoked again. Packet ownership is unchanged: the
-// handler owns Data per the Packet contract.
-type Dispatcher interface {
-	SetHandler(fn func(Packet))
 }
 
 // Datagram is one (destination, payload) pair of a batched send.

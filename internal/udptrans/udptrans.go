@@ -33,7 +33,7 @@ type Endpoint struct {
 	addr transport.Addr
 	recv chan transport.Packet
 
-	// handler, once set, takes delivery exclusively (transport.Dispatcher).
+	// handler, once set, takes delivery exclusively.
 	handler atomic.Pointer[func(transport.Packet)]
 
 	drained chan struct{} // closed when the drain goroutine returns
@@ -49,7 +49,6 @@ var (
 	_ transport.Endpoint    = (*Endpoint)(nil)
 	_ transport.BatchSender = (*Endpoint)(nil)
 	_ transport.Multicaster = (*Endpoint)(nil)
-	_ transport.Dispatcher  = (*Endpoint)(nil)
 )
 
 // Listen binds one UDP socket on 127.0.0.1. Port 0 selects a free port.
@@ -99,13 +98,12 @@ func toAddrPort(a transport.Addr) netip.AddrPort {
 // Addr returns the bound loopback address.
 func (e *Endpoint) Addr() transport.Addr { return e.addr }
 
-// Recv returns the incoming datagram channel; unused once a Dispatcher
-// handler is installed.
+// Recv returns the incoming datagram channel, for readers that install
+// no handler; it receives nothing once SetHandler has run.
 func (e *Endpoint) Recv() <-chan transport.Packet { return e.recv }
 
-// SetHandler installs fn as the exclusive delivery path
-// (transport.Dispatcher). The drain goroutine invokes fn one packet at
-// a time, in arrival order.
+// SetHandler installs fn as the exclusive delivery path. The drain
+// goroutine invokes fn one packet at a time, in arrival order.
 func (e *Endpoint) SetHandler(fn func(transport.Packet)) {
 	e.handler.Store(&fn)
 }
@@ -183,7 +181,7 @@ func (e *Endpoint) Multicast(group []transport.Addr, data []byte) error {
 }
 
 // Close shuts the socket and waits for the drain goroutine to observe
-// it, so the Dispatcher handler is never invoked after Close returns;
+// it, so the handler is never invoked after Close returns;
 // then the Recv channel closes.
 func (e *Endpoint) Close() error {
 	if e.closed.Swap(true) {

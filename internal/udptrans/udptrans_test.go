@@ -13,7 +13,7 @@ import (
 // the endpoint hands datagrams up. Row names keep their shards=1 prefix
 // (an endpoint owns one socket) so test IDs stay stable.
 type mode struct {
-	handler bool // Dispatcher handler; false reads Recv()
+	handler bool // SetHandler's handler; false reads Recv()
 }
 
 func (m mode) String() string {
