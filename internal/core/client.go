@@ -168,15 +168,14 @@ func (rt *Runtime) multicastEach(cs *callState, hdr callHeader) bool {
 		group[i], obs[i] = cs.legs[i].m.Addr, &cs.legs[i]
 	}
 	// Two-phase send: BeginCallMulticast allocates the call number and
-	// registers the transfers without transmitting, so the return
-	// routing below is installed before any call message is on the
-	// wire — a reply can never race its own routing.
+	// registers the transfers without transmitting, so every leg knows
+	// its call number before any call message is on the wire.
 	transfers, callNum, err := rt.conn.BeginCallMulticast(group, data, obs)
 	if err != nil {
 		return false // no multicast support (or closing): fall back to unicast
 	}
 	for i := range cs.legs {
-		cs.legs[i].list(callNum)
+		cs.legs[i].callNum = callNum
 	}
 	rt.conn.TransmitMulticast(group, transfers)
 	return true
@@ -215,7 +214,6 @@ func (rt *Runtime) newCallState(items chan<- collate.Item, members []ModuleAddr)
 	for i, m := range members {
 		l := &cs.legs[i]
 		l.cs, l.idx, l.m = cs, i, m
-		l.listed, l.callNum = false, 0
 		l.done.Store(false)
 	}
 	cs.open.Store(int32(len(members)) + 1)
@@ -224,8 +222,9 @@ func (rt *Runtime) newCallState(items chan<- collate.Item, members []ModuleAddr)
 }
 
 // issued ends the issuing of a call: every leg is now either finished
-// or listed, so the call's deadline and its caller's context may
-// finish the rest. Only a context that can end is watched.
+// or observing its exchange, whose call number it knows, so the call's
+// deadline and its caller's context may finish the rest. Only a
+// context that can end is watched.
 func (cs *callState) issued(ctx context.Context, timeout time.Duration) {
 	if timeout > 0 {
 		cs.refs.Add(1)
@@ -286,27 +285,32 @@ func (cs *callState) release() {
 }
 
 // A leg is one member's share of a replicated call: its call message
-// out, its return (or failure) back. It finishes exactly once, claimed
-// by the CAS on done: the paired message layer reports the call failed
-// or the member down (CallFailed), the return arrives (handleReturn),
-// or the call gives up — its deadline passed, its caller's context
-// ended, its message could not be sent (expire, call). Whichever comes
-// first pushes the member's item.
+// out, its return (or failure) back. It is the observer of its
+// exchange, so the paired message layer hands it the return itself. It
+// finishes exactly once, claimed by the CAS on done: the return arrives
+// (Returned), the paired message layer reports the call failed or the
+// member down (CallFailed), or the call gives up — its deadline passed,
+// its caller's context ended, its message could not be sent (expire,
+// call). Whichever comes first pushes the member's item.
+//
+// A recycled leg is never handed a stale return: the paired message
+// layer calls an observer only while its exchange is registered, under
+// the session lock, and a leg that ends any other way abandons its
+// exchange under that lock before it pushes, which is what lets its
+// callState be recycled.
 type leg struct {
-	cs   *callState
-	idx  int
-	m    ModuleAddr
-	done atomic.Bool
-	// listed and callNum say where the leg sits in rt.pending; both are
-	// guarded by rt.pendMu.
-	listed  bool
-	callNum uint32
+	cs      *callState
+	idx     int
+	m       ModuleAddr
+	done    atomic.Bool
+	callNum uint32       // set before the call message is transmitted
+	ret     returnHeader // Returned's decode target, owned by the pooled leg
 }
 
 // call sends one leg's pre-marshalled call message. BeginObservedCall
 // allocates the call number and registers the transfer with the leg as
-// observer; the leg is listed under that number; only then does the
-// message go on the wire, so the return can never beat its routing. A
+// observer; the leg records the number before the message goes on the
+// wire, and so before issued arms anything that may abandon it. A
 // closed runtime surfaces as ErrClosed from BeginObservedCall.
 func (l *leg) call(data []byte) {
 	conn := l.cs.rt.conn
@@ -315,23 +319,22 @@ func (l *leg) call(data []byte) {
 		l.finish(collate.Item{Member: l.idx, Err: memberErr(err)}, false)
 		return
 	}
-	l.list(t.CallNum())
+	l.callNum = t.CallNum()
 	conn.Transmit(t)
 }
 
-// list routes returns for callNum to the leg, unless it already
-// finished — then its exchange is abandoned instead.
-func (l *leg) list(callNum uint32) {
-	rt := l.cs.rt
-	rt.pendMu.Lock()
-	done := l.done.Load()
-	if !done {
-		l.listed, l.callNum = true, callNum
-		rt.pending[retKey{peer: l.m.Addr, callNum: callNum}] = l
+// Returned implements pairedmsg.CallObserver: the member's return
+// message arrived. The paired message layer holds the session lock and
+// has already forgotten the exchange. The payload escapes to the
+// caller, so it is decoded into fresh storage; a garbled return is
+// dropped, as a lost one would be.
+func (l *leg) Returned(msg pairedmsg.Message) {
+	l.ret.Payload = nil
+	if err := wire.Unmarshal(msg.Data, &l.ret); err != nil {
+		return
 	}
-	rt.pendMu.Unlock()
-	if done {
-		rt.conn.Abandon(l.m.Addr, callNum)
+	if l.done.CompareAndSwap(false, true) {
+		l.push(decodeReturn(l.idx, l.m, l.ret))
 	}
 }
 
@@ -344,26 +347,21 @@ func (l *leg) CallFailed(err error) {
 }
 
 // finish ends the leg with it unless it already ended. abandon tells
-// the paired message layer to stop retransmitting or probing for it.
+// the paired message layer to stop retransmitting or probing for it,
+// and to hand the leg nothing more.
 func (l *leg) finish(it collate.Item, abandon bool) {
 	if !l.done.CompareAndSwap(false, true) {
 		return
 	}
-	rt := l.cs.rt
-	rt.pendMu.Lock()
-	listed, k := l.listed, retKey{peer: l.m.Addr, callNum: l.callNum}
-	if listed && rt.pending[k] == l {
-		delete(rt.pending, k)
-	}
-	rt.pendMu.Unlock()
-	if listed && abandon {
-		rt.conn.Abandon(k.peer, k.callNum)
+	if abandon {
+		l.cs.rt.conn.Abandon(l.m.Addr, l.callNum)
 	}
 	l.push(it)
 }
 
 // push hands the leg's item to the collator; the leg may be recycled
-// as soon as it returns.
+// as soon as it returns. It never blocks, since items has a slot per
+// member, so it may run under the message layer's session lock.
 func (l *leg) push(it collate.Item) {
 	cs := l.cs
 	cs.rt.traceReply(l.m, it)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -203,6 +204,67 @@ func TestLegCallMember(t *testing.T) {
 		t.Fatalf("parked CallMember: %v, want the deadline", err)
 	}
 	waitDrained(t, c.client)
+}
+
+// TestLegLateReturnNeverReachesRecycledLeg: a leg that gave up
+// abandons its exchange before its call state is recycled, so a return
+// that arrives after the deadline is never handed to the leg of a later
+// call that reuses the pooled state.
+func TestLegLateReturnNeverReachesRecycledLeg(t *testing.T) {
+	c := newCluster(t, 50, 3, ExportOptions{})
+	tr, g := gate(t, c.servers, 7)
+	items := c.client.CallEach(context.Background(), tr, 1, []byte("late"), CallOptions{Timeout: 50 * time.Millisecond})
+	for _, it := range drainItems(t, items, 3) {
+		if !errors.Is(it.Err, context.DeadlineExceeded) {
+			t.Fatalf("gated member %d: %v, want the deadline", it.Member, it.Err)
+		}
+	}
+	g.waitEntered(t, 3)
+	for i := 0; i < 200; i++ {
+		arg := fmt.Sprintf("call %d", i)
+		items := c.client.CallEach(context.Background(), c.troupe, 1, []byte(arg), CallOptions{})
+		if i == 0 {
+			g.release() // the late returns race the calls that follow
+		}
+		seen := make(map[int]bool)
+		for _, it := range drainItems(t, items, 3) {
+			if it.Err != nil || string(it.Data) != arg || seen[it.Member] {
+				t.Fatalf("%s: member %d answered %q, %v", arg, it.Member, it.Data, it.Err)
+			}
+			seen[it.Member] = true
+		}
+		select {
+		case it := <-items:
+			t.Fatalf("%s: a fourth item %+v", arg, it)
+		default:
+		}
+	}
+	waitDrained(t, c.client)
+}
+
+// TestGoroutinesGrowWithMembersNotCalls pins that a client's sequential
+// calls leave no goroutine behind: after 10 000 degree-3 calls the
+// process runs as many goroutines as after 100, give or take the
+// dispatch workers that come and go as they execute calls.
+func TestGoroutinesGrowWithMembersNotCalls(t *testing.T) {
+	c := newCluster(t, 51, 3, ExportOptions{})
+	calls := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := c.client.Call(context.Background(), c.troupe, 1, []byte("x"), CallOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	calls(100)
+	after100 := runtime.NumGoroutine()
+	calls(10000 - 100)
+	slack := int(c.client.readersMax)
+	waitFor(t, "the goroutine count to settle", func() bool {
+		n := runtime.NumGoroutine()
+		return n >= after100-slack && n <= after100+slack
+	})
+	t.Logf("goroutines: %d after 100 calls, %d after 10 000", after100, runtime.NumGoroutine())
 }
 
 // TestLegGoroutines pins that a call in flight costs its caller's

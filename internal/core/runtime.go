@@ -11,7 +11,6 @@ import (
 	"circus/internal/thread"
 	"circus/internal/trace"
 	"circus/internal/transport"
-	"circus/internal/wire"
 )
 
 // Reserved procedure numbers handled by the runtime itself rather than
@@ -118,9 +117,10 @@ func (o Options) withDefaults() Options {
 // each user program (§4.3): it owns the paired message connection,
 // dispatches incoming calls to exported modules, and implements the
 // one-to-many and many-to-one algorithms. Its dispatch workers (see
-// dispatchLoop) take each completed message straight off the
+// dispatchLoop) take each completed call message straight off the
 // connection's incoming queue, and the worker whose message readies a
-// call executes it.
+// call executes it; the connection hands each return to the member leg
+// awaiting it (see leg).
 type Runtime struct {
 	conn *pairedmsg.Conn
 	opts Options
@@ -135,12 +135,6 @@ type Runtime struct {
 	resolver  Resolver
 	nextMod   uint16
 	closed    bool
-
-	// pendMu guards the client-side return routing table; it is touched
-	// once to list and once to unlist per member leg, never held across
-	// I/O.
-	pendMu  sync.Mutex
-	pending map[retKey]*leg // client legs awaiting returns
 
 	// callMu guards the server-side many-to-one collation table: calls
 	// holds a call while it collates and executes (the per-call state
@@ -169,11 +163,6 @@ type export struct {
 	opts ExportOptions
 }
 
-type retKey struct {
-	peer    transport.Addr
-	callNum uint32
-}
-
 // NewRuntime starts a runtime over ep.
 func NewRuntime(ep transport.Endpoint, opts Options) *Runtime {
 	if opts.Trace != nil && opts.Message.Trace == nil {
@@ -185,7 +174,6 @@ func NewRuntime(ep transport.Endpoint, opts Options) *Runtime {
 		modules:   make(map[uint16]*export),
 		troupeIDs: make(map[uint16]TroupeID),
 		resolver:  opts.Resolver,
-		pending:   make(map[retKey]*leg),
 		calls:     make(map[string]*serverCall),
 		done:      make(chan struct{}),
 	}
@@ -222,15 +210,13 @@ func (rt *Runtime) rotateTombs() {
 type CallTableStats struct {
 	Live       int // calls still collating or executing
 	Tombstones int // finished calls whose return message is buffered
-	Pending    int // client legs in flight, listed for their return
+	Pending    int // client legs in flight, their exchange still observed
 }
 
 // CallTable reports how much at-most-once state the runtime holds, and
 // how many member legs of its own calls are in flight.
 func (rt *Runtime) CallTable() CallTableStats {
-	rt.pendMu.Lock()
-	pending := len(rt.pending)
-	rt.pendMu.Unlock()
+	pending := int(rt.conn.Stats().Observed)
 	rt.callMu.Lock()
 	defer rt.callMu.Unlock()
 	return CallTableStats{Live: len(rt.calls), Tombstones: rt.tombs.len(), Pending: pending}
@@ -372,7 +358,7 @@ func (rt *Runtime) Tracer() *trace.Local { return rt.tr }
 // dispatchLoop is one dispatch worker. NewRuntime starts
 // max(4, GOMAXPROCS) of them, all reading the paired message layer's
 // one bounded incoming queue, so any worker takes the next completed
-// message from any sender: calls are parsed, collated and answered
+// call message from any sender: calls are parsed, collated and answered
 // concurrently, and the queue's withheld-ack backpressure is the only
 // flow control between the message layer and the call layer. The
 // loops end when Close closes the connection, which closes the queue.
@@ -386,7 +372,7 @@ func (rt *Runtime) Tracer() *trace.Local { return rt.tr }
 // readersMax workers already do, in which case it exits.
 func (rt *Runtime) dispatchLoop() {
 	defer rt.bg.Done()
-	var scr msgScratch
+	var scr callHeader
 	for msg := range rt.conn.Incoming() {
 		sc := rt.handleMsg(msg, &scr)
 		if sc == nil {
@@ -423,56 +409,23 @@ func (rt *Runtime) rejoinReaders() bool {
 	}
 }
 
-// msgScratch is one dispatch worker's long-lived decode target. The
-// wire codec reuses a target's backing store when capacity allows, so
-// decoding into a per-worker scratch keeps header structs and the call
-// path slice off the heap entirely. Fields that escape the handler
-// (argument and payload bytes, a first caller's stored path) are nilled
-// before decode or copied at the store, never shared with the scratch.
-type msgScratch struct {
-	call callHeader
-	ret  returnHeader
-}
-
 // handleMsg handles one completed message and returns the call it
-// readied, if any, for the worker to execute.
-func (rt *Runtime) handleMsg(msg pairedmsg.Message, scr *msgScratch) *serverCall {
+// readied, if any, for the worker to execute. scr is the worker's
+// long-lived decode target: the wire codec reuses a target's backing
+// store when capacity allows, so the header struct and the call path
+// slice stay off the heap. A return reaches the queue only when no leg
+// awaits it — its leg gave up and abandoned the exchange — and is
+// dropped.
+func (rt *Runtime) handleMsg(msg pairedmsg.Message, scr *callHeader) *serverCall {
 	var sc *serverCall
-	switch msg.Type {
-	case pairedmsg.Call:
-		sc = rt.handleCall(msg, &scr.call)
-	case pairedmsg.Return:
-		rt.handleReturn(msg, &scr.ret)
+	if msg.Type == pairedmsg.Call {
+		sc = rt.handleCall(msg, scr)
 	}
 	// The wire codec copies every decoded field, so nothing above
 	// retains msg.Data: recycle its pooled backing (no-op when the
 	// transport delivered a fresh buffer).
 	msg.Release()
 	return sc
-}
-
-// handleReturn finishes the client leg a return message answers. The
-// leg is claimed under pendMu, where it is still listed, so a leg some
-// other event finished (and may have recycled) is never touched.
-func (rt *Runtime) handleReturn(msg pairedmsg.Message, hdr *returnHeader) {
-	// The payload escapes to the awaiting caller: it must be decoded
-	// into fresh storage, never the scratch's previous backing.
-	hdr.Payload = nil
-	if err := wire.Unmarshal(msg.Data, hdr); err != nil {
-		return // garbled application payload: drop
-	}
-	k := retKey{peer: msg.From, callNum: msg.CallNum}
-	rt.pendMu.Lock()
-	l := rt.pending[k]
-	won := l != nil && l.done.CompareAndSwap(false, true)
-	if l != nil {
-		delete(rt.pending, k)
-		l.listed = false // the delivered return ended the exchange below
-	}
-	rt.pendMu.Unlock()
-	if won {
-		l.push(decodeReturn(l.idx, l.m, *hdr))
-	}
 }
 
 // background runs f on a tracked goroutine so Close can wait for it.

@@ -75,7 +75,7 @@ func appendCallKey(buf []byte, tid thread.ID, path []uint32, module uint16) []by
 // handleCall processes one incoming call message: the entry point of
 // the many-to-one algorithm (Figure 4.4). It returns the call when this
 // message readied it, for the dispatch worker to execute. hdr is the
-// worker's decode scratch (see msgScratch); everything stored past this
+// worker's decode scratch (see handleMsg); everything stored past this
 // call is copied out of it.
 func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) *serverCall {
 	// The arguments escape into the call record, so they must land in

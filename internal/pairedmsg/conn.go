@@ -115,7 +115,8 @@ func (o Options) withDefaults() Options {
 
 // incomingBuffer is the capacity of the reassembled-message queue
 // behind Incoming(), the one queue between the message layer and the
-// call layer's dispatch workers. When it is full a completed message
+// call layer's dispatch workers; it carries calls and the returns no
+// observer awaits. When it is full a completed message
 // is not handed up: the attempt is counted (Stats.DeliveryDrops, trace
 // event msg.delivery-drop) and the final acknowledgment withheld, so
 // the sender's retransmission drives a later redelivery attempt —
@@ -203,6 +204,9 @@ type Stats struct {
 	// Watches is a gauge: how many acknowledged calls are being probed
 	// for liveness while their return is awaited (§4.2.3).
 	Watches int64
+	// Observed is a gauge: how many observed calls are in flight, their
+	// call message unacknowledged or their liveness watched.
+	Observed int64
 }
 
 // sessKey identifies one transfer within a peer session (the peer is
@@ -458,16 +462,19 @@ func (in *inTransfer) ackable() int {
 	return in.ackNum
 }
 
-// CallObserver hears how an observed call exchange ends when it ends
-// without a return message: the call transfer failed (retries
-// exhausted: ErrPeerDown; or ErrClosed), or — after the call was
-// acknowledged and its liveness watch armed — probes went unanswered
-// (ErrPeerDown) or the Conn closed (ErrClosed). It is called at most
-// once, with the peer's session lock held, so it must not block or
-// call back into the Conn. A delivered return disarms the watch
-// without a call, as does Abandon.
+// CallObserver hears how an observed call exchange ends: its return
+// message arrived (Returned), or it ended without one (CallFailed) —
+// the call transfer failed (retries exhausted: ErrPeerDown; or
+// ErrClosed), or, after the call was acknowledged and its liveness
+// watch armed, probes went unanswered (ErrPeerDown) or the Conn closed
+// (ErrClosed). It hears exactly one of them, once, with the peer's
+// session lock held and the exchange already forgotten, so it must not
+// block or call back into the Conn. The returned message's Data is
+// valid only during the call. Abandon ends the exchange without a
+// call; a return that arrives after it goes to Incoming.
 type CallObserver interface {
 	CallFailed(err error)
+	Returned(msg Message)
 }
 
 // Conn runs the paired message protocol over one transport endpoint.
@@ -717,22 +724,29 @@ func (c *Conn) Addr() transport.Addr { return c.ep.Addr() }
 // Higher layers share it so one process's events carry one identity.
 func (c *Conn) Tracer() *trace.Local { return c.tr }
 
-// Incoming returns the stream of reassembled messages. Any number of
+// Incoming returns the stream of reassembled messages: every call, and
+// every return but an observed call's (see CallObserver). Any number of
 // goroutines may receive from it; the channel is closed by Close.
 func (c *Conn) Incoming() <-chan Message { return c.incoming }
 
 // Stats returns a snapshot of the protocol counters.
 func (c *Conn) Stats() Stats {
-	var completed, watches int64
+	var completed, watches, observed int64
 	for _, s := range *c.peers.Load() {
 		s.mu.Lock()
 		completed += int64(s.completed.Len())
 		watches += int64(len(s.watches))
+		for _, t := range s.out {
+			if t.obs != nil {
+				observed++
+			}
+		}
 		s.mu.Unlock()
 	}
 	return Stats{
 		CompletedRecords:  completed,
 		Watches:           watches,
+		Observed:          observed + watches,
 		SegmentsSent:      c.stats.segmentsSent.Load(),
 		Retransmits:       c.stats.retransmits.Load(),
 		AcksSent:          c.stats.acksSent.Load(),
@@ -899,13 +913,14 @@ func (c *Conn) BeginCall(to transport.Addr, msg []byte) (*outTransfer, error) {
 	return c.BeginObservedCall(to, msg, nil)
 }
 
-// BeginObservedCall is BeginCall for a caller awaiting the return: a
-// failed call transfer is reported to obs, and once the call message is
-// acknowledged the Conn probes the peer until the return is delivered
-// (§4.2.3), reporting a presumed crash to obs. The caller then needs
-// no goroutine or channel per exchange; it abandons an exchange it has
-// stopped waiting for with Abandon. A nil obs gives BeginCall's
-// transfer.
+// BeginObservedCall is BeginCall for a caller awaiting the return: the
+// return is handed to obs, as is a failed call transfer, and once the
+// call message is acknowledged the Conn probes the peer until the
+// return arrives (§4.2.3), reporting a presumed crash to obs. The
+// caller then needs no goroutine, channel or routing table per
+// exchange; it records the call number before Transmit, and abandons
+// an exchange it has stopped waiting for with Abandon. A nil obs gives
+// BeginCall's transfer.
 func (c *Conn) BeginObservedCall(to transport.Addr, msg []byte, obs CallObserver) (*outTransfer, error) {
 	t := &outTransfer{peer: to, typ: Call, obs: obs}
 	if obs == nil {
@@ -971,7 +986,7 @@ func (c *Conn) Transmit(t *outTransfer) {
 // unobserved transfer. The returned transfers parallel group.
 // Retransmission and acknowledgment remain per-recipient, because
 // delivery reliability varies from recipient to recipient (§2.2). The
-// caller installs reply routing and then calls TransmitMulticast.
+// caller records the call number and then calls TransmitMulticast.
 func (c *Conn) BeginCallMulticast(group []transport.Addr, msg []byte, obs []CallObserver) ([]Transfer, uint32, error) {
 	if _, ok := c.ep.(transport.Multicaster); !ok {
 		return nil, 0, ErrNoMulticast
@@ -1072,7 +1087,8 @@ func (t *outTransfer) Err() error { return t.err }
 // Abandon forgets an observed call whose caller stopped waiting: the
 // call transfer, if still unacknowledged, stops retransmitting, and the
 // liveness watch, if armed, stops probing. Nothing is reported to the
-// observer after Abandon returns.
+// observer after Abandon returns; a return that arrives later goes to
+// Incoming.
 func (c *Conn) Abandon(to transport.Addr, callNum uint32) {
 	s := c.session(to)
 	k := mkKey(Call, callNum)
@@ -1163,7 +1179,7 @@ func (c *Conn) handleProbe(from transport.Addr, h segHeader) {
 	if in != nil {
 		var deliveredNow bool
 		if !in.delivered && in.have == in.total {
-			deliveredNow, dropped = c.deliverLocked(in, from, h.typ, h.callNum)
+			deliveredNow, dropped = c.deliverLocked(s, in, h.typ, h.callNum)
 		}
 		ackNum, total = in.ackable(), in.total
 		if deliveredNow {
@@ -1233,7 +1249,7 @@ func (c *Conn) handleData(from transport.Addr, h segHeader, payload []byte, buf 
 		// queue space is the sender's retransmission doing its job:
 		// attempt the delivery again (backpressure recovery).
 		if in.have == in.total {
-			deliveredNow, dropped = c.deliverLocked(in, from, h.typ, h.callNum)
+			deliveredNow, dropped = c.deliverLocked(s, in, h.typ, h.callNum)
 		}
 	default:
 		// The payload is kept without copying: either it sits in a
@@ -1256,7 +1272,7 @@ func (c *Conn) handleData(from transport.Addr, h segHeader, payload []byte, buf 
 		// than waiting out its timer (§4.2.4).
 		gap = int(h.segNum) > in.ackNum+1
 		if in.have == in.total {
-			deliveredNow, dropped = c.deliverLocked(in, from, h.typ, h.callNum)
+			deliveredNow, dropped = c.deliverLocked(s, in, h.typ, h.callNum)
 		}
 	}
 	if dup {
@@ -1291,15 +1307,16 @@ func (c *Conn) handleData(from transport.Addr, h segHeader, payload []byte, buf 
 	}
 }
 
-// deliverLocked assembles a completed inbound message (once) and
-// offers it to the incoming queue without blocking. On refusal the
+// deliverLocked assembles a completed inbound message (once) and hands
+// it up. The return of an observed call goes to its observer, and its
+// liveness watch is retired in the same step. Any other message is
+// offered to the incoming queue without blocking. On refusal the
 // assembled message stays parked in the transfer for the next attempt
 // and the drop is counted; the caller emits the trace event outside
 // the session lock. The msg.delivered event is emitted on the first
 // completion only — before anything the receiver could do in response
-// — so redelivery attempts never duplicate it. Caller holds the
-// session lock.
-func (c *Conn) deliverLocked(in *inTransfer, from transport.Addr, typ MsgType, callNum uint32) (delivered, dropped bool) {
+// — so redelivery attempts never duplicate it. Caller holds s.mu.
+func (c *Conn) deliverLocked(s *session, in *inTransfer, typ MsgType, callNum uint32) (delivered, dropped bool) {
 	if !in.announced {
 		if in.total == 1 {
 			// Single segment: hand the payload up as-is, moving any
@@ -1327,23 +1344,36 @@ func (c *Conn) deliverLocked(in *inTransfer, from transport.Addr, typ MsgType, c
 		}
 		in.announced = true
 		if c.tr.EnabledFor(trace.KindMsgDelivered) {
-			c.tr.Emit(trace.Event{Kind: trace.KindMsgDelivered, Peer: from,
+			c.tr.Emit(trace.Event{Kind: trace.KindMsgDelivered, Peer: s.peer,
 				MsgType: uint8(typ), CallNum: callNum, N: in.total})
 		}
 	}
-	msg := Message{From: from, Type: typ, CallNum: callNum,
+	msg := Message{From: s.peer, Type: typ, CallNum: callNum,
 		Data: in.assembled, buf: in.justBuf}
-	select {
-	case c.incoming <- msg:
-		in.delivered = true
-		in.assembled = nil
-		in.justBuf = nil // reference rides in the delivered Message now
-		c.stats.messagesDelivered.Add(1)
-		return true, false
-	default:
-		c.stats.deliveryDrops.Add(1)
-		return false, true
+	var w *outTransfer
+	if typ == Return {
+		w = s.watches[mkKey(Call, callNum)]
 	}
+	if w != nil {
+		// The implicit ack moved the call into watches; the observer
+		// is its only route, so the return never waits for the queue.
+		delete(s.watches, mkKey(Call, callNum))
+		w.obs.Returned(msg)
+		msg.Release()
+	} else {
+		select {
+		case c.incoming <- msg:
+			// The buffer reference rides in the delivered Message now.
+		default:
+			c.stats.deliveryDrops.Add(1)
+			return false, true
+		}
+	}
+	in.delivered = true
+	in.assembled = nil
+	in.justBuf = nil
+	c.stats.messagesDelivered.Add(1)
+	return true, false
 }
 
 func (c *Conn) traceDrop(from transport.Addr, typ MsgType, callNum uint32) {
@@ -1362,9 +1392,8 @@ func (s *session) aliveLocked(callNum uint32) {
 }
 
 // retireLocked ends a delivered inbound exchange: a tombstone takes
-// over replay suppression, the record goes back to the pool, and a
-// delivered return disarms the liveness watch on its call. Caller
-// holds s.mu.
+// over replay suppression and the record goes back to the pool.
+// Caller holds s.mu.
 func (s *session) retireLocked(k sessKey, in *inTransfer) {
 	delete(s.in, k)
 	s.completed.Put(uint64(k))
@@ -1372,9 +1401,6 @@ func (s *session) retireLocked(k sessKey, in *inTransfer) {
 		s.completedSegs.Put(k, uint8(in.total))
 	}
 	recycleInTransfer(in)
-	if k.typ() == Return {
-		delete(s.watches, mkKey(Call, k.callNum()))
-	}
 }
 
 // completedLocked reports whether exchange k finished within the
@@ -1551,8 +1577,8 @@ func (c *Conn) flushLoop(s *session) {
 
 // completeOutLocked finishes an outbound transfer: an observed call
 // that failed is reported, one that was acknowledged moves to the watch
-// table until its return is delivered. Caller holds the session lock
-// of t's peer.
+// table until its return is handed to the observer. Caller holds the
+// session lock of t's peer.
 func (c *Conn) completeOutLocked(s *session, t *outTransfer, err error) {
 	k := mkKey(t.typ, t.callNum)
 	if s.out[k] != t {

@@ -251,16 +251,31 @@ func TestSendContextCancel(t *testing.T) {
 	}
 }
 
-// observer is a CallObserver that records the one failure it hears.
-type observer chan error
+// observer is a CallObserver that records how its call ended: the
+// failure or the return it hears. Each channel has room for a second
+// report, so hearing twice shows up as a report that silent finds
+// instead of a blocked session.
+type observer struct {
+	failed   chan error
+	returned chan string
+}
 
-func (o observer) CallFailed(err error) { o <- err }
+func newObserver() observer {
+	return observer{failed: make(chan error, 2), returned: make(chan string, 2)}
+}
+
+func (o observer) CallFailed(err error) { o.failed <- err }
+
+// Returned copies the data out: it is valid only during the call.
+func (o observer) Returned(m Message) { o.returned <- string(m.Data) }
 
 func (o observer) silent(t *testing.T) {
 	t.Helper()
 	select {
-	case err := <-o:
+	case err := <-o.failed:
 		t.Fatalf("observer told %v", err)
+	case data := <-o.returned:
+		t.Fatalf("observer handed return %q", data)
 	default:
 	}
 }
@@ -269,7 +284,7 @@ func (o observer) silent(t *testing.T) {
 // receive it, and for the call's liveness watch to be armed.
 func beginWatched(t *testing.T, p pair, msg string) (observer, uint32) {
 	t.Helper()
-	obs := make(observer, 1)
+	obs := newObserver()
 	tr, err := p.a.BeginObservedCall(p.b.Addr(), []byte(msg), obs)
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +313,7 @@ func TestWatchDetectsCrash(t *testing.T) {
 	obs, _ := beginWatched(t, p, "work")
 	p.net.Crash(p.b.Addr().Host)
 	select {
-	case err := <-obs:
+	case err := <-obs.failed:
 		if err != ErrPeerDown {
 			t.Fatalf("observer told %v, want ErrPeerDown", err)
 		}
@@ -325,12 +340,17 @@ func TestWatchStaysUpWhileServerAlive(t *testing.T) {
 	if st := p.a.Stats(); st.ProbesSent == 0 {
 		t.Error("no probes were sent during the long execution")
 	}
-	// The delivered return disarms the watch without a report.
+	// The return goes to the observer and disarms the watch.
 	if _, err := p.b.StartSend(p.a.Addr(), Return, cn, []byte("done")); err != nil {
 		t.Fatal(err)
 	}
-	if m, ok := recvMsg(t, p.a, time.Second); !ok || m.Type != Return || m.CallNum != cn {
-		t.Fatalf("return not delivered: %+v", m)
+	select {
+	case data := <-obs.returned:
+		if data != "done" {
+			t.Fatalf("observer handed return %q, want done", data)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("return not handed to the observer")
 	}
 	waitWatches(t, p.a, 0)
 	obs.silent(t)
@@ -338,14 +358,14 @@ func TestWatchStaysUpWhileServerAlive(t *testing.T) {
 
 func TestWatchReportsCallFailure(t *testing.T) {
 	p := newPair(t, 11, netsim.LinkConfig{LossRate: 1}, fastOpts())
-	obs := make(observer, 1)
+	obs := newObserver()
 	tr, err := p.a.BeginObservedCall(p.b.Addr(), []byte("lost"), obs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.a.Transmit(tr)
 	select {
-	case err := <-obs:
+	case err := <-obs.failed:
 		if err != ErrPeerDown {
 			t.Fatalf("observer told %v, want ErrPeerDown", err)
 		}
@@ -364,12 +384,89 @@ func TestWatchAbandonAndClose(t *testing.T) {
 	waitWatches(t, p.a, 0)
 	closed, _ := beginWatched(t, p, "close under me")
 	p.a.Close()
-	if err := <-closed; err != ErrClosed {
+	if err := <-closed.failed; err != ErrClosed {
 		t.Fatalf("observer told %v at Close, want ErrClosed", err)
 	}
 	abandoned.silent(t)
-	if _, err := p.a.BeginObservedCall(p.b.Addr(), []byte("late"), make(observer, 1)); err != ErrClosed {
+	if _, err := p.a.BeginObservedCall(p.b.Addr(), []byte("late"), newObserver()); err != ErrClosed {
 		t.Fatalf("BeginObservedCall after Close: %v, want ErrClosed", err)
+	}
+}
+
+// TestObservedReturnReachesObserverOnce: an observed call's return is
+// handed to its observer once and never to Incoming, even when the
+// server sends it a second time.
+func TestObservedReturnReachesObserverOnce(t *testing.T) {
+	p := newPair(t, 13, netsim.LinkConfig{}, fastOpts())
+	obs, cn := beginWatched(t, p, "work")
+	if n := p.a.Stats().Observed; n != 1 {
+		t.Fatalf("%d observed calls in flight, want 1", n)
+	}
+	// Each Send returns once the client has acknowledged the return, so
+	// both copies have been handled when the loop ends.
+	for i := 0; i < 2; i++ {
+		if err := p.b.Send(context.Background(), p.a.Addr(), Return, cn, []byte("done")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case data := <-obs.returned:
+		if data != "done" {
+			t.Fatalf("observer handed return %q, want done", data)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("return not handed to the observer")
+	}
+	obs.silent(t)
+	if m, ok := recvMsg(t, p.a, 50*time.Millisecond); ok {
+		t.Fatalf("an observed return also reached Incoming: %+v", m)
+	}
+	if st := p.a.Stats(); st.Observed != 0 || st.Watches != 0 || st.DupSegments == 0 {
+		t.Fatalf("after the return: %d observed, %d watches, %d duplicate segments; want 0, 0, > 0",
+			st.Observed, st.Watches, st.DupSegments)
+	}
+}
+
+// TestReturnAfterAbandonReachesIncoming: once its call is abandoned, a
+// late return goes to Incoming and the observer hears nothing.
+func TestReturnAfterAbandonReachesIncoming(t *testing.T) {
+	p := newPair(t, 14, netsim.LinkConfig{}, fastOpts())
+	obs, cn := beginWatched(t, p, "abandon me")
+	p.a.Abandon(p.b.Addr(), cn)
+	if n := p.a.Stats().Observed; n != 0 {
+		t.Fatalf("%d observed calls after Abandon, want 0", n)
+	}
+	if _, err := p.b.StartSend(p.a.Addr(), Return, cn, []byte("late")); err != nil {
+		t.Fatal(err)
+	}
+	m, ok := recvMsg(t, p.a, time.Second)
+	if !ok || m.Type != Return || m.CallNum != cn || string(m.Data) != "late" {
+		t.Fatalf("late return not on Incoming: %+v", m)
+	}
+	obs.silent(t)
+}
+
+// TestUnobservedReturnReachesIncoming: the return of a call begun
+// without an observer goes to Incoming, where its caller reads it.
+func TestUnobservedReturnReachesIncoming(t *testing.T) {
+	p := newPair(t, 15, netsim.LinkConfig{}, fastOpts())
+	tr, err := p.a.BeginCall(p.b.Addr(), []byte("ping"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.a.Transmit(tr)
+	if m, ok := recvMsg(t, p.b, time.Second); !ok || string(m.Data) != "ping" {
+		t.Fatalf("call not delivered: %+v", m)
+	}
+	if _, err := p.b.StartSend(p.a.Addr(), Return, tr.CallNum(), []byte("pong")); err != nil {
+		t.Fatal(err)
+	}
+	m, ok := recvMsg(t, p.a, time.Second)
+	if !ok || m.Type != Return || m.CallNum != tr.CallNum() || string(m.Data) != "pong" {
+		t.Fatalf("return not on Incoming: %+v", m)
+	}
+	if st := p.a.Stats(); st.Observed != 0 || st.Watches != 0 {
+		t.Fatalf("an unobserved call left %d observed, %d watches", st.Observed, st.Watches)
 	}
 }
 
