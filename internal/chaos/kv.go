@@ -80,8 +80,8 @@ func wrap(s *kv.Store) *KV { return &KV{Store: s, execs: make(map[string]int)} }
 func (k *KV) Dispatch(call *circus.ServerCall, proc uint16, args []byte) ([]byte, error) {
 	switch proc {
 	case kv.ProcPut:
-		var p kv.Pair
-		if err := circus.Unmarshal(args, &p); err != nil {
+		p, err := kv.DecodePair(args)
+		if err != nil {
 			return nil, err
 		}
 		k.count(call)

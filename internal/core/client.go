@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
@@ -13,7 +14,6 @@ import (
 	"circus/internal/thread"
 	"circus/internal/trace"
 	"circus/internal/transport"
-	"circus/internal/wire"
 )
 
 // NoTimeout, as a CallOptions.Timeout or Options.DefaultCallTimeout,
@@ -79,21 +79,16 @@ func (rt *Runtime) CallEach(ctx context.Context, dest Troupe, proc uint16, args 
 	cs := rt.newCallState(items, dest.Members)
 	if !same || !rt.multicastEach(cs, hdr) {
 		var shared []byte
-		var err error
 		if same {
 			hdr.Module = dest.Members[0].Module
-			shared, err = wire.Marshal(hdr)
+			shared = hdr.marshal()
 		}
 		for i := range cs.legs {
 			l := &cs.legs[i]
 			data := shared
 			if !same {
 				hdr.Module = l.m.Module
-				data, err = wire.Marshal(hdr)
-			}
-			if err != nil {
-				l.finish(collate.Item{Member: i, Err: err}, false)
-				continue
+				data = hdr.marshal()
 			}
 			l.call(data)
 		}
@@ -158,10 +153,7 @@ func (rt *Runtime) multicastEach(cs *callState, hdr callHeader) bool {
 		return false
 	}
 	hdr.Module = cs.legs[0].m.Module
-	data, err := wire.Marshal(hdr)
-	if err != nil {
-		return false
-	}
+	data := hdr.marshal()
 	group := make([]transport.Addr, len(cs.legs))
 	obs := make([]pairedmsg.CallObserver, len(cs.legs))
 	for i := range cs.legs {
@@ -303,8 +295,7 @@ type leg struct {
 	idx     int
 	m       ModuleAddr
 	done    atomic.Bool
-	callNum uint32       // set before the call message is transmitted
-	ret     returnHeader // Returned's decode target, owned by the pooled leg
+	callNum uint32 // set before the call message is transmitted
 }
 
 // call sends one leg's pre-marshalled call message. BeginObservedCall
@@ -325,16 +316,15 @@ func (l *leg) call(data []byte) {
 
 // Returned implements pairedmsg.CallObserver: the member's return
 // message arrived. The paired message layer holds the session lock and
-// has already forgotten the exchange. The payload escapes to the
-// caller, so it is decoded into fresh storage; a garbled return is
-// dropped, as a lost one would be.
+// has already forgotten the exchange. A garbled return is dropped, as
+// a lost one would be.
 func (l *leg) Returned(msg pairedmsg.Message) {
-	l.ret.Payload = nil
-	if err := wire.Unmarshal(msg.Data, &l.ret); err != nil {
+	var ret returnHeader
+	if err := ret.unmarshal(msg.Data); err != nil {
 		return
 	}
 	if l.done.CompareAndSwap(false, true) {
-		l.push(decodeReturn(l.idx, l.m, l.ret))
+		l.push(decodeReturn(l.idx, l.m, ret))
 	}
 }
 
@@ -449,10 +439,7 @@ func (rt *Runtime) CallMember(ctx context.Context, dest Troupe, member int, proc
 	items := make(chan collate.Item, 1)
 	hdr := rt.callHeader(ctx, dest, proc, args, &opts, 1)
 	hdr.Module = dest.Members[member].Module
-	data, err := wire.Marshal(hdr)
-	if err != nil {
-		return nil, err
-	}
+	data := hdr.marshal()
 	cs := rt.newCallState(items, dest.Members[member:member+1])
 	cs.legs[0].idx = member
 	cs.legs[0].call(data)
@@ -522,10 +509,13 @@ func memberErr(err error) error {
 	return err
 }
 
+// decodeReturn turns a member's return header into its item. The
+// payload views the message, which is released once the leg is done
+// with it, so what escapes to the caller is copied here, once.
 func decodeReturn(idx int, m ModuleAddr, ret returnHeader) collate.Item {
 	switch ret.Status {
 	case statusOK:
-		return collate.Item{Member: idx, Data: ret.Payload}
+		return collate.Item{Member: idx, Data: bytes.Clone(ret.Payload)}
 	case statusAppError:
 		return collate.Item{Member: idx, Err: &AppError{Msg: string(ret.Payload)}}
 	case statusBadTroupe:

@@ -411,9 +411,8 @@ func (rt *Runtime) rejoinReaders() bool {
 
 // handleMsg handles one completed message and returns the call it
 // readied, if any, for the worker to execute. scr is the worker's
-// long-lived decode target: the wire codec reuses a target's backing
-// store when capacity allows, so the header struct and the call path
-// slice stay off the heap. A return reaches the queue only when no leg
+// long-lived decode target, so the header struct and the call path's
+// backing stay off the heap. A return reaches the queue only when no leg
 // awaits it — its leg gave up and abandoned the exchange — and is
 // dropped.
 func (rt *Runtime) handleMsg(msg pairedmsg.Message, scr *callHeader) *serverCall {
@@ -421,9 +420,9 @@ func (rt *Runtime) handleMsg(msg pairedmsg.Message, scr *callHeader) *serverCall
 	if msg.Type == pairedmsg.Call {
 		sc = rt.handleCall(msg, scr)
 	}
-	// The wire codec copies every decoded field, so nothing above
-	// retains msg.Data: recycle its pooled backing (no-op when the
-	// transport delivered a fresh buffer).
+	// handleCall copies what it keeps, so nothing above retains
+	// msg.Data: recycle its pooled backing (no-op when the transport
+	// delivered a fresh buffer).
 	msg.Release()
 	return sc
 }

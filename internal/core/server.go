@@ -75,14 +75,12 @@ func appendCallKey(buf []byte, tid thread.ID, path []uint32, module uint16) []by
 // handleCall processes one incoming call message: the entry point of
 // the many-to-one algorithm (Figure 4.4). It returns the call when this
 // message readied it, for the dispatch worker to execute. hdr is the
-// worker's decode scratch (see handleMsg); everything stored past this
-// call is copied out of it.
+// worker's decode scratch (see handleMsg): its path reuses the
+// scratch's backing and its args view the message, which is released
+// once this returns, so everything stored past this call is copied
+// out of it, once.
 func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) *serverCall {
-	// The arguments escape into the call record, so they must land in
-	// fresh storage; the path is only read (and copied if stored), so
-	// its scratch backing is reused across messages.
-	hdr.Args = nil
-	if err := wire.Unmarshal(msg.Data, hdr); err != nil {
+	if err := hdr.unmarshal(msg.Data); err != nil {
 		rt.sendReturn(msg.From, msg.CallNum, returnHeader{Status: statusBadMessage})
 		return nil
 	}
@@ -113,6 +111,7 @@ func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) *serverCal
 	key := appendCallKey(keyArr[:0], tid, hdr.Path, hdr.Module)
 	rt.callMu.Lock()
 	sc, live := rt.calls[string(key)] // no-alloc lookup (string-conversion fast path)
+	var args []byte
 	if !live {
 		if status, result, done := rt.tombs.get(key); done {
 			rt.callMu.Unlock()
@@ -120,8 +119,11 @@ func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) *serverCal
 			return nil
 		}
 		sc = &serverCall{hdr: *hdr, tid: tid, exp: exp}
-		// The stored header must not alias the decode scratch.
+		// The stored header must not alias the decode scratch or the
+		// message.
 		sc.hdr.Path = append([]uint32(nil), hdr.Path...)
+		args = bytes.Clone(hdr.Args)
+		sc.hdr.Args = args
 		sc.callers = sc.callersArr[:0]
 		sc.callNums = sc.callNumsArr[:0]
 		sc.args = sc.argsArr[:0]
@@ -145,9 +147,12 @@ func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) *serverCal
 		}
 	}
 	if seen < 0 {
+		if live {
+			args = bytes.Clone(hdr.Args)
+		}
 		sc.callers = append(sc.callers, msg.From)
 		sc.callNums = append(sc.callNums, msg.CallNum)
-		sc.args = append(sc.args, hdr.Args)
+		sc.args = append(sc.args, args)
 	} else {
 		sc.callNums[seen] = msg.CallNum
 	}
@@ -386,11 +391,7 @@ func (rt *Runtime) execute(sc *serverCall) {
 // record leaves rt.calls and a tombstone holding the encoded return
 // message answers later arrivals (§4.3.4) until it expires.
 func (rt *Runtime) finishAndReply(sc *serverCall, ret returnHeader) {
-	encoded, merr := wire.Marshal(ret)
-	if merr != nil {
-		ret = returnHeader{Status: statusAppError, Payload: []byte(merr.Error())}
-		encoded, _ = wire.Marshal(ret)
-	}
+	encoded := ret.marshal()
 
 	sc.mu.Lock()
 	sc.finished = true
@@ -452,11 +453,7 @@ func (rt *Runtime) dispatch(exp *export, call *ServerCall, proc uint16, args []b
 // paired message layer's job, so failures here only mean the runtime
 // is shutting down.
 func (rt *Runtime) sendReturn(to transport.Addr, callNum uint32, ret returnHeader) {
-	data, err := wire.Marshal(ret)
-	if err != nil {
-		return
-	}
-	rt.sendReturnEncoded(to, callNum, ret.Status, data)
+	rt.sendReturnEncoded(to, callNum, ret.Status, ret.marshal())
 }
 
 // sendReturnEncoded transmits an already-encoded return message, so
@@ -467,7 +464,6 @@ func (rt *Runtime) sendReturnEncoded(to transport.Addr, callNum uint32, status u
 			Peer: to, CallNum: callNum, N: int(status)}
 		rt.tr.Emit(e)
 	}
-	if _, err := rt.conn.StartSend(to, pairedmsg.Return, callNum, data); err != nil {
-		return
-	}
+	// An error only means the runtime is shutting down.
+	_ = rt.conn.Reply(to, callNum, data)
 }

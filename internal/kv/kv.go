@@ -80,17 +80,21 @@ type Store struct {
 	// see the same order log the image captured.
 	snapMu sync.Mutex
 
-	mu     sync.Mutex
-	data   map[string]string
-	order  []Pair            // applied pairs since the last compaction
-	base   int               // apply-order entries dropped; position = base + len(order)
-	gen    int               // bumped by Recover, so a stale checkpoint aborts
-	keyPos map[string]uint64 // key -> WAL position of its latest redo record
+	mu    sync.Mutex
+	data  map[string]string
+	order []Pair // applied pairs since the last compaction
+	base  int    // apply-order entries dropped; position = base + len(order)
+	gen   int    // bumped by Recover, so a stale checkpoint aborts
+	redo  []byte // the redo record being appended, reused
 }
+
+// maxRedoKeep bounds the redo buffer a store keeps between appends, so
+// one large merge does not pin its size.
+const maxRedoKeep = 64 << 10
 
 // New returns an empty in-memory store.
 func New() *Store {
-	return &Store{data: make(map[string]string), keyPos: make(map[string]uint64)}
+	return &Store{data: make(map[string]string)}
 }
 
 // Open returns a store whose state changes are redo-logged to log,
@@ -140,7 +144,6 @@ func (s *Store) Recover(rec *wal.Recovered) error {
 	s.order = nil
 	s.base = 0
 	s.gen++
-	s.keyPos = make(map[string]uint64)
 	if rec.Snapshot != nil {
 		var img image
 		if err := wire.Unmarshal(rec.Snapshot, &img); err != nil {
@@ -203,9 +206,9 @@ func (s *Store) trimLocked() {
 // overwrote. When the append fails the whole batch is undone:
 // otherwise a retry would find the change present and acknowledge a
 // write the log cannot recover. When only the fsync fails the record
-// stays appended and keyPos remembers it, so a retry that changes
-// nothing waits for that record's durability instead of acking for
-// free.
+// stays appended, so a batch that changes nothing — perhaps the retry
+// of such a write — waits for everything appended so far to be durable
+// instead of acking for free.
 func (s *Store) Write(batch []Pair) (overwritten []Pair, err error) {
 	return s.apply(batch, false)
 }
@@ -224,6 +227,7 @@ func (s *Store) apply(batch []Pair, keep bool) (clashes []Pair, err error) {
 	start := len(s.order)
 	var prevs []Pair
 	var target uint64
+	unchanged := false
 	for _, p := range batch {
 		if keep && !p.Del {
 			if old, ok := s.data[p.Key]; ok {
@@ -235,7 +239,7 @@ func (s *Store) apply(batch []Pair, keep bool) (clashes []Pair, err error) {
 		}
 		changed, prev := s.applyLocked(p)
 		if !changed {
-			target = max(target, s.keyPos[p.Key])
+			unchanged = true
 			continue
 		}
 		if s.wal != nil {
@@ -259,30 +263,29 @@ func (s *Store) apply(batch []Pair, keep bool) (clashes []Pair, err error) {
 			s.mu.Unlock()
 			return nil, err
 		}
-		target = max(target, pos)
+		target = pos
+	} else if s.wal != nil && unchanged {
+		// The log's position covers any record an earlier attempt
+		// appended for this state, since state and log change together
+		// under s.mu.
+		target = s.wal.Pos()
 	}
 	s.trimLocked()
 	s.mu.Unlock()
 	return clashes, s.ackDurable(target)
 }
 
-// logLocked appends one redo record covering pairs and records their
-// log position, so a future retry knows what durability to wait for.
-// Called with s.mu held so the WAL order equals the apply order; the
-// fsync is awaited outside the lock.
+// logLocked appends one redo record covering pairs and returns its log
+// position. Called with s.mu held, which orders the WAL as the apply
+// order and guards the reused record buffer; the fsync is awaited
+// outside the lock.
 func (s *Store) logLocked(pairs []Pair) (uint64, error) {
-	b, err := wire.Marshal(pairs)
-	if err != nil {
-		return 0, err
+	s.redo = appendPairs(s.redo[:0], pairs)
+	pos, err := s.wal.Append(s.redo)
+	if cap(s.redo) > maxRedoKeep {
+		s.redo = nil
 	}
-	pos, err := s.wal.Append(b)
-	if err != nil {
-		return 0, err
-	}
-	for _, p := range pairs {
-		s.keyPos[p.Key] = pos
-	}
-	return pos, nil
+	return pos, err
 }
 
 // ackDurable awaits durability through log position target (group
@@ -329,17 +332,10 @@ func (s *Store) Checkpoint() {
 	if s.gen != gen {
 		return // recovered under us: replay already rebuilt the order log
 	}
-	// Appends that raced in since the capture stay in the suffix. The
-	// retry-durability bookkeeping of anything the image covers is
-	// settled, so keyPos forgets keys that no longer exist.
+	// Appends that raced in since the capture stay in the suffix.
 	if drop := int(img.Position) - s.base; drop > 0 {
 		s.order = append([]Pair(nil), s.order[drop:]...)
 		s.base += drop
-	}
-	for k, p := range s.keyPos {
-		if _, live := s.data[k]; !live && p <= pos {
-			delete(s.keyPos, k)
-		}
 	}
 }
 
@@ -371,9 +367,9 @@ func (s *Store) DumpSince(from int) ([]byte, error) {
 		return nil, fmt.Errorf("kv: suffix from %d compacted away (base %d)", from, s.base)
 	}
 	rel := min(from-s.base, len(s.order))
-	dump := append([]Pair(nil), s.order[rel:]...)
+	dump := appendPairs(nil, s.order[rel:])
 	s.mu.Unlock()
-	return wire.Marshal(dump)
+	return dump, nil
 }
 
 // Snapshot copies the current map.
@@ -393,7 +389,7 @@ func (s *Store) GetState() ([]byte, error) {
 	dump := s.liveLocked()
 	s.mu.Unlock()
 	sortPairs(dump)
-	return wire.Marshal(dump)
+	return appendPairs(nil, dump), nil
 }
 
 func (s *Store) liveLocked() []Pair {
@@ -427,8 +423,8 @@ func (s *Store) WAL() *wal.Log { return s.wal }
 func (s *Store) Dispatch(call *core.ServerCall, proc uint16, args []byte) ([]byte, error) {
 	switch proc {
 	case ProcPut:
-		var p Pair
-		if err := wire.Unmarshal(args, &p); err != nil {
+		p, err := DecodePair(args)
+		if err != nil {
 			return nil, err
 		}
 		if _, err := s.Write([]Pair{p}); err != nil {
@@ -463,13 +459,4 @@ func (s *Store) Dispatch(call *core.ServerCall, proc uint16, args []byte) ([]byt
 	default:
 		return nil, core.ErrNoSuchProc
 	}
-}
-
-// DecodePairs decodes a dump, a delta or a redo record.
-func DecodePairs(data []byte) ([]Pair, error) {
-	var dump []Pair
-	if err := wire.Unmarshal(data, &dump); err != nil {
-		return nil, errors.New("kv: garbled dump: " + err.Error())
-	}
-	return dump, nil
 }

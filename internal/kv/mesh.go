@@ -10,15 +10,19 @@ import "circus/internal/wire"
 
 // Keys extracts the routing key from a call. Only the keyed data path
 // (put, get) is guarded; dumps, merges, positions, and deletes are
-// repair and migration traffic that addresses a shard on purpose.
+// repair and migration traffic that addresses a shard on purpose. A
+// put's value is checked but not copied: the module decodes it.
 func Keys(proc uint16, args []byte) (string, bool) {
 	switch proc {
 	case ProcPut:
-		var p Pair
-		if wire.Unmarshal(args, &p) != nil {
+		r := reader{b: args}
+		key := r.str()
+		r.str()
+		r.boolean()
+		if r.end() != nil {
 			return "", false
 		}
-		return p.Key, true
+		return string(key), true
 	case ProcGet:
 		return string(args), true
 	}
@@ -51,7 +55,7 @@ func (Codec) Union(dumps [][]byte) ([]byte, error) {
 		out = append(out, Pair{Key: k, Val: v})
 	}
 	sortPairs(out)
-	return wire.Marshal(out)
+	return appendPairs(nil, out), nil
 }
 
 // Filter returns the subset of a dump whose keys satisfy keep.
@@ -68,14 +72,8 @@ func (Codec) Filter(dump []byte, keep func(string) bool) ([]byte, []string, erro
 			keys = append(keys, p.Key)
 		}
 	}
-	data, err := wire.Marshal(subset)
-	return data, keys, err
+	return appendPairs(nil, subset), keys, nil
 }
 
 // EncodeKeys externalizes a key batch for ProcDel.
 func (Codec) EncodeKeys(keys []string) ([]byte, error) { return wire.Marshal(keys) }
-
-// PutArgs externalizes one put.
-func PutArgs(key, val string) ([]byte, error) {
-	return wire.Marshal(Pair{Key: key, Val: val})
-}

@@ -285,7 +285,7 @@ type outTransfer struct {
 	acked    int       // highest consecutive segment acknowledged
 	attempts int       // retransmission passes since last progress
 	nextSend time.Time
-	done     chan struct{} // nil for an observed call: obs hears the end instead
+	done     chan struct{} // nil for an observed call, whose obs hears the end instead, and for a Reply
 	err      error
 	pace     bool // session had other transfers in flight at registration
 
@@ -483,9 +483,10 @@ type Conn struct {
 	opts Options
 	tr   *trace.Local // nil when tracing is disabled
 
-	// peers maps each peer to its session, copy-on-write: lock-free to
-	// read, copied under peersMu to add a session, which is never removed.
-	peers   atomic.Pointer[map[transport.Addr]*session]
+	// peers maps each peer, as peerKey, to its session, copy-on-write:
+	// lock-free to read, copied under peersMu to add a session, which is
+	// never removed.
+	peers   atomic.Pointer[map[uint64]*session]
 	peersMu sync.Mutex
 
 	// multiMu serializes multicast call-number allocation with the
@@ -682,7 +683,7 @@ func New(ep transport.Endpoint, opts Options) *Conn {
 		stop:     make(chan struct{}),
 	}
 	c.incoming = make(chan Message, incomingBuffer)
-	c.peers.Store(&map[transport.Addr]*session{})
+	c.peers.Store(&map[uint64]*session{})
 	c.tr = trace.NewLocal(c.opts.Trace, ep.Addr(), trace.NextIncarnation())
 	// The endpoint's own receive goroutine runs the protocol.
 	ep.SetHandler(c.handlePacket)
@@ -694,12 +695,13 @@ func New(ep transport.Endpoint, opts Options) *Conn {
 // session returns the per-peer state shard, creating it on first
 // contact with peer.
 func (c *Conn) session(peer transport.Addr) *session {
-	if s := (*c.peers.Load())[peer]; s != nil {
+	k := peerKey(peer)
+	if s := (*c.peers.Load())[k]; s != nil {
 		return s
 	}
 	c.peersMu.Lock()
 	defer c.peersMu.Unlock()
-	if s := (*c.peers.Load())[peer]; s != nil {
+	if s := (*c.peers.Load())[k]; s != nil {
 		return s
 	}
 	s := &session{
@@ -711,10 +713,15 @@ func (c *Conn) session(peer transport.Addr) *session {
 		nextCall: c.callBase,
 	}
 	m := maps.Clone(*c.peers.Load())
-	m[peer] = s
+	m[k] = s
 	c.peers.Store(&m)
 	return s
 }
+
+// peerKey packs an address into the integer key of Conn.peers, which
+// takes the map's 64-bit fast path where the struct key would hash
+// through the generic one.
+func peerKey(a transport.Addr) uint64 { return uint64(a.Host)<<16 | uint64(a.Port) }
 
 // Addr returns the local transport address.
 func (c *Conn) Addr() transport.Addr { return c.ep.Addr() }
@@ -1045,10 +1052,25 @@ func (c *Conn) TransmitMulticast(group []transport.Addr, transfers []Transfer) {
 	}
 }
 
-// StartSend begins a reliable transfer without blocking; servers use
-// it to send return messages while continuing to serve (§4.3.2).
+// StartSend begins a reliable transfer without blocking; the returned
+// transfer's Done and Err report how it fared.
 func (c *Conn) StartSend(to transport.Addr, typ MsgType, callNum uint32, msg []byte) (*outTransfer, error) {
-	t := &outTransfer{peer: to, typ: typ, callNum: callNum, done: make(chan struct{})}
+	return c.startSend(to, typ, callNum, msg, make(chan struct{}))
+}
+
+// Reply sends the return message of exchange callNum without blocking
+// and without a completion handle: servers send returns this way while
+// continuing to serve (§4.3.2), and nobody awaits one's
+// acknowledgment. An error means the message was never queued.
+func (c *Conn) Reply(to transport.Addr, callNum uint32, msg []byte) error {
+	_, err := c.startSend(to, Return, callNum, msg, nil)
+	return err
+}
+
+// startSend registers and transmits a transfer; done, if not nil, is
+// closed when it completes.
+func (c *Conn) startSend(to transport.Addr, typ MsgType, callNum uint32, msg []byte, done chan struct{}) (*outTransfer, error) {
+	t := &outTransfer{peer: to, typ: typ, callNum: callNum, done: done}
 	if err := t.fill(typ, callNum, msg); err != nil {
 		return nil, err
 	}
@@ -1594,7 +1616,9 @@ func (c *Conn) completeOutLocked(s *session, t *outTransfer, err error) {
 	t.err = err
 	switch {
 	case t.obs == nil:
-		close(t.done)
+		if t.done != nil {
+			close(t.done)
+		}
 	case err != nil:
 		t.obs.CallFailed(err)
 	default:

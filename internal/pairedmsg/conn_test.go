@@ -958,3 +958,49 @@ func TestCompletedRecordsCompact(t *testing.T) {
 		t.Fatalf("CompletedRecords = %d, want %d", got, n+10)
 	}
 }
+
+// TestReplyWithoutHandle: Reply sends a return that no completion
+// channel tracks. It reaches the caller's observer, and one still
+// unacknowledged when its peer goes silent, or when the Conn closes,
+// ends quietly.
+func TestReplyWithoutHandle(t *testing.T) {
+	p := newPair(t, 12, netsim.LinkConfig{}, fastOpts())
+	obs, cn := beginWatched(t, p, "ping")
+	if err := p.b.Reply(p.a.Addr(), cn, []byte("pong")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case data := <-obs.returned:
+		if data != "pong" {
+			t.Fatalf("observer handed return %q, want pong", data)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("reply not handed to the observer")
+	}
+
+	lost := newPair(t, 13, netsim.LinkConfig{LossRate: 1}, fastOpts())
+	for cn := uint32(1); cn <= 2; cn++ {
+		if err := lost.b.Reply(lost.a.Addr(), cn, []byte("unheard")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := lost.b.session(lost.a.Addr())
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		s.mu.Lock()
+		pending := len(s.out)
+		s.mu.Unlock()
+		if pending == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("replies to a silent peer never gave up")
+		}
+	}
+	if err := lost.b.Reply(lost.a.Addr(), 3, []byte("closing")); err != nil {
+		t.Fatal(err)
+	}
+	lost.b.Close()
+	if err := lost.b.Reply(lost.a.Addr(), 4, []byte("closed")); err == nil {
+		t.Fatal("Reply on a closed Conn returned nil")
+	}
+}

@@ -16,10 +16,9 @@ package thread
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sync"
-
-	"circus/internal/wire"
 )
 
 // ID uniquely identifies a distributed thread: the machine ID and
@@ -83,15 +82,17 @@ func (c *Context) NextCallPath() []uint32 {
 	return path
 }
 
-// PathKey renders a thread ID and call path as a map key.
+// PathKey renders a thread ID and call path as a map key: each as a
+// big-endian u32, built on the stack so the string is the one
+// allocation.
 func PathKey(id ID, path []uint32) string {
-	e := wire.NewEncoder()
-	e.PutUint32(id.Host)
-	e.PutUint32(id.Proc)
+	var buf [64]byte
+	b := binary.BigEndian.AppendUint32(buf[:0], id.Host)
+	b = binary.BigEndian.AppendUint32(b, id.Proc)
 	for _, p := range path {
-		e.PutUint32(p)
+		b = binary.BigEndian.AppendUint32(b, p)
 	}
-	return string(e.Bytes())
+	return string(b)
 }
 
 type ctxKey struct{}

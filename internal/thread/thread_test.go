@@ -64,6 +64,20 @@ func TestPathKeyDistinguishes(t *testing.T) {
 	if PathKey(id1, []uint32{7}) != PathKey(id1, []uint32{7}) {
 		t.Fatal("PathKey not stable")
 	}
+	// The key is the ID and path as big-endian words, also for a path
+	// too long for the stack buffer.
+	long := make([]uint32, 20)
+	want := "\x00\x00\x00\x01\x00\x00\x00\x02"
+	for i := range long {
+		long[i] = uint32(i) << 8
+		want += string([]byte{0, 0, byte(i), 0})
+	}
+	if got := PathKey(id2, long); got != want {
+		t.Fatalf("PathKey = %x, want %x", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = PathKey(id1, []uint32{1, 2, 3}) }); n > 1 {
+		t.Fatalf("PathKey: %v allocations, want 1", n)
+	}
 }
 
 func TestContextPropagation(t *testing.T) {

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"errors"
+	"slices"
 	"sync"
 
 	"circus/internal/trace"
@@ -89,39 +90,41 @@ func (lm *LockManager) Acquire(tx uint64, obj string, mode Mode) error {
 		ls = &lockState{holders: make(map[uint64]Mode)}
 		lm.locks[obj] = ls
 	}
-
-	for {
-		blockers := ls.blockers(tx, mode)
-		if len(blockers) == 0 {
-			ls.grant(tx, mode)
-			lm.mu.Unlock()
-			if lm.tr != nil {
-				trace.Stamp(lm.tr, trace.Event{Kind: trace.KindLockAcquire,
-					Troupe: tx, Detail: obj, N: int(mode)})
-			}
-			return nil
-		}
-		if lm.policy == WaitDie {
-			if dies(tx, blockers) {
-				lm.mu.Unlock()
-				return ErrWaitDie
-			}
-		} else if lm.wouldDeadlockLocked(tx, blockers) {
-			lm.mu.Unlock()
-			return ErrDeadlock
-		}
-
-		w := &waiter{tx: tx, mode: mode, ready: make(chan struct{})}
-		ls.queue = append(ls.queue, w)
+	blockers := ls.blockers(tx, mode)
+	if len(blockers) == 0 {
+		ls.grant(tx, mode)
 		lm.mu.Unlock()
-
-		<-w.ready
-
-		if w.err != nil {
-			return w.err
+		lm.traceAcquire(tx, obj, mode)
+		return nil
+	}
+	if lm.policy == WaitDie {
+		if dies(tx, blockers) {
+			lm.mu.Unlock()
+			return ErrWaitDie
 		}
-		lm.mu.Lock()
-		// Re-check; wakeLocked granted the lock, so this finds tx a holder.
+	} else if lm.wouldDeadlockLocked(tx, blockers) {
+		lm.mu.Unlock()
+		return ErrDeadlock
+	}
+	w := &waiter{tx: tx, mode: mode, ready: make(chan struct{})}
+	ls.queue = append(ls.queue, w)
+	lm.mu.Unlock()
+	<-w.ready
+	// wakeLocked or ReleaseAll settled the wait under lm.mu: granted
+	// the lock, or set err. Checking ls again instead would race a
+	// release that drops ls from the table meanwhile, leaving this
+	// waiter to queue where nothing wakes it.
+	if w.err != nil {
+		return w.err
+	}
+	lm.traceAcquire(tx, obj, mode)
+	return nil
+}
+
+func (lm *LockManager) traceAcquire(tx uint64, obj string, mode Mode) {
+	if lm.tr != nil {
+		trace.Stamp(lm.tr, trace.Event{Kind: trace.KindLockAcquire,
+			Troupe: tx, Detail: obj, N: int(mode)})
 	}
 }
 
@@ -199,7 +202,9 @@ func (lm *LockManager) wouldDeadlockLocked(tx uint64, blockers []uint64) bool {
 
 // ReleaseAll releases every lock held by tx and wakes eligible
 // waiters; 2PL requires each transaction to hold all locks until it
-// commits or aborts (§2.3.1).
+// commits or aborts (§2.3.1). An acquisition of tx's own still queued
+// fails with ErrTxDone: granted later, its lock would outlive the
+// transaction, and nothing would release it.
 func (lm *LockManager) ReleaseAll(tx uint64) {
 	if lm.tr != nil {
 		trace.Stamp(lm.tr, trace.Event{Kind: trace.KindLockRelease, Troupe: tx})
@@ -208,6 +213,14 @@ func (lm *LockManager) ReleaseAll(tx uint64) {
 	defer lm.mu.Unlock()
 	for obj, ls := range lm.locks {
 		delete(ls.holders, tx)
+		ls.queue = slices.DeleteFunc(ls.queue, func(w *waiter) bool {
+			if w.tx != tx {
+				return false
+			}
+			w.err = ErrTxDone
+			close(w.ready)
+			return true
+		})
 		lm.wakeLocked(ls)
 		if len(ls.holders) == 0 && len(ls.queue) == 0 {
 			delete(lm.locks, obj)

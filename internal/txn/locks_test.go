@@ -229,3 +229,44 @@ func TestDeadlockThreeWayCycle(t *testing.T) {
 		}
 	}
 }
+
+// TestReleaseAllEndsQueuedWait: a transaction aborted while one of its
+// acquisitions waits in a queue — a member aborts a transaction whose
+// client gave up on a blocked operation — gets that acquisition failed
+// with ErrTxDone. Granted later instead, the lock would belong to a
+// transaction that no longer exists and nothing would ever release it.
+func TestReleaseAllEndsQueuedWait(t *testing.T) {
+	lm := NewLockManager(DetectDeadlock)
+	if err := lm.Acquire(1, "a", Write); err != nil {
+		t.Fatal(err)
+	}
+	waited := make(chan error, 1)
+	go func() { waited <- lm.Acquire(2, "a", Read) }()
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		lm.mu.Lock()
+		queued := len(lm.locks["a"].queue)
+		lm.mu.Unlock()
+		if queued == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("acquisition never queued")
+		}
+	}
+	lm.ReleaseAll(2)
+	select {
+	case err := <-waited:
+		if err != ErrTxDone {
+			t.Fatalf("queued acquisition of an aborted transaction returned %v, want ErrTxDone", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("queued acquisition of an aborted transaction still waits")
+	}
+	lm.ReleaseAll(1)
+	if _, held := lm.Held(2, "a"); held {
+		t.Fatal("the aborted transaction was granted the lock")
+	}
+	if err := lm.Acquire(3, "a", Write); err != nil {
+		t.Fatalf("lock after both released: %v", err)
+	}
+}

@@ -3,6 +3,7 @@
 package udptrans
 
 import (
+	"sync"
 	"syscall"
 	"unsafe"
 
@@ -58,14 +59,41 @@ func fromSockaddr(sa *syscall.RawSockaddrInet4) (transport.Addr, bool) {
 	}, true
 }
 
+// sendBatchMax is the largest batch a pooled sendScratch holds; the
+// paired message layer's coalesced flushes are far smaller.
+const sendBatchMax = 16
+
+// sendScratch is the kernel-facing state of one sendmmsg batch. It is
+// pooled, and its write callback bound once, so a warm batch of up to
+// sendBatchMax datagrams allocates nothing.
+type sendScratch struct {
+	sas   [sendBatchMax]syscall.RawSockaddrInet4
+	iovs  [sendBatchMax]syscall.Iovec
+	hdrs  [sendBatchMax]mmsghdr
+	batch []mmsghdr // the headers being sent
+	sent  int
+	err   error
+	write func(fd uintptr) bool // s.sendmmsg
+}
+
+var sendScratches = sync.Pool{New: func() any {
+	s := new(sendScratch)
+	s.write = s.sendmmsg
+	return s
+}}
+
 // sendBatch transmits the datagrams with as few sendmmsg calls as the
 // socket buffer allows, waiting for writability between partial sends.
 // Every message carries its own destination, so a flush to mixed
 // peers is still one call.
 func (e *Endpoint) sendBatch(dgrams []transport.Datagram) error {
-	sas := make([]syscall.RawSockaddrInet4, len(dgrams))
-	iovs := make([]syscall.Iovec, len(dgrams))
-	hdrs := make([]mmsghdr, len(dgrams))
+	s := sendScratches.Get().(*sendScratch)
+	sas, iovs, hdrs := s.sas[:], s.iovs[:], s.hdrs[:]
+	if len(dgrams) > sendBatchMax {
+		sas = make([]syscall.RawSockaddrInet4, len(dgrams))
+		iovs = make([]syscall.Iovec, len(dgrams))
+		hdrs = make([]mmsghdr, len(dgrams))
+	}
 	for i := range dgrams {
 		d := &dgrams[i]
 		putSockaddr(&sas[i], d.To)
@@ -79,27 +107,34 @@ func (e *Endpoint) sendBatch(dgrams []transport.Datagram) error {
 		h.Iov = &iovs[i]
 		h.Iovlen = 1
 	}
-	sent := 0
-	var sysErr error
-	err := e.raw.Write(func(fd uintptr) bool {
-		for sent < len(hdrs) {
-			n, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
-				uintptr(unsafe.Pointer(&hdrs[sent])), uintptr(len(hdrs)-sent), 0, 0, 0)
-			if errno == syscall.EAGAIN {
-				return false // wait for writability, then resume
-			}
-			if errno != 0 {
-				sysErr = errno
-				return true
-			}
-			sent += int(n)
-		}
-		return true
-	})
-	if err != nil {
-		return err
+	s.batch, s.sent, s.err = hdrs[:len(dgrams)], 0, nil
+	err := e.raw.Write(s.write)
+	if err == nil {
+		err = s.err
 	}
-	return sysErr
+	// Drop the references to the caller's buffers before pooling.
+	clear(s.iovs[:])
+	s.batch, s.err = nil, nil
+	sendScratches.Put(s)
+	return err
+}
+
+// sendmmsg is the raw write callback: it sends the rest of s.batch,
+// reporting false to wait for writability after a partial send.
+func (s *sendScratch) sendmmsg(fd uintptr) bool {
+	for s.sent < len(s.batch) {
+		n, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
+			uintptr(unsafe.Pointer(&s.batch[s.sent])), uintptr(len(s.batch)-s.sent), 0, 0, 0)
+		if errno == syscall.EAGAIN {
+			return false // wait for writability, then resume
+		}
+		if errno != 0 {
+			s.err = errno
+			return true
+		}
+		s.sent += int(n)
+	}
+	return true
 }
 
 // recvBatch is the endpoint's receive state for one recvmmsg drain

@@ -318,7 +318,7 @@ func (h *memHandle) Sync() error {
 	}
 	if f, ok := m.files[h.name]; ok {
 		f.durable = append(f.durable, f.buffered...)
-		f.buffered = nil
+		f.buffered = f.buffered[:0] // keep the capacity for the next writes
 	}
 	m.fsyncs++
 	return nil

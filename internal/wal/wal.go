@@ -55,6 +55,7 @@ const (
 	snapSuffix          = ".snap"
 	tmpSuffix           = ".tmp"
 	defaultSegmentBytes = 1 << 20
+	maxFrameKeep        = 64 << 10 // largest frame buffer kept between appends
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -121,6 +122,7 @@ type Log struct {
 	gen         uint64 // bumped by Reopen; voids in-flight appends
 	closed      bool
 	stats       Stats
+	frame       []byte // the frame being appended, reused
 }
 
 // Open scans the disk, recovers whatever is intact, and opens a fresh
@@ -371,7 +373,8 @@ func (l *Log) Reopen() (*Recovered, error) {
 }
 
 // Append writes one record without waiting for durability; pair with
-// Sync. Most callers want AppendSync.
+// Sync. Most callers want AppendSync. The log keeps no reference to
+// payload.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -390,12 +393,19 @@ func (l *Log) appendLocked(payload []byte) (uint64, error) {
 			return 0, ErrClosed
 		}
 	}
-	frame := appendFrame(nil, payload)
-	if _, err := l.active.Write(frame); err != nil {
+	// File.Write must not retain its argument (io.Writer), so the
+	// frame is built in place in the log's buffer.
+	l.frame = appendFrame(l.frame[:0], payload)
+	n := len(l.frame)
+	_, err := l.active.Write(l.frame)
+	if cap(l.frame) > maxFrameKeep {
+		l.frame = nil
+	}
+	if err != nil {
 		return 0, err
 	}
 	l.pos++
-	l.activeBytes += len(frame)
+	l.activeBytes += n
 	l.stats.Appends++
 	if l.o.Trace != nil {
 		trace.Stamp(l.o.Trace, trace.Event{Kind: trace.KindWALAppend,
