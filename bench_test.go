@@ -307,7 +307,7 @@ func BenchmarkUnmarshal(b *testing.B) {
 // BenchmarkTransactionCommit measures a read-modify-write lightweight
 // transaction (§5.2).
 func BenchmarkTransactionCommit(b *testing.B) {
-	s := txn.NewStore(txn.DetectDeadlock)
+	s := txn.NewStore()
 	seed := s.Begin()
 	seed.Set("k", []byte{0})
 	seed.Commit()

@@ -233,7 +233,7 @@ func TestOrderedBroadcastDeterministicCC(t *testing.T) {
 	dest := core.Troupe{ID: 0xcc}
 	for i := 0; i < degree; i++ {
 		i := i
-		s := NewStore(DetectDeadlock)
+		s := NewStore()
 		stores[i] = s
 		seed := s.Begin()
 		seed.Set("v", []byte{1})

@@ -90,7 +90,7 @@ func TestTroupeCommitAllReady(t *testing.T) {
 	var members []*bankMember
 	for i := 0; i < 2; i++ {
 		rt := newRT(t, net, opts)
-		m := &bankMember{store: NewStore(DetectDeadlock), coordinator: coordTroupe}
+		m := &bankMember{store: NewStore(), coordinator: coordTroupe}
 		addr := rt.Export(m, core.ExportOptions{})
 		rt.SetTroupeID(addr.Module, serverTroupe.ID)
 		serverTroupe.Members = append(serverTroupe.Members, addr)
@@ -142,7 +142,7 @@ func TestTroupeCommitVoteAbort(t *testing.T) {
 	serverTroupe := core.Troupe{ID: 0xbb}
 	for i := 0; i < 2; i++ {
 		rt := newRT(t, net, opts)
-		m := &bankMember{store: NewStore(DetectDeadlock), coordinator: coordTroupe}
+		m := &bankMember{store: NewStore(), coordinator: coordTroupe}
 		addr := rt.Export(m, core.ExportOptions{})
 		rt.SetTroupeID(addr.Module, serverTroupe.ID)
 		serverTroupe.Members = append(serverTroupe.Members, addr)
@@ -232,7 +232,7 @@ func TestTroupeCommitTheorem51SameOrder(t *testing.T) {
 	var members []*bankMember
 	for i := 0; i < 3; i++ {
 		rt := newRT(t, net, opts)
-		m := &bankMember{store: NewStore(DetectDeadlock), coordinator: coordTroupe}
+		m := &bankMember{store: NewStore(), coordinator: coordTroupe}
 		addr := rt.Export(m, core.ExportOptions{})
 		rt.SetTroupeID(addr.Module, serverTroupe.ID)
 		serverTroupe.Members = append(serverTroupe.Members, addr)

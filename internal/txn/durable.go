@@ -19,12 +19,12 @@ import (
 // OpenDurableStore builds a store whose top-level commits are
 // redo-logged to log, first replaying what a previous incarnation left
 // behind (rec, as returned by wal.Open or wal.Reopen).
-func OpenDurableStore(policy Policy, log *wal.Log, rec *wal.Recovered) (*Store, error) {
+func OpenDurableStore(log *wal.Log, rec *wal.Recovered) (*Store, error) {
 	committed, err := kv.Open(log, rec)
 	if err != nil {
 		return nil, err
 	}
-	s := NewStore(policy)
+	s := NewStore()
 	s.kv = committed
 	return s, nil
 }

@@ -14,7 +14,7 @@ func openDurable(t *testing.T, mfs *wal.MemFS, snapshotEvery int) *Store {
 	if err != nil {
 		t.Fatalf("wal.Open: %v", err)
 	}
-	s, err := OpenDurableStore(DetectDeadlock, log, rec)
+	s, err := OpenDurableStore(log, rec)
 	if err != nil {
 		t.Fatalf("OpenDurableStore: %v", err)
 	}
@@ -213,7 +213,7 @@ func TestDurableStoreFailedAppendUndoesCommit(t *testing.T) {
 // received by transfer (§6.4.1) is logged like a commit, so the member
 // still holds it after a power loss.
 func TestDurableSetStateSurvivesPowerLoss(t *testing.T) {
-	src := NewStore(DetectDeadlock)
+	src := NewStore()
 	mustCommit(t, src, map[string]string{"x": "1", "y": "2"})
 	state, err := NewStoreModule(src, 0).GetState()
 	if err != nil {

@@ -21,30 +21,9 @@ const (
 	Write
 )
 
-// ErrDeadlock reports that granting a lock would have created a cycle
-// in the waits-for relation (§2.3.1); the requesting transaction
-// should abort and retry, with binary exponential back-off under
-// contention (§5.3.1).
-var ErrDeadlock = errors.New("txn: deadlock detected")
-
-// ErrWaitDie reports that a younger transaction tried to wait on an
-// older one under the wait-die policy and must abort.
+// ErrWaitDie reports that a transaction asked for a lock held, or
+// queued for, by an older transaction, and must abort rather than wait.
 var ErrWaitDie = errors.New("txn: wait-die abort")
-
-// Policy selects how lock conflicts that could deadlock are handled.
-type Policy int
-
-const (
-	// DetectDeadlock builds the waits-for graph and aborts a
-	// requester whose wait would close a cycle — the deadlock
-	// detection of §2.3.1.
-	DetectDeadlock Policy = iota
-	// WaitDie is the timestamp-based prevention scheme of Rosenkrantz
-	// et al. (§5.4): an older transaction may wait for a younger one,
-	// but a younger transaction aborts instead of waiting. Transaction
-	// IDs serve as timestamps.
-	WaitDie
-)
 
 type waiter struct {
 	tx    uint64
@@ -58,19 +37,22 @@ type lockState struct {
 	queue   []*waiter
 }
 
-// LockManager implements two-phase locking over named objects with
-// configurable deadlock handling.
+// LockManager implements two-phase locking over named objects. It
+// prevents deadlock by the wait-die scheme of Rosenkrantz et al.
+// (§5.4): transaction IDs are timestamps, smaller is older, and an
+// older transaction may wait for a younger one, but a younger one
+// aborts instead of waiting. Every wait is then from older to younger,
+// so no cycle of waits can form.
 type LockManager struct {
-	policy Policy
-	tr     trace.Sink // nil disables lock tracing
+	tr trace.Sink // nil disables lock tracing
 
 	mu    sync.Mutex
 	locks map[string]*lockState
 }
 
 // NewLockManager returns an empty lock manager.
-func NewLockManager(policy Policy) *LockManager {
-	return &LockManager{policy: policy, locks: make(map[string]*lockState)}
+func NewLockManager() *LockManager {
+	return &LockManager{locks: make(map[string]*lockState)}
 }
 
 // SetTrace installs a sink recording lock grants and releases. Lock
@@ -81,7 +63,7 @@ func (lm *LockManager) SetTrace(s trace.Sink) { lm.tr = s }
 
 // Acquire obtains the lock on obj in the given mode on behalf of tx,
 // blocking while conflicting transactions hold it. It returns
-// ErrDeadlock (or ErrWaitDie) if waiting is not allowed.
+// ErrWaitDie if an older transaction blocks tx.
 // Reentrant acquisition and read-to-write upgrade are supported.
 func (lm *LockManager) Acquire(tx uint64, obj string, mode Mode) error {
 	lm.mu.Lock()
@@ -97,14 +79,9 @@ func (lm *LockManager) Acquire(tx uint64, obj string, mode Mode) error {
 		lm.traceAcquire(tx, obj, mode)
 		return nil
 	}
-	if lm.policy == WaitDie {
-		if dies(tx, blockers) {
-			lm.mu.Unlock()
-			return ErrWaitDie
-		}
-	} else if lm.wouldDeadlockLocked(tx, blockers) {
+	if dies(tx, blockers) {
 		lm.mu.Unlock()
-		return ErrDeadlock
+		return ErrWaitDie
 	}
 	w := &waiter{tx: tx, mode: mode, ready: make(chan struct{})}
 	ls.queue = append(ls.queue, w)
@@ -158,44 +135,13 @@ func (ls *lockState) grant(tx uint64, mode Mode) {
 	}
 }
 
-// dies reports whether tx, under wait-die, must abort rather than wait
-// for blockers. Timestamps are transaction IDs: smaller is older, and
-// a younger transaction never waits for an older one.
+// dies reports whether tx must abort rather than wait for blockers:
+// whether any of them is older.
 func dies(tx uint64, blockers []uint64) bool {
 	for _, b := range blockers {
 		if tx > b {
 			return true
 		}
-	}
-	return false
-}
-
-// wouldDeadlockLocked reports whether adding edges tx→blockers closes
-// a cycle in the waits-for relation of §2.3.1. The relation is read
-// off the lock table, never stored: a queued waiter waits for whatever
-// blocks it now, which includes a transaction granted ahead of it
-// after it queued, and no longer includes one that has released.
-func (lm *LockManager) wouldDeadlockLocked(tx uint64, blockers []uint64) bool {
-	waitsFor := make(map[uint64][]uint64)
-	for _, ls := range lm.locks {
-		for _, w := range ls.queue {
-			waitsFor[w.tx] = append(waitsFor[w.tx], ls.blockers(w.tx, w.mode)...)
-		}
-	}
-	// DFS from each blocker looking for tx.
-	seen := make(map[uint64]bool)
-	stack := append([]uint64(nil), blockers...)
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if cur == tx {
-			return true
-		}
-		if seen[cur] {
-			continue
-		}
-		seen[cur] = true
-		stack = append(stack, waitsFor[cur]...)
 	}
 	return false
 }
@@ -221,7 +167,7 @@ func (lm *LockManager) ReleaseAll(tx uint64) {
 			close(w.ready)
 			return true
 		})
-		lm.wakeLocked(ls)
+		ls.wakeLocked()
 		if len(ls.holders) == 0 && len(ls.queue) == 0 {
 			delete(lm.locks, obj)
 		}
@@ -229,12 +175,12 @@ func (lm *LockManager) ReleaseAll(tx uint64) {
 }
 
 // wakeLocked settles a lock's queue after a release, in FIFO order: a
-// waiter nothing blocks any more is granted, and under wait-die a
-// waiter left behind a blocker older than itself — one granted ahead
-// of it just now, say — dies, as it would had it asked now. A waiter
-// that dies may have been the queued write holding back a read ahead
-// of it, so the pass repeats until one leaves every waiter waiting.
-func (lm *LockManager) wakeLocked(ls *lockState) {
+// waiter nothing blocks any more is granted, and a waiter left behind
+// a blocker older than itself — one granted ahead of it just now, say
+// — dies, as it would had it asked now. A waiter that dies may have
+// been the queued write holding back a read ahead of it, so the pass
+// repeats until one leaves every waiter waiting.
+func (ls *lockState) wakeLocked() {
 	for again := true; again; {
 		again = false
 		var remaining []*waiter
@@ -243,7 +189,7 @@ func (lm *LockManager) wakeLocked(ls *lockState) {
 			switch {
 			case len(blockers) == 0:
 				ls.grant(w.tx, w.mode)
-			case lm.policy == WaitDie && dies(w.tx, blockers):
+			case dies(w.tx, blockers):
 				w.err = ErrWaitDie
 				again = true
 			default:

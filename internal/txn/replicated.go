@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"time"
@@ -21,13 +20,17 @@ import (
 // store. StoreModule is the server troupe member — an ordinary
 // transactional store whose commits run the troupe commit protocol of
 // §5.3 — and RemoteStore is the client library that brackets a
-// sequence of replicated calls into one transaction, retrying
-// deadlock-aborted rounds with binary exponential back-off (§5.3.1).
+// sequence of replicated calls into one transaction, retrying aborted
+// rounds with binary exponential back-off (§5.3.1).
 //
 // A transaction is identified by the distributed thread performing it
 // (§3.4.1): every member sees the same thread ID on every operation of
 // the transaction, so the members' transaction tables stay aligned
-// with no communication among them.
+// with no communication among them. The ID is also the transaction's
+// wait-die stamp, so every member refuses the same, younger, party to
+// a conflict: no member waits for a transaction that another member
+// has made wait for it, and a deadlock that no single member sees
+// cannot form.
 
 // Procedure numbers of the replicated store interface.
 const (
@@ -38,11 +41,14 @@ const (
 	ProcTxAbort  uint16 = 5
 )
 
-// Error strings crossing the wire (AppError payloads).
-const (
-	errDeadlockWire = "txn: deadlock detected"
-	errNoTxWire     = "txn: no active transaction"
-)
+// errNoTxWire is the error, crossing the wire as an AppError payload,
+// of an operation on a transaction the member does not have.
+const errNoTxWire = "txn: no active transaction"
+
+// opTimeout bounds each transactional operation. Wait-die ends every
+// lock wait, so it is a backstop: an operation it cuts off fails, and
+// Run aborts and retries the transaction.
+const opTimeout = 5 * time.Second
 
 // ErrAborted reports that the troupe commit round decided to abort.
 var ErrAborted = errors.New("txn: transaction aborted by troupe commit")
@@ -89,7 +95,7 @@ type memberTx struct {
 	tx       *Tx
 	lastUsed time.Time
 	// doomed marks a transaction whose serialization diverged at this
-	// member (a local deadlock abort while other members proceeded):
+	// member (a wait-die abort while other members proceeded):
 	// the member keeps the record so that at commit time it votes
 	// ready_to_commit(false), turning the divergence into a collective
 	// abort (§5.3).
@@ -131,21 +137,30 @@ func (m *StoreModule) tx(id thread.ID, begin bool) (*memberTx, error) {
 	if !begin {
 		return nil, errors.New(errNoTxWire)
 	}
-	t := m.store.Begin()
+	t := m.store.beginAt(uint64(id.Proc)<<32 | uint64(id.Host))
 	at := &memberTx{tx: t, lastUsed: m.now()}
 	m.txs[id] = at
 	return at, nil
 }
 
-// opFailed records the outcome of a transactional operation: a
-// serialization failure (deadlock, wait-die) dooms the member's
+// op runs one lock-taking operation of the calling thread's
+// transaction. A serialization failure (wait-die) dooms the member's
 // transaction so the forthcoming commit round aborts everywhere.
-func (m *StoreModule) opFailed(id thread.ID, err error) error {
-	if errors.Is(err, ErrDeadlock) || errors.Is(err, ErrWaitDie) || errors.Is(err, ErrTxDone) {
+// Should the member's runtime close meanwhile, the transaction aborts,
+// which ends a lock wait that nothing else might, and with it the
+// dispatch worker that Close waits for.
+func (m *StoreModule) op(call *core.ServerCall, f func(*Tx) error) error {
+	id := call.Thread().ID()
+	at, err := m.tx(id, true)
+	if err != nil {
+		return err
+	}
+	stop := context.AfterFunc(call.Context(), func() { at.tx.Abort() })
+	err = f(at.tx)
+	stop()
+	if errors.Is(err, ErrWaitDie) || errors.Is(err, ErrTxDone) {
 		m.mu.Lock()
-		if at, ok := m.txs[id]; ok {
-			at.doomed = true
-		}
+		at.doomed = true
 		m.mu.Unlock()
 	}
 	return err
@@ -184,16 +199,16 @@ func (m *StoreModule) Dispatch(call *core.ServerCall, proc uint16, args []byte) 
 		if err := wire.Unmarshal(args, &a); err != nil {
 			return nil, err
 		}
-		at, err := m.tx(id, true)
-		if err != nil {
-			return nil, err
-		}
-		v, err := at.tx.Get(a.Key)
+		var v []byte
+		err := m.op(call, func(tx *Tx) (err error) {
+			v, err = tx.Get(a.Key)
+			return err
+		})
 		switch {
 		case errors.Is(err, ErrNotFound):
 			return wire.Marshal(getReply{})
 		case err != nil:
-			return nil, m.opFailed(id, err)
+			return nil, err
 		default:
 			return wire.Marshal(getReply{Found: true, Val: v})
 		}
@@ -202,27 +217,13 @@ func (m *StoreModule) Dispatch(call *core.ServerCall, proc uint16, args []byte) 
 		if err := wire.Unmarshal(args, &a); err != nil {
 			return nil, err
 		}
-		at, err := m.tx(id, true)
-		if err != nil {
-			return nil, err
-		}
-		if err := at.tx.Set(a.Key, a.Val); err != nil {
-			return nil, m.opFailed(id, err)
-		}
-		return nil, nil
+		return nil, m.op(call, func(tx *Tx) error { return tx.Set(a.Key, a.Val) })
 	case ProcTxDelete:
 		var a keyArgs
 		if err := wire.Unmarshal(args, &a); err != nil {
 			return nil, err
 		}
-		at, err := m.tx(id, true)
-		if err != nil {
-			return nil, err
-		}
-		if err := at.tx.Delete(a.Key); err != nil {
-			return nil, m.opFailed(id, err)
-		}
-		return nil, nil
+		return nil, m.op(call, func(tx *Tx) error { return tx.Delete(a.Key) })
 	case ProcTxCommit:
 		var a commitArgs
 		if err := wire.Unmarshal(args, &a); err != nil {
@@ -295,23 +296,9 @@ func (m *StoreModule) SetState(b []byte) error { return m.store.kv.SetState(b) }
 // runtime) and brackets bodies of Get/Set/Delete calls into
 // transactions committed by the troupe commit protocol.
 type RemoteStore struct {
-	rt        *core.Runtime
-	dest      core.Troupe
-	coord     []wireAddr
-	opTimeout time.Duration
-}
-
-// SetOpTimeout bounds each transactional operation. A blocked
-// operation usually means the transaction is waiting on a lock held by
-// a conflicting transaction — possibly a distributed deadlock no
-// single member can see — so the client aborts and retries after the
-// bound, the client-side half of §5.3's deadlock-to-abort
-// transformation. Zero restores the 5-second default.
-func (rs *RemoteStore) SetOpTimeout(d time.Duration) {
-	if d == 0 {
-		d = 5 * time.Second
-	}
-	rs.opTimeout = d
+	rt    *core.Runtime
+	dest  core.Troupe
+	coord []wireAddr
 }
 
 // NewRemoteStore prepares a client of the replicated store at dest.
@@ -321,9 +308,8 @@ func (rs *RemoteStore) SetOpTimeout(d time.Duration) {
 func NewRemoteStore(rt *core.Runtime, dest core.Troupe, resolver core.Resolver) *RemoteStore {
 	coordAddr := rt.Export(NewCoordinator(resolver), CoordinatorExportOptions())
 	return &RemoteStore{
-		rt:        rt,
-		dest:      dest,
-		opTimeout: 5 * time.Second,
+		rt:   rt,
+		dest: dest,
 		coord: []wireAddr{{
 			Host:   coordAddr.Addr.Host,
 			Port:   coordAddr.Addr.Port,
@@ -334,12 +320,13 @@ func NewRemoteStore(rt *core.Runtime, dest core.Troupe, resolver core.Resolver) 
 
 // strictCollator is the waiting policy for transactional operations:
 // unlike the crash-masking unanimous default, an application-level
-// error at ANY member fails the operation. Members choose their own
-// deadlock victims, so one member may abort an acquisition that
-// another granted; proceeding on the majority would let the members'
-// workspaces diverge. The failed operation aborts the transaction
-// everywhere and the round is retried (§5.3). collate.New calls the
-// function only when some member succeeded, so first is always set.
+// error at ANY member fails the operation. Operations arrive at the
+// members in different orders, so one member may refuse an
+// acquisition that another granted; proceeding on the majority would
+// let the members' workspaces diverge. The failed operation aborts
+// the transaction everywhere and the round is retried (§5.3).
+// collate.New calls the function only when some member succeeded, so
+// first is always set.
 func strictCollator(n int) collate.Collator {
 	return collate.New(n, func(items []collate.Item) ([]byte, error) {
 		var first []byte
@@ -348,7 +335,7 @@ func strictCollator(n int) collate.Collator {
 			if it.Err != nil {
 				// Only a presumed crash is masked (§4.3.1). Any other
 				// per-member failure — an application error such as a
-				// deadlock abort, or a timeout on a blocked lock —
+				// wait-die abort, or a timeout on a blocked lock —
 				// must fail the whole operation: the member's
 				// workspace no longer matches the others', and
 				// proceeding would let the troupe diverge.
@@ -383,7 +370,7 @@ func (tx *RemoteTx) call(proc uint16, args any) ([]byte, error) {
 	}
 	return tx.rs.rt.Call(tx.ctx, tx.rs.dest, proc, data, core.CallOptions{
 		Thread:   tx.tc,
-		Timeout:  tx.rs.opTimeout,
+		Timeout:  opTimeout,
 		Collator: strictCollator,
 	})
 }
@@ -432,9 +419,9 @@ func (tx *RemoteTx) commit() (bool, error) {
 	return ok, nil
 }
 
-// retryable reports whether a failed round should be retried: deadlock
-// aborts (transformed serialization divergence, §5.3) and commit-round
-// aborts are; application errors are not.
+// retryable reports whether a failed round should be retried:
+// wait-die aborts (transformed serialization divergence, §5.3) and
+// commit-round aborts are; application errors are not.
 func retryable(err error) bool {
 	if errors.Is(err, ErrAborted) || errors.Is(err, collate.ErrDisagreement) ||
 		errors.Is(err, collate.ErrAllFailed) {
@@ -442,8 +429,7 @@ func retryable(err error) bool {
 	}
 	var app *core.AppError
 	if errors.As(err, &app) {
-		return strings.Contains(app.Msg, errDeadlockWire) ||
-			strings.Contains(app.Msg, "wait-die") ||
+		return strings.Contains(app.Msg, ErrWaitDie.Error()) ||
 			strings.Contains(app.Msg, errNoTxWire) || // member reaped an idle tx (TTL)
 			strings.Contains(app.Msg, ErrTxDone.Error()) ||
 			strings.Contains(app.Msg, context.DeadlineExceeded.Error())
@@ -452,51 +438,20 @@ func retryable(err error) bool {
 }
 
 // Run executes body as a replicated transaction: on nil return it runs
-// the troupe commit protocol; deadlocks and commit aborts are retried
+// the troupe commit protocol; wait-die and commit aborts are retried
 // with binary exponential back-off (§5.3.1). Each attempt uses a fresh
 // distributed thread, which is what makes the retry a new transaction.
 func (rs *RemoteStore) Run(ctx context.Context, opts RetryOptions, body func(tx *RemoteTx) error) error {
-	if opts.MaxAttempts == 0 {
-		opts.MaxAttempts = 10
-	}
-	if opts.BaseDelay == 0 {
-		opts.BaseDelay = 5 * time.Millisecond
-	}
-	rng := opts.Rand
-	if rng == nil {
-		rng = rand.New(rand.NewSource(time.Now().UnixNano()))
-	}
-	delay := opts.BaseDelay
-	var last error
-	for attempt := 0; attempt < opts.MaxAttempts; attempt++ {
+	return retry(ctx, opts, func() error {
 		tx := &RemoteTx{rs: rs, ctx: ctx, tc: rs.rt.NewThread()}
-		err := body(tx)
-		if err != nil {
+		if err := body(tx); err != nil {
 			tx.abort()
-			if !retryable(err) {
-				return err
-			}
-			last = err
-		} else {
-			ok, cerr := tx.commit()
-			if cerr == nil && ok {
-				return nil
-			}
-			if cerr != nil && !retryable(cerr) {
-				return cerr
-			}
-			if cerr == nil {
-				last = ErrAborted
-			} else {
-				last = cerr
-			}
+			return err
 		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Duration(rng.Int63n(int64(delay) + 1))):
+		ok, err := tx.commit()
+		if err == nil && !ok {
+			err = ErrAborted
 		}
-		delay *= 2
-	}
-	return fmt.Errorf("txn: giving up after %d attempts: %w", opts.MaxAttempts, last)
+		return err
+	}, retryable)
 }

@@ -12,6 +12,7 @@ import (
 
 	"circus/internal/core"
 	"circus/internal/netsim"
+	"circus/internal/thread"
 	"circus/internal/wire"
 )
 
@@ -23,6 +24,7 @@ type replWorld struct {
 	resolver core.StaticResolver
 	dest     core.Troupe
 	mods     []*StoreModule
+	rts      []*core.Runtime // the members'
 }
 
 func newReplWorld(t *testing.T, seed int64, degree int) *replWorld {
@@ -33,11 +35,12 @@ func newReplWorld(t *testing.T, seed int64, degree int) *replWorld {
 	w.dest = core.Troupe{ID: 0x7e57}
 	for i := 0; i < degree; i++ {
 		rt := newRT(t, w.net, opts)
-		m := NewStoreModule(NewStore(DetectDeadlock), time.Minute)
+		m := NewStoreModule(NewStore(), time.Minute)
 		addr := rt.Export(m, core.ExportOptions{})
 		rt.SetTroupeID(addr.Module, w.dest.ID)
 		w.dest.Members = append(w.dest.Members, addr)
 		w.mods = append(w.mods, m)
+		w.rts = append(w.rts, rt)
 	}
 	w.resolver[w.dest.ID] = w.dest.Members
 	return w
@@ -250,7 +253,7 @@ func TestReplicatedStoreIdleTransactionExpires(t *testing.T) {
 	opts.Resolver = resolver
 
 	rt := newRT(t, net, opts)
-	mod := NewStoreModule(NewStore(DetectDeadlock), 50*time.Millisecond)
+	mod := NewStoreModule(NewStore(), 50*time.Millisecond)
 	addr := rt.Export(mod, core.ExportOptions{})
 	dest := core.Troupe{Members: []core.ModuleAddr{addr}}
 
@@ -292,7 +295,7 @@ func TestReplicatedStoreStateTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := NewStoreModule(NewStore(DetectDeadlock), 0)
+	fresh := NewStoreModule(NewStore(), 0)
 	if err := fresh.SetState(state); err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +336,6 @@ func TestRetryableClassification(t *testing.T) {
 		want bool
 	}{
 		{ErrAborted, true},
-		{&core.AppError{Msg: errDeadlockWire}, true},
 		{&core.AppError{Msg: "txn: wait-die abort"}, true},
 		{&core.AppError{Msg: "no such key"}, false},
 		{errors.New("random"), false},
@@ -357,5 +359,110 @@ func TestCommitWithoutTransaction(t *testing.T) {
 	}
 	if !reflect.DeepEqual(app.Msg, errNoTxWire) {
 		t.Fatalf("msg = %q", app.Msg)
+	}
+}
+
+// stamped returns a thread whose transactions carry the wait-die stamp
+// proc<<32 | 1: of two such threads, the one with the smaller proc is
+// older at every member.
+func stamped(proc uint32) *thread.Context {
+	return thread.NewRoot(thread.ID{Host: 1, Proc: proc})
+}
+
+// TestReplicatedStoreWaitDieSameLoser: two members receive the Sets of
+// two conflicting transactions on one key in opposite orders. Every
+// member stamps a transaction with its thread's ID, so both refuse the
+// younger one and neither waits for it to be refused elsewhere: the
+// younger aborts, the older commits, and no operation waits longer
+// than it takes the client to abort the loser.
+func TestReplicatedStoreWaitDieSameLoser(t *testing.T) {
+	w := newReplWorld(t, 81, 2)
+	rs := w.client()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	old, young := stamped(1), stamped(2)
+	// at runs a transaction's operations at member i alone.
+	at := func(tc *thread.Context, i int) *RemoteTx {
+		one := &RemoteStore{rt: rs.rt, dest: core.Troupe{Members: w.dest.Members[i : i+1]}}
+		return &RemoteTx{rs: one, ctx: ctx, tc: tc}
+	}
+	const bound = 100 * time.Millisecond
+	timed := func(what string, f func() error) error {
+		t.Helper()
+		start := time.Now()
+		err := f()
+		if d := time.Since(start); d > bound {
+			t.Errorf("%s took %v, want ≤ %v", what, d, bound)
+		}
+		return err
+	}
+
+	// Member 1 sees the older transaction first, member 0 the younger.
+	if err := timed("older Set at member 1", func() error { return at(old, 1).Set("k", []byte("old")) }); err != nil {
+		t.Fatalf("older Set at member 1: %v", err)
+	}
+	if err := timed("younger Set at member 0", func() error { return at(young, 0).Set("k", []byte("young")) }); err != nil {
+		t.Fatalf("younger Set at member 0: %v", err)
+	}
+	err := timed("younger Set at member 1", func() error { return at(young, 1).Set("k", []byte("young")) })
+	var app *core.AppError
+	if !errors.As(err, &app) || app.Msg != ErrWaitDie.Error() {
+		t.Fatalf("younger Set behind the older at member 1 = %v, want %v", err, ErrWaitDie)
+	}
+	olderAt0 := make(chan error, 1)
+	start := time.Now()
+	go func() { olderAt0 <- at(old, 0).Set("k", []byte("old")) }()
+	queued(t, w.mods[0].Store().lm, "k", 1) // the older waits for the younger
+
+	// The client aborts the loser everywhere; the older gets its lock.
+	(&RemoteTx{rs: rs, ctx: ctx, tc: young}).abort()
+	if err := <-olderAt0; err != nil {
+		t.Fatalf("older Set at member 0: %v", err)
+	}
+	if d := time.Since(start); d > bound {
+		t.Errorf("older Set at member 0 waited %v, want ≤ %v", d, bound)
+	}
+	ok, err := (&RemoteTx{rs: rs, ctx: ctx, tc: old}).commit()
+	if err != nil || !ok {
+		t.Fatalf("older commit = %v, %v; want true", ok, err)
+	}
+	for i := range w.mods {
+		if v, _ := w.committed(i, "k"); string(v) != "old" {
+			t.Fatalf("member %d: k = %q, want old", i, v)
+		}
+		if n := w.mods[i].ActiveTransactions(); n != 0 {
+			t.Fatalf("member %d holds %d transactions", i, n)
+		}
+	}
+}
+
+// TestReplicatedStoreCloseEndsLockWait: an older transaction waits at
+// a member for a lock held by a younger one whose client has vanished.
+// Closing the member's runtime aborts the waiting transaction there,
+// so Close, which waits for every dispatch worker, returns.
+func TestReplicatedStoreCloseEndsLockWait(t *testing.T) {
+	w := newReplWorld(t, 82, 1)
+	rs := w.client()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	young := &RemoteTx{rs: rs, ctx: ctx, tc: stamped(2)}
+	if err := young.Set("k", []byte("young")); err != nil {
+		t.Fatal(err)
+	}
+	// young's client vanishes: no commit, no abort.
+	older := make(chan error, 1)
+	go func() { older <- (&RemoteTx{rs: rs, ctx: ctx, tc: stamped(1)}).Set("k", []byte("old")) }()
+	queued(t, w.mods[0].Store().lm, "k", 1)
+
+	closed := make(chan struct{})
+	go func() { w.rts[0].Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Runtime.Close blocked behind a member's lock wait")
+	}
+	cancel()
+	if err := <-older; err == nil {
+		t.Fatal("the older Set succeeded at a closed member")
 	}
 }

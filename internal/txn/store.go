@@ -16,7 +16,9 @@
 package txn
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -58,9 +60,9 @@ func (s *Store) SetTrace(sink trace.Sink) {
 	s.lm.SetTrace(sink)
 }
 
-// NewStore returns an empty store using the given locking policy.
-func NewStore(policy Policy) *Store {
-	return &Store{lm: NewLockManager(policy), kv: kv.New()}
+// NewStore returns an empty store.
+func NewStore() *Store {
+	return &Store{lm: NewLockManager(), kv: kv.New()}
 }
 
 // txState is the lifecycle of a transaction.
@@ -89,10 +91,14 @@ type Tx struct {
 }
 
 // Begin starts a top-level transaction. Transaction IDs are issued in
-// increasing order and double as the timestamps of the wait-die
-// policy.
-func (s *Store) Begin() *Tx {
-	return &Tx{store: s, id: s.nextTx.Add(1), writes: make(map[string]*[]byte)}
+// increasing order and double as the timestamps of wait-die.
+func (s *Store) Begin() *Tx { return s.beginAt(s.nextTx.Add(1)) }
+
+// beginAt starts a top-level transaction with the given ID, which must
+// not be that of a live transaction. A troupe member takes it from the
+// calling thread, so every member stamps a transaction alike.
+func (s *Store) beginAt(id uint64) *Tx {
+	return &Tx{store: s, id: id, writes: make(map[string]*[]byte)}
 }
 
 // Begin starts a subtransaction, nested dynamically like a procedure
@@ -315,9 +321,10 @@ func (s *Store) Keys() []string {
 	return keys
 }
 
-// RetryOptions tunes Run's handling of deadlock aborts.
+// RetryOptions tunes the retrying of transactions that lost a
+// conflict.
 type RetryOptions struct {
-	// MaxAttempts bounds the number of tries; zero means 10.
+	// MaxAttempts bounds the number of tries; zero or less means 10.
 	MaxAttempts int
 	// BaseDelay is the first back-off interval; zero means 1ms. The
 	// mean delay doubles on each retry — the binary exponential
@@ -329,35 +336,48 @@ type RetryOptions struct {
 }
 
 // Run executes body inside a transaction, committing on nil return and
-// aborting otherwise. Deadlock (and wait-die) aborts are retried with
-// binary exponential back-off (§5.3.1); other errors abort and are
-// returned.
+// aborting otherwise. Wait-die aborts are retried with binary
+// exponential back-off (§5.3.1); other errors abort and are returned.
 func (s *Store) Run(opts RetryOptions, body func(tx *Tx) error) error {
-	if opts.MaxAttempts == 0 {
-		opts.MaxAttempts = 10
-	}
-	if opts.BaseDelay == 0 {
-		opts.BaseDelay = time.Millisecond
-	}
-	rng := opts.Rand
-	if rng == nil {
-		rng = rand.New(rand.NewSource(time.Now().UnixNano()))
-	}
-	delay := opts.BaseDelay
-	var err error
-	for attempt := 0; attempt < opts.MaxAttempts; attempt++ {
+	return retry(context.Background(), opts, func() error {
 		tx := s.Begin()
-		err = body(tx)
-		if err == nil {
-			return tx.Commit()
-		}
-		tx.Abort()
-		if !errors.Is(err, ErrDeadlock) && !errors.Is(err, ErrWaitDie) {
+		if err := body(tx); err != nil {
+			tx.Abort()
 			return err
 		}
-		// Randomly chosen interval with doubling mean (§5.3.1).
-		time.Sleep(time.Duration(rng.Int63n(int64(delay) + 1)))
+		return tx.Commit()
+	}, func(err error) bool { return errors.Is(err, ErrWaitDie) })
+}
+
+// retry runs attempt until it succeeds, fails with an error that again
+// rejects, or has failed opts.MaxAttempts times, waiting between
+// attempts a randomly chosen interval whose mean doubles each time
+// (§5.3.1). ctx ends the wait early.
+func retry(ctx context.Context, opts RetryOptions, attempt func() error, again func(error) bool) error {
+	if opts.MaxAttempts <= 0 {
+		opts.MaxAttempts = 10
+	}
+	delay := opts.BaseDelay
+	if delay == 0 {
+		delay = time.Millisecond
+	}
+	rng := opts.Rand
+	for n := 1; ; n++ {
+		err := attempt()
+		if err == nil || !again(err) {
+			return err
+		}
+		if n == opts.MaxAttempts {
+			return fmt.Errorf("txn: giving up after %d attempts: %w", n, err)
+		}
+		if rng == nil {
+			rng = rand.New(rand.NewSource(time.Now().UnixNano()))
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(time.Duration(rng.Int63n(int64(delay) + 1))):
+		}
 		delay *= 2
 	}
-	return err
 }

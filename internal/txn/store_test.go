@@ -12,7 +12,7 @@ import (
 )
 
 func TestGetSetCommit(t *testing.T) {
-	s := NewStore(DetectDeadlock)
+	s := NewStore()
 	tx := s.Begin()
 	if err := tx.Set("a", []byte("1")); err != nil {
 		t.Fatal(err)
@@ -30,7 +30,7 @@ func TestGetSetCommit(t *testing.T) {
 }
 
 func TestAbortDiscards(t *testing.T) {
-	s := NewStore(DetectDeadlock)
+	s := NewStore()
 	tx := s.Begin()
 	tx.Set("a", []byte("1"))
 	tx.Abort()
@@ -40,7 +40,7 @@ func TestAbortDiscards(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	s := NewStore(DetectDeadlock)
+	s := NewStore()
 	tx := s.Begin()
 	tx.Set("a", []byte("1"))
 	tx.Commit()
@@ -59,7 +59,7 @@ func TestDelete(t *testing.T) {
 }
 
 func TestGetMissing(t *testing.T) {
-	s := NewStore(DetectDeadlock)
+	s := NewStore()
 	tx := s.Begin()
 	defer tx.Abort()
 	if _, err := tx.Get("ghost"); !errors.Is(err, ErrNotFound) {
@@ -68,7 +68,7 @@ func TestGetMissing(t *testing.T) {
 }
 
 func TestUseAfterTermination(t *testing.T) {
-	s := NewStore(DetectDeadlock)
+	s := NewStore()
 	tx := s.Begin()
 	tx.Commit()
 	if err := tx.Set("a", nil); !errors.Is(err, ErrTxDone) {
@@ -86,7 +86,7 @@ func TestUseAfterTermination(t *testing.T) {
 }
 
 func TestIsolationUncommittedInvisible(t *testing.T) {
-	s := NewStore(DetectDeadlock)
+	s := NewStore()
 	tx := s.Begin()
 	tx.Set("a", []byte("tentative"))
 	if _, ok := s.ReadCommitted("a"); ok {
@@ -95,12 +95,14 @@ func TestIsolationUncommittedInvisible(t *testing.T) {
 	tx.Abort()
 }
 
+// TestWriteBlocksWrite: the waiter is the older transaction, so
+// wait-die lets it wait.
 func TestWriteBlocksWrite(t *testing.T) {
-	s := NewStore(DetectDeadlock)
+	s := NewStore()
+	t2 := s.Begin()
 	t1 := s.Begin()
 	t1.Set("a", []byte("t1"))
 
-	t2 := s.Begin()
 	done := make(chan error, 1)
 	go func() { done <- t2.Set("a", []byte("t2")) }()
 
@@ -120,7 +122,7 @@ func TestWriteBlocksWrite(t *testing.T) {
 }
 
 func TestReadersShare(t *testing.T) {
-	s := NewStore(DetectDeadlock)
+	s := NewStore()
 	seed := s.Begin()
 	seed.Set("a", []byte("v"))
 	seed.Commit()
@@ -146,8 +148,11 @@ func TestReadersShare(t *testing.T) {
 	t2.Commit()
 }
 
-func TestDeadlockDetected(t *testing.T) {
-	s := NewStore(DetectDeadlock)
+// TestWaitDieTwoWayCycle: t1 and t2 each hold a lock and ask for the
+// other's. The older t1 waits; the younger t2, whose request would
+// close the cycle, dies at once, and its abort lets t1 through.
+func TestWaitDieTwoWayCycle(t *testing.T) {
+	s := NewStore()
 	t1, t2 := s.Begin(), s.Begin()
 	if err := t1.Set("a", nil); err != nil {
 		t.Fatal(err)
@@ -156,38 +161,31 @@ func TestDeadlockDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	errs := make(chan error, 2)
-	go func() { errs <- t1.Set("b", nil) }()
-	go func() { errs <- t2.Set("a", nil) }()
-
-	// Exactly one of the two must be aborted with ErrDeadlock; the
-	// other blocks until its victim releases.
-	var first error
-	select {
-	case first = <-errs:
-	case <-time.After(2 * time.Second):
-		t.Fatal("no deadlock detected within 2s")
+	got1 := make(chan error, 1)
+	go func() { got1 <- t1.Set("b", nil) }()
+	queued(t, s.lm, "b", 1)
+	if err := t2.Set("a", nil); !errors.Is(err, ErrWaitDie) {
+		t.Fatalf("younger t2 = %v, want ErrWaitDie", err)
 	}
-	if !errors.Is(first, ErrDeadlock) {
-		t.Fatalf("first completion = %v, want ErrDeadlock", first)
-	}
-	// Abort the victim; the survivor's lock request must then be
-	// granted.
-	t1.Abort()
 	t2.Abort()
 	select {
-	case err := <-errs:
-		if err != nil && !errors.Is(err, ErrDeadlock) && !errors.Is(err, ErrTxDone) {
-			t.Fatalf("survivor error: %v", err)
+	case err := <-got1:
+		if err != nil {
+			t.Fatalf("older t1 after the victim aborted: %v", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("survivor still blocked after victim aborted")
+		t.Fatal("older t1 still blocked after the victim aborted")
+	}
+	if err := t1.Commit(); err != nil {
+		t.Fatal(err)
 	}
 }
 
+// TestUpgradeDeadlock: two readers upgrading to writers is the classic
+// 2PL deadlock. The younger dies; the older waits for it, then
+// commits.
 func TestUpgradeDeadlock(t *testing.T) {
-	// Two readers upgrading to writers is the classic 2PL deadlock.
-	s := NewStore(DetectDeadlock)
+	s := NewStore()
 	seed := s.Begin()
 	seed.Set("a", []byte("v"))
 	seed.Commit()
@@ -199,24 +197,31 @@ func TestUpgradeDeadlock(t *testing.T) {
 	if _, err := t2.Get("a"); err != nil {
 		t.Fatal(err)
 	}
-	errs := make(chan error, 2)
-	go func() { errs <- t1.Set("a", nil) }()
-	go func() { errs <- t2.Set("a", nil) }()
+	got1 := make(chan error, 1)
+	go func() { got1 <- t1.Set("a", []byte("t1")) }()
+	queued(t, s.lm, "a", 1)
+	if err := t2.Set("a", []byte("t2")); !errors.Is(err, ErrWaitDie) {
+		t.Fatalf("younger upgrade = %v, want ErrWaitDie", err)
+	}
+	t2.Abort()
 	select {
-	case err := <-errs:
-		if !errors.Is(err, ErrDeadlock) {
-			t.Fatalf("err = %v, want ErrDeadlock", err)
+	case err := <-got1:
+		if err != nil {
+			t.Fatalf("older upgrade: %v", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("upgrade deadlock not detected")
+		t.Fatal("older upgrade still blocked after the younger aborted")
 	}
-	t1.Abort()
-	t2.Abort()
-	<-errs
+	if err := t1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := s.ReadCommitted("a"); string(v) != "t1" {
+		t.Fatalf("a = %q, want t1", v)
+	}
 }
 
 func TestWaitDiePolicy(t *testing.T) {
-	s := NewStore(WaitDie)
+	s := NewStore()
 	older := s.Begin() // smaller ID = older
 	younger := s.Begin()
 	if err := older.Set("a", nil); err != nil {
@@ -231,7 +236,7 @@ func TestWaitDiePolicy(t *testing.T) {
 }
 
 func TestWaitDieOlderWaits(t *testing.T) {
-	s := NewStore(WaitDie)
+	s := NewStore()
 	first := s.Begin()
 	second := s.Begin()
 	if err := second.Set("a", nil); err != nil {
@@ -252,7 +257,7 @@ func TestWaitDieOlderWaits(t *testing.T) {
 }
 
 func TestNestedCommitFoldsIntoParent(t *testing.T) {
-	s := NewStore(DetectDeadlock)
+	s := NewStore()
 	parent := s.Begin()
 	parent.Set("p", []byte("1"))
 
@@ -282,7 +287,7 @@ func TestNestedCommitFoldsIntoParent(t *testing.T) {
 }
 
 func TestNestedAbortDiscardsOnlyChild(t *testing.T) {
-	s := NewStore(DetectDeadlock)
+	s := NewStore()
 	parent := s.Begin()
 	parent.Set("p", []byte("1"))
 	child, _ := parent.Begin()
@@ -298,7 +303,7 @@ func TestNestedAbortDiscardsOnlyChild(t *testing.T) {
 }
 
 func TestOpenSubtransactionGuards(t *testing.T) {
-	s := NewStore(DetectDeadlock)
+	s := NewStore()
 	parent := s.Begin()
 	child, _ := parent.Begin()
 	if _, err := parent.Begin(); err == nil {
@@ -314,7 +319,7 @@ func TestOpenSubtransactionGuards(t *testing.T) {
 }
 
 func TestNestedDepth(t *testing.T) {
-	s := NewStore(DetectDeadlock)
+	s := NewStore()
 	top := s.Begin()
 	cur := top
 	for i := 0; i < 5; i++ {
@@ -341,14 +346,15 @@ func TestNestedDepth(t *testing.T) {
 }
 
 func TestRunRetriesDeadlocks(t *testing.T) {
-	s := NewStore(DetectDeadlock)
+	s := NewStore()
 	seed := s.Begin()
 	seed.Set("x", []byte{0})
 	seed.Set("y", []byte{0})
 	seed.Commit()
 
 	// Two workers increment x and y in opposite orders: a deadlock
-	// factory. Run's retry with back-off must get both through.
+	// factory, which wait-die turns into aborts. Run's retry with
+	// back-off must get both through.
 	inc := func(first, second string) func(tx *Tx) error {
 		return func(tx *Tx) error {
 			a, err := tx.Get(first)
@@ -385,7 +391,7 @@ func TestRunRetriesDeadlocks(t *testing.T) {
 }
 
 func TestRunPropagatesAppError(t *testing.T) {
-	s := NewStore(DetectDeadlock)
+	s := NewStore()
 	boom := errors.New("boom")
 	err := s.Run(RetryOptions{}, func(tx *Tx) error { return boom })
 	if !errors.Is(err, boom) {
@@ -396,46 +402,44 @@ func TestRunPropagatesAppError(t *testing.T) {
 // TestSerializabilityCounter: concurrent read-modify-write increments
 // must never lose an update under 2PL.
 func TestSerializabilityCounter(t *testing.T) {
-	for _, policy := range []Policy{DetectDeadlock, WaitDie} {
-		s := NewStore(policy)
-		seed := s.Begin()
-		seed.Set("n", []byte{0, 0})
-		seed.Commit()
+	s := NewStore()
+	seed := s.Begin()
+	seed.Set("n", []byte{0, 0})
+	seed.Commit()
 
-		const workers, perWorker = 8, 10
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(w)))
-				for i := 0; i < perWorker; i++ {
-					err := s.Run(RetryOptions{MaxAttempts: 200, Rand: rng}, func(tx *Tx) error {
-						v, err := tx.Get("n")
-						if err != nil {
-							return err
-						}
-						n := int(v[0])<<8 | int(v[1])
-						n++
-						return tx.Set("n", []byte{byte(n >> 8), byte(n)})
-					})
+	const workers, perWorker = 8, 10
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < perWorker; i++ {
+				err := s.Run(RetryOptions{MaxAttempts: 200, Rand: rng}, func(tx *Tx) error {
+					v, err := tx.Get("n")
 					if err != nil {
-						t.Errorf("worker %d: %v", w, err)
+						return err
 					}
+					n := int(v[0])<<8 | int(v[1])
+					n++
+					return tx.Set("n", []byte{byte(n >> 8), byte(n)})
+				})
+				if err != nil {
+					t.Errorf("worker %d: %v", w, err)
 				}
-			}(w)
-		}
-		wg.Wait()
-		v, _ := s.ReadCommitted("n")
-		n := int(v[0])<<8 | int(v[1])
-		if n != workers*perWorker {
-			t.Fatalf("policy %v: counter = %d, want %d", policy, n, workers*perWorker)
-		}
+			}
+		}(w)
+	}
+	wg.Wait()
+	v, _ := s.ReadCommitted("n")
+	n := int(v[0])<<8 | int(v[1])
+	if n != workers*perWorker {
+		t.Fatalf("counter = %d, want %d", n, workers*perWorker)
 	}
 }
 
 func TestKeys(t *testing.T) {
-	s := NewStore(DetectDeadlock)
+	s := NewStore()
 	tx := s.Begin()
 	tx.Set("a", nil)
 	tx.Set("b", nil)
@@ -452,7 +456,7 @@ func TestQuickSerialEquivalence(t *testing.T) {
 		Key byte
 		Val byte
 	}) bool {
-		s := NewStore(DetectDeadlock)
+		s := NewStore()
 		shadow := map[string][]byte{}
 		for _, op := range ops {
 			k := string([]byte{'k', op.Key % 4})

@@ -10,7 +10,7 @@ import (
 // Replicated lightweight transactions (§5), re-exported. A replicated
 // transactional store is a troupe of TransactionalStore modules; the
 // client brackets sequences of replicated calls into transactions
-// committed by the troupe commit protocol of §5.3, with deadlock
+// committed by the troupe commit protocol of §5.3, with wait-die
 // aborts retried under binary exponential back-off (§5.3.1).
 type (
 	// ReplicatedStore is the client handle of a replicated
@@ -32,7 +32,7 @@ var ErrTxAborted = txn.ErrAborted
 // presumed abandoned and aborted (zero means 30 seconds). The module
 // supports state transfer, so members can join a running troupe.
 func NewTransactionalStore(ttl time.Duration) Module {
-	return txn.NewStoreModule(txn.NewStore(txn.DetectDeadlock), ttl)
+	return txn.NewStoreModule(txn.NewStore(), ttl)
 }
 
 // NewDurableTransactionalStore is the durable variant: committed
@@ -48,7 +48,7 @@ func (n *Node) NewDurableTransactionalStore(name string, ttl time.Duration) (Mod
 	if err != nil {
 		return nil, err
 	}
-	store, err := txn.OpenDurableStore(txn.DetectDeadlock, log, rec)
+	store, err := txn.OpenDurableStore(log, rec)
 	if err != nil {
 		log.Close()
 		return nil, err
