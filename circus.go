@@ -128,6 +128,8 @@ var (
 // default; FirstCome trades detection for latency; Majority masks a
 // minority of diverging members; Quorum generalizes to k-of-n;
 // NewCollator wraps an application-specific collating function (§7.4).
+// Each counts a member's refusal (AppError) as a vote, as it counts a
+// result, and masks only a presumed crash (ErrMemberDown).
 var (
 	Unanimous = collate.Unanimous
 	FirstCome = collate.FirstCome
@@ -135,11 +137,10 @@ var (
 	Quorum    = collate.Quorum
 )
 
-// NewCollator wraps an application-specific collating function. f is
-// called only when at least one member succeeded; when none did the
-// collator's result is ErrAllFailed, and the call fails with what the
-// members reported — a unanimous refusal passes through as that
-// refusal.
+// NewCollator wraps an application-specific collating function, which
+// sees every member's item and so decides for itself what to mask. f
+// is called only when at least one member returned a result; when none
+// did the call fails with what the members reported.
 func NewCollator(n int, f func(items []Reply) ([]byte, error)) Collator {
 	return collate.New(n, f)
 }

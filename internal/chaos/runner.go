@@ -357,10 +357,9 @@ func Run(cfg Config) (*Result, error) {
 	// the write legitimately invisible until it rejoins. Every mesh
 	// write needs it because the migration copy draws dumps from a
 	// majority of members, and only quorum intersection guarantees an
-	// acked record is among them. A unanimous refusal (the guard's
-	// wrong-shard or parked answer) produces no success, so the
-	// collator reports ErrAllFailed and the caller passes the refusal
-	// through for the mesh client to absorb.
+	// acked record is among them. A refusal is a vote, so a majority
+	// of identical refusals (the guard's wrong-shard or parked answer)
+	// is the collator's result, which the mesh client absorbs.
 	c.putOpts = core.CallOptions{Timeout: 600 * time.Millisecond}
 	if cfg.Linearize || sharded {
 		c.putOpts.Collator = func(n int) circus.Collator { return circus.Quorum(n, c.majority) }

@@ -9,6 +9,15 @@
 // enough messages have arrived for the collator to decide — the lazy
 // evaluation the paper asks for. Programmers define application-
 // specific collators with New (§7.4's explicit replication).
+//
+// Every collator applies one masking rule. A member's answer is a
+// vote: either a result, or a refusal (an AppError, the procedure's
+// own verdict in its return message). A presumed crash
+// (ErrMemberDown) is masked, as §4.3.1 masks a member's crash.
+// Unanimous masks nothing else: any other member error — a stale
+// binding, a missing module, the deadline, a closed runtime — decides
+// the call with that error. Majority, Quorum and FirstCome count votes
+// and treat every other error as an absence.
 package collate
 
 import (
@@ -17,8 +26,10 @@ import (
 	"sort"
 )
 
-// Item is one member's contribution to a replicated exchange: either a
-// message or a member-level failure (crash, §4.3.5).
+// Item is one member's contribution to a replicated exchange: a result
+// (Err nil), a refusal (Err an *AppError), or a member-level failure
+// such as ErrMemberDown (a crash, §4.3.5). A result and a refusal are
+// both votes; see the package comment for what is masked.
 type Item struct {
 	Member int // index of the troupe member
 	Data   []byte
@@ -33,7 +44,20 @@ type Collator interface {
 	Result() ([]byte, error)
 }
 
+// AppError carries an application-level error raised by the remote
+// procedure, externalized as a string as the stub compilers of §7.1
+// pass exceptions. A collator counts it as the member's vote.
+type AppError struct {
+	Msg string
+}
+
+func (e *AppError) Error() string { return e.Msg }
+
 var (
+	// ErrMemberDown reports that a server troupe member was presumed
+	// crashed while a call to it was outstanding (§4.3.5). It is the
+	// only member error that every collator masks.
+	ErrMemberDown = errors.New("core: troupe member presumed crashed")
 	// ErrDisagreement is raised by the unanimous collator when troupe
 	// members return different messages — the error detection that
 	// waiting for all messages buys (§4.3.4).
@@ -41,7 +65,8 @@ var (
 	// ErrNoMajority is raised by the majority collator when no value
 	// is returned by more than half the troupe.
 	ErrNoMajority = errors.New("collate: no majority value")
-	// ErrAllFailed is raised when every troupe member failed.
+	// ErrAllFailed is raised when no member voted (for New: when no
+	// member returned a result).
 	ErrAllFailed = errors.New("collate: all troupe members failed")
 	// ErrNoQuorum is raised by Quorum when too few identical messages
 	// remain achievable.
@@ -49,63 +74,83 @@ var (
 )
 
 // Unanimous returns the default Circus collator (§4.3.4): it waits for
-// all n members, demands bit-identical messages, and reports
-// disagreement otherwise. Members that fail (crash) are excluded, as
-// the paper's client proceeds with the messages of the members that
-// are still available.
+// all n members and demands that every vote be the same, bit-identical
+// results or refusals with the same message; a result beside a
+// refusal, or two different ones, is ErrDisagreement. A presumed crash
+// is masked, as the paper's client proceeds with the messages of the
+// members still available (§4.3.1). Any other member error decides the
+// call with that error as soon as it arrives.
 func Unanimous(n int) Collator { return &unanimous{n: n} }
 
 type unanimous struct {
-	n       int
-	seen    int
+	n, seen int
 	have    bool
-	first   []byte
-	failed  int
-	badErr  error
-	decided bool
+	data    []byte    // the first vote: a result,
+	refusal *AppError // or a refusal
+	err     error     // the decision, once one is forced
 }
 
 func (u *unanimous) Add(it Item) bool {
 	u.seen++
-	if it.Err != nil {
-		u.failed++
-	} else if !u.have {
-		u.have = true
-		u.first = it.Data
-	} else if !bytes.Equal(u.first, it.Data) {
-		u.badErr = ErrDisagreement
-		u.decided = true
+	if u.err == nil {
+		switch refusal, refused := it.Err.(*AppError); {
+		case it.Err == nil || refused:
+			if !u.have {
+				u.have, u.data, u.refusal = true, it.Data, refusal
+			} else if !u.same(it.Data, refusal) {
+				u.err = ErrDisagreement
+			}
+		case it.Err != ErrMemberDown:
+			u.err = it.Err
+		}
 	}
-	return u.decided || u.seen >= u.n
+	return u.err != nil || u.seen >= u.n
+}
+
+// same reports whether a vote equals the first one.
+func (u *unanimous) same(data []byte, refusal *AppError) bool {
+	if refusal == nil || u.refusal == nil {
+		return refusal == nil && u.refusal == nil && bytes.Equal(u.data, data)
+	}
+	return refusal.Msg == u.refusal.Msg
 }
 
 func (u *unanimous) Result() ([]byte, error) {
-	if u.badErr != nil {
-		return nil, u.badErr
-	}
-	if !u.have {
+	switch {
+	case u.err != nil:
+		return nil, u.err
+	case !u.have:
 		return nil, ErrAllFailed
+	case u.refusal != nil:
+		return nil, u.refusal
 	}
-	return u.first, nil
+	return u.data, nil
 }
 
-// FirstCome returns the collator that accepts the first message to
-// arrive, forfeiting error detection for speed (§4.3.4): execution
-// time is determined by the fastest member of each troupe.
+// isVote reports whether it is a result or a refusal. Items carry
+// member errors bare, so a type assertion (and == for ErrMemberDown)
+// recognises them; errors.As would cost an allocation per reply.
+func isVote(it Item) bool {
+	_, refused := it.Err.(*AppError)
+	return it.Err == nil || refused
+}
+
+// FirstCome returns the collator that accepts the first vote to
+// arrive, result or refusal, forfeiting error detection for speed
+// (§4.3.4): execution time is determined by the fastest member of each
+// troupe.
 func FirstCome(n int) Collator { return &firstCome{n: n} }
 
 type firstCome struct {
-	n    int
-	seen int
-	have bool
-	data []byte
+	n, seen int
+	have    bool
+	first   Item
 }
 
 func (f *firstCome) Add(it Item) bool {
 	f.seen++
-	if it.Err == nil && !f.have {
-		f.have = true
-		f.data = it.Data
+	if !f.have && isVote(it) {
+		f.have, f.first = true, it
 		return true
 	}
 	return f.seen >= f.n
@@ -115,52 +160,60 @@ func (f *firstCome) Result() ([]byte, error) {
 	if !f.have {
 		return nil, ErrAllFailed
 	}
-	return f.data, nil
+	return f.first.Data, f.first.Err
 }
 
 // Majority returns the majority-voting collator (§4.3.6, Figure 7.10):
-// the result is a message returned by more than half of the n troupe
-// members. It decides as soon as some message reaches the threshold.
+// the result is a vote cast by more than half of the n troupe members.
+// It decides as soon as some vote reaches the threshold.
 func Majority(n int) Collator {
 	q := Quorum(n, n/2+1).(*quorum)
 	q.majority = true
 	return q
 }
 
-// Quorum returns a collator that accepts any message returned by at
-// least k of the n members — the building block for weighted-voting
-// style schemes (§4.3.6 notes the framework expresses Gifford's
-// weighted voting).
+// Quorum returns a collator that accepts any vote, result or refusal,
+// cast by at least k of the n members — the building block for
+// weighted-voting style schemes (§4.3.6 notes the framework expresses
+// Gifford's weighted voting).
 func Quorum(n, k int) Collator {
 	if k < 1 {
 		k = 1
 	}
-	return &quorum{n: n, k: k, counts: make(map[string]int)}
+	return &quorum{n: n, k: k, counts: make(map[vote]int)}
+}
+
+// vote is the key under which a quorum counts an answer.
+type vote struct {
+	refused bool
+	answer  string // the result's bytes, or the refusal's message
 }
 
 type quorum struct {
 	n, k     int
 	majority bool
 	seen     int
-	counts   map[string]int
-	winner   []byte
+	counts   map[vote]int
+	winner   Item
 	haveWin  bool
 }
 
 func (q *quorum) Add(it Item) bool {
 	q.seen++
-	if it.Err == nil && !q.haveWin {
-		s := string(it.Data)
-		q.counts[s]++
-		if q.counts[s] >= q.k {
-			q.haveWin = true
-			q.winner = it.Data
+	if !q.haveWin && isVote(it) {
+		v := vote{answer: string(it.Data)}
+		if it.Err != nil {
+			v = vote{refused: true, answer: it.Err.Error()}
+		}
+		q.counts[v]++
+		if q.counts[v] >= q.k {
+			q.haveWin, q.winner = true, it
 		}
 	}
 	if q.haveWin {
 		return true
 	}
-	// Decide early if no message can still reach the quorum.
+	// Decide early if no vote can still reach the quorum.
 	remaining := q.n - q.seen
 	best := 0
 	for _, c := range q.counts {
@@ -173,7 +226,7 @@ func (q *quorum) Add(it Item) bool {
 
 func (q *quorum) Result() ([]byte, error) {
 	if q.haveWin {
-		return q.winner, nil
+		return q.winner.Data, q.winner.Err
 	}
 	if len(q.counts) == 0 {
 		return nil, ErrAllFailed
@@ -190,12 +243,11 @@ func (q *quorum) Result() ([]byte, error) {
 type Func func(items []Item) ([]byte, error)
 
 // New wraps f as a Collator that waits for all n members and then
-// applies f to whatever arrived. It is the programmable hook the
-// paper's generator-based explicit replication provides. f is called
-// only when at least one member succeeded; when none did the result is
-// ErrAllFailed, which callers such as core's Call turn into the
-// members' own verdict, so a unanimous refusal reaches the caller as
-// that refusal.
+// applies f to every item that arrived, so f decides for itself what
+// to mask. It is the programmable hook the paper's generator-based
+// explicit replication provides. f is called only when at least one
+// member returned a result; when none did the result is ErrAllFailed,
+// and core's Call reports the members' own errors in its place.
 func New(n int, f Func) Collator { return &custom{n: n, f: f} }
 
 type custom struct {
@@ -220,22 +272,6 @@ func (c *custom) Result() ([]byte, error) {
 		return nil, ErrAllFailed
 	}
 	return c.f(c.items)
-}
-
-// Run drains items (a generator of messages from a troupe, Figure
-// 7.11) into c until it decides or n items have been consumed, then
-// returns the collated result.
-func Run(items <-chan Item, n int, c Collator) ([]byte, error) {
-	for i := 0; i < n; i++ {
-		it, ok := <-items
-		if !ok {
-			break
-		}
-		if c.Add(it) {
-			break
-		}
-	}
-	return c.Result()
 }
 
 // MedianFloat64 returns the median of vs, the building block of the

@@ -2,14 +2,13 @@ package collate
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
-
-var errDown = errors.New("member down")
 
 func feed(c Collator, items ...Item) ([]byte, error) {
 	for _, it := range items {
@@ -51,7 +50,7 @@ func TestUnanimousToleratesCrashedMembers(t *testing.T) {
 	// The client proceeds with the messages from members still
 	// available (§4.3.1).
 	got, err := feed(Unanimous(3),
-		Item{0, nil, errDown},
+		Item{0, nil, ErrMemberDown},
 		Item{1, []byte("v"), nil},
 		Item{2, []byte("v"), nil})
 	if err != nil || string(got) != "v" {
@@ -60,7 +59,7 @@ func TestUnanimousToleratesCrashedMembers(t *testing.T) {
 }
 
 func TestUnanimousAllFailed(t *testing.T) {
-	_, err := feed(Unanimous(2), Item{0, nil, errDown}, Item{1, nil, errDown})
+	_, err := feed(Unanimous(2), Item{0, nil, ErrMemberDown}, Item{1, nil, ErrMemberDown})
 	if err != ErrAllFailed {
 		t.Fatalf("err = %v, want ErrAllFailed", err)
 	}
@@ -79,7 +78,7 @@ func TestFirstComeTakesFirst(t *testing.T) {
 
 func TestFirstComeSkipsFailures(t *testing.T) {
 	got, err := feed(FirstCome(3),
-		Item{0, nil, errDown},
+		Item{0, nil, ErrMemberDown},
 		Item{1, []byte("slow but alive"), nil})
 	if err != nil || string(got) != "slow but alive" {
 		t.Fatalf("got %q, %v", got, err)
@@ -87,7 +86,7 @@ func TestFirstComeSkipsFailures(t *testing.T) {
 }
 
 func TestFirstComeAllFailed(t *testing.T) {
-	_, err := feed(FirstCome(2), Item{0, nil, errDown}, Item{1, nil, errDown})
+	_, err := feed(FirstCome(2), Item{0, nil, ErrMemberDown}, Item{1, nil, ErrMemberDown})
 	if err != ErrAllFailed {
 		t.Fatalf("err = %v, want ErrAllFailed", err)
 	}
@@ -126,7 +125,7 @@ func TestMajorityUnreachableTerminatesEarly(t *testing.T) {
 	m := Majority(3) // needs 2 identical
 	m.Add(Item{0, []byte("a"), nil})
 	m.Add(Item{1, []byte("b"), nil})
-	if done := m.Add(Item{2, nil, errDown}); !done {
+	if done := m.Add(Item{2, nil, ErrMemberDown}); !done {
 		t.Fatal("unreachable majority did not terminate")
 	}
 	if _, err := m.Result(); err != ErrNoMajority {
@@ -176,37 +175,8 @@ func TestCustomCollatorAveraging(t *testing.T) {
 
 func TestCustomAllFailed(t *testing.T) {
 	c := New(2, func(items []Item) ([]byte, error) { return nil, nil })
-	_, err := feed(c, Item{0, nil, errDown}, Item{1, nil, errDown})
+	_, err := feed(c, Item{0, nil, ErrMemberDown}, Item{1, nil, ErrMemberDown})
 	if err != ErrAllFailed {
-		t.Fatalf("err = %v, want ErrAllFailed", err)
-	}
-}
-
-func TestRunDrainsGenerator(t *testing.T) {
-	ch := make(chan Item, 3)
-	ch <- Item{0, []byte("r"), nil}
-	ch <- Item{1, []byte("r"), nil}
-	ch <- Item{2, []byte("r"), nil}
-	got, err := Run(ch, 3, Unanimous(3))
-	if err != nil || string(got) != "r" {
-		t.Fatalf("got %q, %v", got, err)
-	}
-}
-
-func TestRunStopsEarlyOnDecision(t *testing.T) {
-	ch := make(chan Item, 1)
-	ch <- Item{0, []byte("first"), nil}
-	// No further items are ever sent; FirstCome must not block.
-	got, err := Run(ch, 3, FirstCome(3))
-	if err != nil || string(got) != "first" {
-		t.Fatalf("got %q, %v", got, err)
-	}
-}
-
-func TestRunClosedChannel(t *testing.T) {
-	ch := make(chan Item)
-	close(ch)
-	if _, err := Run(ch, 3, Unanimous(3)); err != ErrAllFailed {
 		t.Fatalf("err = %v, want ErrAllFailed", err)
 	}
 }
@@ -317,11 +287,15 @@ func TestQuickMedianBounded(t *testing.T) {
 
 // TestCollatorEdgeCases tabulates the awkward corners of each
 // collator: exact ties under majority voting, quorums that fall one
-// vote short, stragglers arriving after a decision, and custom
-// collating functions that themselves fail.
+// vote short, stragglers arriving after a decision, custom collating
+// functions that themselves fail, and the masking rule — a refusal is
+// a vote, a presumed crash is masked, and any other member error
+// decides a unanimous call and is an absence to the others.
 func TestCollatorEdgeCases(t *testing.T) {
 	item := func(m int, s string) Item { return Item{Member: m, Data: []byte(s)} }
-	fail := func(m int) Item { return Item{Member: m, Err: errDown} }
+	fail := func(m int) Item { return Item{Member: m, Err: ErrMemberDown} }
+	refuse := func(m int, msg string) Item { return Item{Member: m, Err: &AppError{Msg: msg}} }
+	late := func(m int) Item { return Item{Member: m, Err: context.DeadlineExceeded} }
 
 	tests := []struct {
 		name    string
@@ -329,7 +303,128 @@ func TestCollatorEdgeCases(t *testing.T) {
 		items   []Item
 		want    string
 		wantErr error
+		refusal string // the refusal the collator must return
 	}{
+		{
+			name:    "unanimous same refusal from all",
+			mk:      func() Collator { return Unanimous(3) },
+			items:   []Item{refuse(0, "no"), refuse(1, "no"), refuse(2, "no")},
+			refusal: "no",
+		},
+		{
+			name:    "unanimous refusal beside result",
+			mk:      func() Collator { return Unanimous(3) },
+			items:   []Item{item(0, "x"), refuse(1, "no"), refuse(2, "no")},
+			wantErr: ErrDisagreement,
+		},
+		{
+			name:    "unanimous two different refusals",
+			mk:      func() Collator { return Unanimous(3) },
+			items:   []Item{refuse(0, "a"), refuse(1, "b"), refuse(2, "a")},
+			wantErr: ErrDisagreement,
+		},
+		{
+			name:    "unanimous masks a crash beside refusals",
+			mk:      func() Collator { return Unanimous(3) },
+			items:   []Item{fail(0), refuse(1, "no"), refuse(2, "no")},
+			refusal: "no",
+		},
+		{
+			name:    "unanimous deadline decides",
+			mk:      func() Collator { return Unanimous(3) },
+			items:   []Item{item(0, "x"), item(1, "x"), late(2)},
+			wantErr: context.DeadlineExceeded,
+		},
+		{
+			name:    "majority same refusal from all",
+			mk:      func() Collator { return Majority(3) },
+			items:   []Item{refuse(0, "no"), refuse(1, "no"), refuse(2, "no")},
+			refusal: "no",
+		},
+		{
+			name:    "majority refusals outvote a result",
+			mk:      func() Collator { return Majority(3) },
+			items:   []Item{item(0, "x"), refuse(1, "no"), refuse(2, "no")},
+			refusal: "no",
+		},
+		{
+			name:    "majority two different refusals",
+			mk:      func() Collator { return Majority(3) },
+			items:   []Item{refuse(0, "a"), refuse(1, "b"), refuse(2, "a")},
+			refusal: "a",
+		},
+		{
+			name:    "majority masks a crash beside refusals",
+			mk:      func() Collator { return Majority(3) },
+			items:   []Item{fail(0), refuse(1, "no"), refuse(2, "no")},
+			refusal: "no",
+		},
+		{
+			name:    "majority deadline is an absence",
+			mk:      func() Collator { return Majority(3) },
+			items:   []Item{late(0), refuse(1, "no"), refuse(2, "no")},
+			refusal: "no",
+		},
+		{
+			name:    "quorum same refusal from all",
+			mk:      func() Collator { return Quorum(3, 3) },
+			items:   []Item{refuse(0, "no"), refuse(1, "no"), refuse(2, "no")},
+			refusal: "no",
+		},
+		{
+			name:    "quorum of one takes a refusal before a result",
+			mk:      func() Collator { return Quorum(3, 1) },
+			items:   []Item{refuse(0, "no"), item(1, "x"), item(2, "x")},
+			refusal: "no",
+		},
+		{
+			name:    "quorum two different refusals",
+			mk:      func() Collator { return Quorum(3, 2) },
+			items:   []Item{refuse(0, "a"), refuse(1, "b"), fail(2)},
+			wantErr: ErrNoQuorum,
+		},
+		{
+			name:    "quorum masks a crash beside refusals",
+			mk:      func() Collator { return Quorum(3, 2) },
+			items:   []Item{fail(0), refuse(1, "no"), refuse(2, "no")},
+			refusal: "no",
+		},
+		{
+			name:    "quorum deadline is an absence",
+			mk:      func() Collator { return Quorum(3, 2) },
+			items:   []Item{late(0), refuse(1, "no"), refuse(2, "no")},
+			refusal: "no",
+		},
+		{
+			name:    "first-come same refusal from all",
+			mk:      func() Collator { return FirstCome(3) },
+			items:   []Item{refuse(0, "no"), refuse(1, "no"), refuse(2, "no")},
+			refusal: "no",
+		},
+		{
+			name:    "first-come takes a refusal before a result",
+			mk:      func() Collator { return FirstCome(3) },
+			items:   []Item{refuse(0, "no"), item(1, "x"), item(2, "x")},
+			refusal: "no",
+		},
+		{
+			name:    "first-come two different refusals",
+			mk:      func() Collator { return FirstCome(3) },
+			items:   []Item{refuse(0, "a"), refuse(1, "b"), item(2, "x")},
+			refusal: "a",
+		},
+		{
+			name:    "first-come masks a crash before a refusal",
+			mk:      func() Collator { return FirstCome(3) },
+			items:   []Item{fail(0), refuse(1, "no"), item(2, "x")},
+			refusal: "no",
+		},
+		{
+			name:    "first-come deadline is an absence",
+			mk:      func() Collator { return FirstCome(3) },
+			items:   []Item{late(0), refuse(1, "no"), item(2, "x")},
+			refusal: "no",
+		},
 		{
 			name:    "majority 2-2 tie is no majority",
 			mk:      func() Collator { return Majority(4) },
@@ -376,7 +471,7 @@ func TestCollatorEdgeCases(t *testing.T) {
 		{
 			name: "first-come ignores straggler after decision",
 			mk:   func() Collator { return FirstCome(3) },
-			// feed stops at the first Add returning true, as Run does;
+			// feed stops at the first Add returning true, as core's Call does;
 			// the straggler below must not change the result.
 			items: []Item{item(0, "fast"), item(1, "slow"), item(2, "slower")},
 			want:  "fast",
@@ -407,6 +502,12 @@ func TestCollatorEdgeCases(t *testing.T) {
 				}
 				return
 			}
+			if tt.refusal != "" {
+				if app, ok := err.(*AppError); !ok || app.Msg != tt.refusal || got != nil {
+					t.Fatalf("result = %q, %v; want the refusal %q", got, err, tt.refusal)
+				}
+				return
+			}
 			if !errors.Is(err, tt.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tt.wantErr)
 			}
@@ -428,7 +529,7 @@ func TestFirstComeStragglerAfterDecision(t *testing.T) {
 	}
 	// Stragglers after the decision.
 	c.Add(Item{Member: 1, Data: []byte("loser")})
-	c.Add(Item{Member: 2, Err: errDown})
+	c.Add(Item{Member: 2, Err: ErrMemberDown})
 	got, err := c.Result()
 	if err != nil || string(got) != "winner" {
 		t.Fatalf("Result = %q, %v; want \"winner\", nil", got, err)

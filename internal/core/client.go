@@ -457,46 +457,30 @@ func (rt *Runtime) CallMember(ctx context.Context, dest Troupe, member int, proc
 	return it.Data, nil
 }
 
-// summarizeFailure turns a set of all-failed items into the most
-// actionable error: a stale binding beats a crash report, because the
-// client can recover from it by rebinding (§6.1); a unanimous
-// application error is the procedure's own verdict; otherwise the
-// troupe is down.
+// summarizeFailure turns a set of items without a collated result into
+// the most actionable error: a stale binding beats a crash report,
+// because the client can recover from it by rebinding (§6.1); a troupe
+// whose every member was presumed crashed (or that gave no item) is
+// down; otherwise the first member's own error.
 func summarizeFailure(items []collate.Item) error {
 	var stale *StaleBindingError
-	var app *AppError
-	appUnanimous := true
-	allDown := len(items) > 0
+	allDown := true
 	for _, it := range items {
 		var s *StaleBindingError
 		if errors.As(it.Err, &s) {
 			stale = s
-		}
-		var a *AppError
-		if errors.As(it.Err, &a) {
-			if app != nil && app.Msg != a.Msg {
-				appUnanimous = false
-			}
-			app = a
-		} else {
-			appUnanimous = false
 		}
 		if !errors.Is(it.Err, ErrMemberDown) {
 			allDown = false
 		}
 	}
 	switch {
-	case app != nil && appUnanimous:
-		return app
 	case stale != nil:
 		return stale
 	case allDown:
 		return ErrTroupeDown
-	case len(items) > 0:
-		return items[0].Err
-	default:
-		return ErrTroupeDown
 	}
+	return items[0].Err
 }
 
 func memberErr(err error) error {

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 
+	"circus/internal/collate"
 	"circus/internal/transport"
 )
 
@@ -65,8 +66,9 @@ const (
 // Errors surfaced to callers.
 var (
 	// ErrMemberDown reports that a server troupe member was presumed
-	// crashed while a call to it was outstanding (§4.3.5).
-	ErrMemberDown = errors.New("core: troupe member presumed crashed")
+	// crashed while a call to it was outstanding (§4.3.5): the one
+	// member error a collator masks.
+	ErrMemberDown = collate.ErrMemberDown
 	// ErrTroupeDown reports that every member of the server troupe
 	// failed; the replicated program as a whole has suffered a total
 	// failure of that troupe (§3.5.1).
@@ -94,12 +96,8 @@ func (e *StaleBindingError) Error() string {
 
 // AppError carries an application-level error raised by the remote
 // procedure, externalized as a string as the stub compilers of §7.1
-// pass exceptions.
-type AppError struct {
-	Msg string
-}
-
-func (e *AppError) Error() string { return e.Msg }
+// pass exceptions. A collator counts it as the member's vote.
+type AppError = collate.AppError
 
 // callHeader is the body of a call message (§4.3): the thread ID of
 // the caller (thread ID propagation, §3.4.1), the call path that

@@ -36,16 +36,17 @@ func fastOpts() Options {
 
 // echoModule counts executions and echoes its argument.
 type echoModule struct {
-	execs atomic.Int64
-	tag   string // appended to replies; lets tests fake divergent replicas
+	execs  atomic.Int64
+	tag    string // appended to replies; lets tests fake divergent replicas
+	refuse bool   // echo fails too; lets tests fake a refusing member
 }
 
 func (m *echoModule) Dispatch(call *ServerCall, proc uint16, args []byte) ([]byte, error) {
-	switch proc {
-	case 1: // echo
+	switch {
+	case proc == 1 && !m.refuse: // echo
 		m.execs.Add(1)
 		return append(append([]byte(nil), args...), m.tag...), nil
-	case 2: // fail
+	case proc == 1 || proc == 2: // fail
 		m.execs.Add(1)
 		return nil, errors.New("deliberate failure")
 	default:
@@ -187,6 +188,32 @@ func TestUnanimousDetectsDivergedReplica(t *testing.T) {
 	_, err := c.client.Call(context.Background(), c.troupe, 1, []byte("v"), CallOptions{})
 	if !errors.Is(err, collate.ErrDisagreement) {
 		t.Fatalf("err = %v, want ErrDisagreement", err)
+	}
+}
+
+// TestUnanimousRefusalBesideResult: a refusal is a member's vote, not
+// a crash, so one result beside two refusals is a disagreement.
+func TestUnanimousRefusalBesideResult(t *testing.T) {
+	c := newCluster(t, 5, 3, ExportOptions{})
+	c.mods[1].refuse, c.mods[2].refuse = true, true
+	got, err := c.client.Call(context.Background(), c.troupe, 1, []byte("v"), CallOptions{})
+	if !errors.Is(err, collate.ErrDisagreement) {
+		t.Fatalf("Call = %q, %v; want ErrDisagreement", got, err)
+	}
+}
+
+// TestUnanimousStaleMembersDecide: one member still answers under the
+// old troupe ID and two reject it as stale. The stale verdict decides
+// the call, so the caller rebinds instead of trusting one execution.
+func TestUnanimousStaleMembersDecide(t *testing.T) {
+	c := newCluster(t, 5, 3, ExportOptions{})
+	for i := 1; i < 3; i++ {
+		c.servers[i].SetTroupeID(c.troupe.Members[i].Module, 0x2222)
+	}
+	got, err := c.client.Call(context.Background(), c.troupe, 1, []byte("v"), CallOptions{})
+	var sbe *StaleBindingError
+	if !errors.As(err, &sbe) {
+		t.Fatalf("Call = %q, %v; want StaleBindingError", got, err)
 	}
 }
 

@@ -25,7 +25,12 @@ import (
 // therefore ensure that re-executing the procedure is acceptable —
 // either the procedure is idempotent, or the failure mode provably
 // precluded execution. An AppError is never retried: it is the
-// procedure's own verdict, proof that an execution completed.
+// procedure's own verdict, proof that an execution completed. Which
+// member errors an attempt masks is the collator's rule
+// (internal/collate): under the default unanimous collator a refusal
+// beside a result fails the attempt with ErrDisagreement, retried like
+// a crash since some members executed, and one stale rejection fails
+// it with the StaleBindingError, which rebinds and retries at once.
 
 // Backoff shapes the delay between retry attempts: exponential growth
 // with multiplicative jitter, the standard defense against retry
@@ -255,10 +260,11 @@ func (c *ResilientCaller) Call(ctx context.Context, proc uint16, args []byte, op
 		res, staleSeen, err := c.attempt(ctx, proc, args, opts)
 		if err == nil {
 			// The call succeeded, but some member rejected the binding
-			// as stale: members that already left the troupe may still
-			// answer under the old ID (§6.2 only informs the current
-			// membership), so refresh the binding now rather than keep
-			// calling a stale configuration.
+			// as stale — a suspected member, or one a non-unanimous
+			// collator counted as absent: members that already left the
+			// troupe may still answer under the old ID (§6.2 only
+			// informs the current membership), so refresh the binding
+			// now rather than keep calling a stale configuration.
 			if staleSeen {
 				c.rebind(ctx)
 			}

@@ -1,10 +1,13 @@
 package ringmaster
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -528,4 +531,61 @@ func TestRegisterWholeTroupe(t *testing.T) {
 	if rt.TroupeIDOf(m1.Module) != id || rt.TroupeIDOf(m2.Module) != id {
 		t.Fatal("members not informed of troupe ID")
 	}
+}
+
+// TestPublishRace: two publishers race FetchMap then PublishMap(e+1)
+// against a Ringmaster troupe of 3 on links of 200 µs–2 ms. The
+// members may apply the two publishes of one epoch in different
+// orders, so one member can accept what the others refuse; the
+// unanimous collator must then report the split instead of
+// acknowledging it, so no epoch is acknowledged to both publishers.
+// Member divergence itself is only logged: ordering the Ringmaster's
+// writes is a separate change.
+func TestPublishRace(t *testing.T) {
+	const seeds = 10
+	diverged := 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { diverged += publishRace(t, 300+seed) })
+	}
+	t.Logf("members diverged in %d of %d seeds", diverged, seeds)
+}
+
+// publishRace runs one seed of TestPublishRace and reports 1 if the
+// members ended with different states.
+func publishRace(t *testing.T, seed int64) int {
+	const rounds = 25
+	f := newFixture(t, seed, 3)
+	f.net.SetLink(netsim.LinkConfig{MinDelay: 200 * time.Microsecond, MaxDelay: 2 * time.Millisecond})
+	var mu sync.Mutex
+	acked := map[uint64]int{}
+	var wg sync.WaitGroup
+	for p := 0; p < 2; p++ {
+		_, c := f.client()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := context.Background()
+			for i := 0; i < rounds; i++ {
+				epoch, _, _ := c.FetchMap(ctx, "kv")
+				if c.PublishMap(ctx, "kv", epoch+1, []byte{byte(p)}) == nil {
+					mu.Lock()
+					acked[epoch+1]++
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for epoch, n := range acked {
+		if n > 1 {
+			t.Errorf("epoch %d acknowledged to %d publishers", epoch, n)
+		}
+	}
+	st0, _ := f.svcs[0].GetState()
+	for _, svc := range f.svcs[1:] {
+		if st, _ := svc.GetState(); !bytes.Equal(st, st0) {
+			return 1
+		}
+	}
+	return 0
 }

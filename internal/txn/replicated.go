@@ -1,7 +1,6 @@
 package txn
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -318,42 +317,6 @@ func NewRemoteStore(rt *core.Runtime, dest core.Troupe, resolver core.Resolver) 
 	}
 }
 
-// strictCollator is the waiting policy for transactional operations:
-// unlike the crash-masking unanimous default, an application-level
-// error at ANY member fails the operation. Operations arrive at the
-// members in different orders, so one member may refuse an
-// acquisition that another granted; proceeding on the majority would
-// let the members' workspaces diverge. The failed operation aborts
-// the transaction everywhere and the round is retried (§5.3).
-// collate.New calls the function only when some member succeeded, so
-// first is always set.
-func strictCollator(n int) collate.Collator {
-	return collate.New(n, func(items []collate.Item) ([]byte, error) {
-		var first []byte
-		have := false
-		for _, it := range items {
-			if it.Err != nil {
-				// Only a presumed crash is masked (§4.3.1). Any other
-				// per-member failure — an application error such as a
-				// wait-die abort, or a timeout on a blocked lock —
-				// must fail the whole operation: the member's
-				// workspace no longer matches the others', and
-				// proceeding would let the troupe diverge.
-				if errors.Is(it.Err, core.ErrMemberDown) {
-					continue
-				}
-				return nil, it.Err
-			}
-			if !have {
-				first, have = it.Data, true
-			} else if !bytes.Equal(first, it.Data) {
-				return nil, collate.ErrDisagreement
-			}
-		}
-		return first, nil
-	})
-}
-
 // RemoteTx is one transaction attempt. Its operations are replicated
 // calls sharing one distributed thread, so every member associates
 // them with the same transaction (§3.4.1).
@@ -369,9 +332,8 @@ func (tx *RemoteTx) call(proc uint16, args any) ([]byte, error) {
 		return nil, err
 	}
 	return tx.rs.rt.Call(tx.ctx, tx.rs.dest, proc, data, core.CallOptions{
-		Thread:   tx.tc,
-		Timeout:  opTimeout,
-		Collator: strictCollator,
+		Thread:  tx.tc,
+		Timeout: opTimeout,
 	})
 }
 

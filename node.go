@@ -1,7 +1,6 @@
 package circus
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -566,48 +565,42 @@ func (s *Stub) Ping(ctx context.Context, opts ...CallOption) error {
 }
 
 // CallWatchdog implements the watchdog scheme of §4.3.4: computation
-// proceeds with the first reply, while a watchdog keeps collecting the
-// remaining replies and compares them with the first. The returned
-// channel yields exactly one value once all members have answered:
-// nil if they agreed, ErrDisagreement (or the member errors) if not —
-// the signal to abort the surrounding transaction. Exactly-once
-// execution at all members is unaffected.
+// proceeds with the first result, while a watchdog keeps collecting
+// the remaining replies. The returned channel yields exactly one
+// value, the verdict of the unanimous collator fed every reply: nil if
+// the members agreed, ErrDisagreement or the deciding member error if
+// not — the signal to abort the surrounding transaction. A call that
+// yields no result fails with that verdict. Exactly-once execution at
+// all members is unaffected.
 func (s *Stub) CallWatchdog(ctx context.Context, proc uint16, args []byte, opts ...CallOption) ([]byte, <-chan error, error) {
 	items, n := s.CallEach(ctx, proc, args, opts...)
 	verdict := make(chan error, 1)
-
-	var first Reply
-	got := false
+	u := collate.Unanimous(n)
+	var first []byte
+	got, done := false, false
 	consumed := 0
-	for consumed < n {
+	for consumed < n && !got && !done {
 		it := <-items
 		consumed++
+		done = u.Add(it)
 		if it.Err == nil {
-			first = it
-			got = true
-			break
+			first, got = it.Data, true
 		}
-		first = it
 	}
 	if !got {
-		verdict <- first.Err
+		_, err := u.Result()
+		verdict <- err
 		close(verdict)
-		return nil, verdict, first.Err
+		return nil, verdict, err
 	}
 
 	go func() {
 		defer close(verdict)
-		var bad error
-		for i := consumed; i < n; i++ {
-			it := <-items
-			switch {
-			case it.Err != nil:
-				// A crashed member is masked, not an inconsistency.
-			case !bytes.Equal(it.Data, first.Data):
-				bad = ErrDisagreement
-			}
+		for ; consumed < n && !done; consumed++ {
+			done = u.Add(<-items)
 		}
-		verdict <- bad
+		_, err := u.Result()
+		verdict <- err
 	}()
-	return first.Data, verdict, nil
+	return first, verdict, nil
 }
