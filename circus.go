@@ -62,11 +62,13 @@ type (
 	ModuleAddr = core.ModuleAddr
 	// Addr is an internet-style process address.
 	Addr = transport.Addr
-	// Module is the server side of an exported interface.
+	// Module is the server side of an exported interface. Its
+	// arguments are reused once Dispatch returns.
 	Module = core.Module
 	// ModuleFunc adapts a function to Module.
 	ModuleFunc = core.ModuleFunc
-	// ServerCall is the context of one procedure execution.
+	// ServerCall is the context of one procedure execution, valid
+	// until Dispatch returns.
 	ServerCall = core.ServerCall
 	// StateProvider is implemented by modules supporting state
 	// transfer to new troupe members (§6.4.1).

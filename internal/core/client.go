@@ -388,7 +388,11 @@ func (rt *Runtime) Call(ctx context.Context, dest Troupe, proc uint16, args []by
 		mk = collate.Unanimous
 	}
 	c := mk(n)
-	started := time.Now()
+	var started time.Time
+	traced := rt.tr.EnabledFor(trace.KindCollateDone)
+	if traced {
+		started = time.Now()
+	}
 	items := rt.CallEach(ctx, dest, proc, args, opts)
 
 	var gotArr [8]collate.Item // typical troupe degrees, no heap growth
@@ -407,7 +411,7 @@ func (rt *Runtime) Call(ctx context.Context, dest Troupe, proc uint16, args []by
 	if err != nil && errors.Is(err, collate.ErrAllFailed) {
 		err = summarizeFailure(got)
 	}
-	if rt.tr.EnabledFor(trace.KindCollateDone) {
+	if traced {
 		e := trace.Event{Kind: trace.KindCollateDone,
 			Troupe: uint64(dest.ID), Proc: proc,
 			N: len(got), Dur: time.Since(started)}

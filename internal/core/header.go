@@ -77,7 +77,11 @@ func (h *callHeader) unmarshal(data []byte) error {
 
 // marshal returns r's external representation in one allocation.
 func (r *returnHeader) marshal() []byte {
-	b := make([]byte, 0, 2+4+len(r.Payload)+len(r.Payload)&1)
+	return r.appendTo(make([]byte, 0, 2+4+len(r.Payload)+len(r.Payload)&1))
+}
+
+// appendTo appends r's external representation to b.
+func (r *returnHeader) appendTo(b []byte) []byte {
 	b = binary.BigEndian.AppendUint16(b, r.Status)
 	return appendSeq(b, r.Payload)
 }

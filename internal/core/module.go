@@ -14,7 +14,9 @@ import (
 // implement it (§7.1), as does the reflection adapter in package
 // circus. Dispatch must be deterministic for the module to be safely
 // replicated (§3.3.2); returning ErrNoSuchProc signals an unknown
-// procedure number.
+// procedure number. The call, its thread context and the argument
+// bytes (args and call.Args()) are the runtime's and are reused once
+// Dispatch returns: a module copies what it keeps.
 type Module interface {
 	Dispatch(call *ServerCall, proc uint16, args []byte) ([]byte, error)
 }
@@ -71,7 +73,7 @@ type ExportOptions struct {
 }
 
 // ServerCall is the context of one replicated procedure execution at
-// one server troupe member.
+// one server troupe member, valid until Dispatch returns.
 type ServerCall struct {
 	rt           *Runtime
 	ctx          context.Context

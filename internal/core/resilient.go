@@ -361,7 +361,12 @@ func (c *ResilientCaller) attempt(ctx context.Context, proc uint16, args []byte,
 		return nil, false, ErrTroupeDown
 	}
 
-	waited := make([]bool, n)
+	var waitedArr [8]bool // typical troupe degrees, no heap growth
+	waited := waitedArr[:]
+	if n > len(waited) {
+		waited = make([]bool, n)
+	}
+	waited = waited[:n]
 	active := 0
 	for i, m := range t.Members {
 		if !c.sus.Suspected(m) {
@@ -385,7 +390,8 @@ func (c *ResilientCaller) attempt(ctx context.Context, proc uint16, args []byte,
 	col := mk(active)
 
 	items := c.rt.CallEach(ctx, t, proc, args, opts)
-	var got []collate.Item
+	var gotArr [8]collate.Item // typical troupe degrees, no heap growth
+	got := gotArr[:0]
 	received, pending := 0, active
 	decided, staleSeen := false, false
 	for received < n && pending > 0 && !decided {
@@ -395,8 +401,9 @@ func (c *ResilientCaller) attempt(ctx context.Context, proc uint16, args []byte,
 		}
 		received++
 		c.observe(t.Members[it.Member], it.Err)
-		var stale *StaleBindingError
-		if errors.As(it.Err, &stale) {
+		// Members' errors arrive unwrapped (decodeReturn): a type
+		// assertion, unlike errors.As, needs no heap target.
+		if _, ok := it.Err.(*StaleBindingError); ok {
 			staleSeen = true
 		}
 		if !waited[it.Member] {

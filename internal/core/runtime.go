@@ -136,14 +136,13 @@ type Runtime struct {
 	nextMod   uint16
 	closed    bool
 
-	// callMu guards the server-side many-to-one collation table: calls
-	// holds a call while it collates and executes (the per-call state
-	// behind each entry has its own lock, serverCall.mu), tombs what is
-	// remembered of it afterwards, rotated by tombTimer.
-	callMu    sync.Mutex
-	calls     map[string]*serverCall
-	tombs     tombTable
-	tombTimer *time.Timer
+	// callMu guards the call table (calltable.go): each call while it
+	// collates and executes (the record behind each entry has its own
+	// lock, serverCall.mu), and its return message afterwards, rotated
+	// by rotateTimer.
+	callMu      sync.Mutex
+	calls       callTable
+	rotateTimer *time.Timer
 
 	// readers counts the dispatch workers reading the incoming queue,
 	// as opposed to executing a call; at most readersMax read.
@@ -174,7 +173,6 @@ func NewRuntime(ep transport.Endpoint, opts Options) *Runtime {
 		modules:   make(map[uint16]*export),
 		troupeIDs: make(map[uint16]TroupeID),
 		resolver:  opts.Resolver,
-		calls:     make(map[string]*serverCall),
 		done:      make(chan struct{}),
 	}
 	rt.tr = rt.conn.Tracer() // same node identity and incarnation
@@ -182,7 +180,7 @@ func NewRuntime(ep transport.Endpoint, opts Options) *Runtime {
 		(uint32(ep.Addr().Port) * 0x85EBCA6B) ^ threadSalt
 	rt.ctx, rt.cancel = context.WithCancel(context.Background())
 	rt.callMu.Lock()
-	rt.tombTimer = time.AfterFunc(rt.opts.CallRetention/2, rt.rotateTombs)
+	rt.rotateTimer = time.AfterFunc(rt.opts.CallRetention/2, rt.rotateCalls)
 	rt.callMu.Unlock()
 	rt.readersMax = int32(max(4, runtime.GOMAXPROCS(0)))
 	for i := rt.readersMax; i > 0; i-- {
@@ -191,17 +189,17 @@ func NewRuntime(ep transport.Endpoint, opts Options) *Runtime {
 	return rt
 }
 
-// rotateTombs expires the oldest generation of finished calls every
+// rotateCalls expires the oldest generation of finished calls every
 // half CallRetention, so a buffered return message (§4.3.4) lives
 // between one and one and a half retention windows.
-func (rt *Runtime) rotateTombs() {
+func (rt *Runtime) rotateCalls() {
 	rt.callMu.Lock()
 	defer rt.callMu.Unlock()
-	rt.tombs.rotate()
+	rt.calls.rotate()
 	select {
 	case <-rt.done:
 	default:
-		rt.tombTimer.Reset(rt.opts.CallRetention / 2)
+		rt.rotateTimer.Reset(rt.opts.CallRetention / 2)
 	}
 }
 
@@ -219,7 +217,7 @@ func (rt *Runtime) CallTable() CallTableStats {
 	pending := int(rt.conn.Stats().Observed)
 	rt.callMu.Lock()
 	defer rt.callMu.Unlock()
-	return CallTableStats{Live: len(rt.calls), Tombstones: rt.tombs.len(), Pending: pending}
+	return CallTableStats{Live: rt.calls.live, Tombstones: rt.calls.tombstones(), Pending: pending}
 }
 
 // Addr returns the process address of this runtime.
@@ -288,8 +286,7 @@ func (rt *Runtime) SetTroupeID(module uint16, id TroupeID) {
 	rt.mu.Unlock()
 	if PlantedRebindBug {
 		rt.callMu.Lock()
-		rt.calls = make(map[string]*serverCall)
-		rt.tombs = tombTable{}
+		rt.calls = callTable{}
 		rt.callMu.Unlock()
 	}
 }
@@ -339,7 +336,7 @@ func (rt *Runtime) Close() error {
 	close(rt.done)
 	rt.cancel()
 	rt.mu.Unlock()
-	rt.tombTimer.Stop()
+	rt.rotateTimer.Stop()
 	err := rt.conn.Close()
 	rt.bg.Wait()
 	return err

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"circus/internal/pairedmsg"
@@ -19,57 +20,95 @@ import (
 // same replicated call if and only if they bear the same thread ID and
 // call path; the client troupe ID tells the member how many call
 // messages to expect.
+//
+// Records are the call table's and are reused: refs counts who holds
+// one — the table while the call is live, each handler between its
+// lookup and its last use, an armed availability timer, a pending
+// membership lookup, the execution — and the last to let go hands it
+// back (callTable.recycle). So a module must not keep the ServerCall,
+// its thread context or its argument bytes past Dispatch.
 type serverCall struct {
 	mu       sync.Mutex
+	refs     atomic.Int32
 	hdr      callHeader
 	tid      thread.ID
 	exp      *export
 	callers  []transport.Addr
 	callNums []uint32 // parallel to callers (troupes are small: linear scan)
 	args     [][]byte
-	// In-place backing for the three slices above, covering typical
-	// troupe degrees without heap growth.
+	// In-place backing for the slices above, covering typical troupe
+	// degrees and call paths; argBuf holds every caller's argument
+	// bytes and keeps its capacity from call to call.
 	callersArr  [4]transport.Addr
 	callNumsArr [4]uint32
 	argsArr     [4][]byte
+	pathArr     [8]uint32
+	argBuf      []byte
 	expected    int // number of client troupe members; 0 until resolved
 	started     bool
 	timer       *time.Timer // availability timeout; stopped when started flips
-	// finished, result and status serve only a handler that looked the
-	// record up just before finishAndReply replaced it with a tombstone.
+	// finished and result serve only a handler that looked the record
+	// up just before finishAndReply buried the call.
 	finished bool
 	result   []byte // encoded returnHeader
-	status   uint16 // status word of result, for tracing late replies
-	// call is the ServerCall handed to the module's Dispatch, embedded
-	// here so execute need not heap-allocate one per call. The record is
-	// never pooled, so a module that stashes the pointer stays safe.
-	call ServerCall
+
+	// Where the table keeps the call, guarded by Runtime.callMu: its
+	// index in callTable.calls, and while live its block and slot.
+	idx  uint32
+	blk  *block
+	slot uint
+
+	// thread and call are the context and ServerCall handed to the
+	// module's Dispatch, held here so execute allocates neither.
+	thread thread.Context
+	call   ServerCall
+}
+
+// init makes a record the table just handed out the record of a fresh
+// call, from the decoded header; the arguments come with each caller.
+// Nothing stored aliases hdr, which is the decode scratch, or the
+// message it views. The caller holds Runtime.callMu, which guards the
+// call identity: the table reads it to move the record between
+// generations. (The thread context and the ServerCall are set by
+// execute, and a started call has no timer.)
+func (sc *serverCall) init(hdr *callHeader, tid thread.ID, exp *export) {
+	sc.hdr = *hdr
+	sc.hdr.Path = append(sc.pathArr[:0], hdr.Path...)
+	sc.hdr.Args = nil
+	sc.tid, sc.exp = tid, exp
+	sc.callers, sc.callNums, sc.args = sc.callersArr[:0], sc.callNumsArr[:0], sc.argsArr[:0]
+	sc.argBuf = sc.argBuf[:0]
+	sc.expected, sc.started, sc.finished = 0, false, false
+}
+
+// addArgs copies one caller's argument bytes into the record.
+func (sc *serverCall) addArgs(a []byte) []byte {
+	off := len(sc.argBuf)
+	sc.argBuf = append(sc.argBuf, a...)
+	return sc.argBuf[off:len(sc.argBuf):len(sc.argBuf)]
 }
 
 // markStartedLocked flips started and releases the availability
-// timeout's timer. Caller holds sc.mu.
+// timeout's timer, and the timer's reference if it had not fired.
+// Caller holds sc.mu and a reference of its own.
 func (sc *serverCall) markStartedLocked() {
 	sc.started = true
 	if sc.timer != nil {
-		sc.timer.Stop()
+		if sc.timer.Stop() {
+			sc.refs.Add(-1)
+		}
 		sc.timer = nil
 	}
 }
 
-// appendCallKey renders the collation key — thread identity (§4.3.2),
-// call path, and module number — onto buf. Two troupe members
-// co-located in one process have distinct module numbers, and a
-// replicated call addressing both must collate separately per member.
-// Returning bytes (rather than a string) lets handleCall look the key
-// up via the map's string-conversion fast path without materializing a
-// string; only an insert pays the allocation.
-func appendCallKey(buf []byte, tid thread.ID, path []uint32, module uint16) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, tid.Host)
-	buf = binary.BigEndian.AppendUint32(buf, tid.Proc)
-	for _, p := range path {
-		buf = binary.BigEndian.AppendUint32(buf, p)
+// release drops one reference to sc; the last hands it back to the
+// table. The caller no longer holds sc.mu.
+func (rt *Runtime) release(sc *serverCall) {
+	if sc.refs.Add(-1) == 0 {
+		rt.callMu.Lock()
+		rt.calls.recycle(sc)
+		rt.callMu.Unlock()
 	}
-	return binary.BigEndian.AppendUint16(buf, module)
 }
 
 // handleCall processes one incoming call message: the entry point of
@@ -107,36 +146,30 @@ func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) *serverCal
 		return nil
 	}
 
-	var keyArr [64]byte
-	key := appendCallKey(keyArr[:0], tid, hdr.Path, hdr.Module)
+	var kb [64]byte
+	key := keyOf(tid, hdr.Path, hdr.Module, kb[:0])
 	rt.callMu.Lock()
-	sc, live := rt.calls[string(key)] // no-alloc lookup (string-conversion fast path)
-	var args []byte
-	if !live {
-		if status, result, done := rt.tombs.get(key); done {
-			rt.callMu.Unlock()
-			rt.replayReturn(msg, hdr, status, result)
-			return nil
-		}
-		sc = &serverCall{hdr: *hdr, tid: tid, exp: exp}
-		// The stored header must not alias the decode scratch or the
-		// message.
-		sc.hdr.Path = append([]uint32(nil), hdr.Path...)
-		args = bytes.Clone(hdr.Args)
-		sc.hdr.Args = args
-		sc.callers = sc.callersArr[:0]
-		sc.callNums = sc.callNumsArr[:0]
-		sc.args = sc.argsArr[:0]
-		rt.calls[string(key)] = sc
+	sc, result, b0 := rt.calls.find(&key)
+	switch {
+	case sc != nil:
+		sc.refs.Add(1)
+	case result == nil:
+		sc = rt.calls.add(&key, b0)
+		sc.init(hdr, tid, exp)
 	}
 	rt.callMu.Unlock()
+	if sc == nil {
+		rt.replayReturn(msg, hdr, result)
+		return nil
+	}
 
 	sc.mu.Lock()
 	if sc.finished {
 		// Finished between the lookup above and this lock.
-		status, result := sc.status, sc.result
+		result = sc.result
 		sc.mu.Unlock()
-		rt.replayReturn(msg, hdr, status, result)
+		rt.release(sc)
+		rt.replayReturn(msg, hdr, result)
 		return nil
 	}
 	seen := -1
@@ -147,8 +180,9 @@ func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) *serverCal
 		}
 	}
 	if seen < 0 {
-		if live {
-			args = bytes.Clone(hdr.Args)
+		args := sc.addArgs(hdr.Args)
+		if len(sc.callers) == 0 {
+			sc.hdr.Args = args
 		}
 		sc.callers = append(sc.callers, msg.From)
 		sc.callNums = append(sc.callNums, msg.CallNum)
@@ -167,7 +201,7 @@ func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) *serverCal
 	// Try to start before spending a timer on the call: the common case
 	// — an unreplicated client, or the last expected member arriving —
 	// starts right here, and a started call needs no availability
-	// timeout at all.
+	// timeout at all. The call then keeps this handler's reference.
 	if rt.maybeStart(sc) {
 		return sc
 	}
@@ -177,9 +211,11 @@ func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) *serverCal
 			// Resolve the client troupe membership (consulting a local
 			// cache or the binding agent, §4.3.2) off the receive loop.
 			ct := TroupeID(hdr.ClientTroupe) // hoisted: the closure must not read the scratch
+			sc.refs.Add(1)
 			rt.background(func() { rt.resolveExpected(sc, ct) })
 		}
 	}
+	rt.release(sc)
 	return nil
 }
 
@@ -187,7 +223,7 @@ func (rt *Runtime) handleCall(msg pairedmsg.Message, hdr *callHeader) *serverCal
 // finished. To a slow client troupe member execution appears
 // instantaneous, because the return message is ready and waiting
 // (§4.3.4) — already encoded, so the stored bytes are sent as they are.
-func (rt *Runtime) replayReturn(msg pairedmsg.Message, hdr *callHeader, status uint16, result []byte) {
+func (rt *Runtime) replayReturn(msg pairedmsg.Message, hdr *callHeader, result []byte) {
 	if rt.tr.EnabledFor(trace.KindDupCall) {
 		// Sinks may retain events: never hand them the scratch path.
 		rt.tr.Emit(trace.Event{Kind: trace.KindDupCall,
@@ -196,12 +232,12 @@ func (rt *Runtime) replayReturn(msg pairedmsg.Message, hdr *callHeader, status u
 			Path: append([]uint32(nil), hdr.Path...), Troupe: hdr.DestTroupe,
 			Module: hdr.Module, Proc: hdr.Proc})
 	}
-	rt.sendReturnEncoded(msg.From, msg.CallNum, status, result)
+	rt.sendReturnEncoded(msg.From, msg.CallNum, result)
 }
 
 // resolveExpected learns how many call messages to expect as part of
 // the many-to-one call (§4.3.2), and executes the call if that readies
-// it.
+// it. It holds a reference to sc, which the execution takes over.
 func (rt *Runtime) resolveExpected(sc *serverCall, clientTroupe TroupeID) {
 	expected := 1
 	if clientTroupe != 0 {
@@ -219,7 +255,9 @@ func (rt *Runtime) resolveExpected(sc *serverCall, clientTroupe TroupeID) {
 	sc.mu.Unlock()
 	if rt.maybeStart(sc) {
 		rt.execute(sc)
+		return
 	}
+	rt.release(sc)
 }
 
 // armTimeout starts execution after ManyToOneTimeout even if some
@@ -232,16 +270,22 @@ func (rt *Runtime) resolveExpected(sc *serverCall, clientTroupe TroupeID) {
 // expected messages may be in the smaller half of a partition, and
 // §4.3.5's discipline exists precisely to keep it from diverging. Such
 // a call stalls until the partition heals or more messages arrive.
+//
+// The timer holds a reference to sc until it fires or is stopped. The
+// caller holds one too.
 func (rt *Runtime) armTimeout(sc *serverCall) {
 	// One AfterFunc timer instead of a goroutine parked on a
 	// NewTimer: markStartedLocked stops it when the call starts, so a
 	// long campaign does not accumulate one live timer per completed
 	// call, and the common case costs no goroutine at all.
+	sc.refs.Add(1)
 	t := time.AfterFunc(rt.opts.ManyToOneTimeout, func() { rt.timeoutFire(sc) })
 	sc.mu.Lock()
 	if sc.started {
 		sc.mu.Unlock()
-		t.Stop()
+		if t.Stop() {
+			sc.refs.Add(-1)
+		}
 		return
 	}
 	sc.timer = t
@@ -259,6 +303,7 @@ func (rt *Runtime) timeoutFire(sc *serverCall) {
 	rt.mu.RLock()
 	if rt.closed {
 		rt.mu.RUnlock()
+		rt.release(sc)
 		return
 	}
 	rt.bg.Add(1)
@@ -268,20 +313,21 @@ func (rt *Runtime) timeoutFire(sc *serverCall) {
 	sc.mu.Lock()
 	floor := 1
 	if sc.exp.opts.Policy == ArgMajority {
-		if sc.expected == 0 {
-			sc.mu.Unlock()
-			return // membership unresolved: cannot establish a majority
-		}
 		floor = sc.expected/2 + 1
 	}
-	force := !sc.started && len(sc.callers) >= floor
+	// Under ArgMajority an unresolved membership establishes no
+	// majority.
+	force := !sc.started && len(sc.callers) >= floor &&
+		(sc.exp.opts.Policy != ArgMajority || sc.expected != 0)
 	if force {
 		sc.markStartedLocked()
 	}
 	sc.mu.Unlock()
 	if force {
 		rt.execute(sc)
+		return
 	}
+	rt.release(sc)
 }
 
 // maybeStart marks the call started once the waiting discipline of the
@@ -316,7 +362,8 @@ func (rt *Runtime) maybeStart(sc *serverCall) bool {
 // return message containing the results to each member of the client
 // troupe (§4.3.2). The server adopts the thread ID in the call header
 // for the duration of the execution so that further remote calls
-// propagate it (§3.4.1).
+// propagate it (§3.4.1). The caller's reference to sc is the
+// execution's, dropped once the call is buried.
 func (rt *Runtime) execute(sc *serverCall) {
 	sc.mu.Lock()
 	hdr := sc.hdr
@@ -329,11 +376,12 @@ func (rt *Runtime) execute(sc *serverCall) {
 	args := sc.args
 	sc.mu.Unlock()
 
+	sc.thread.Reset(tid, hdr.Path)
 	call := &sc.call
 	*call = ServerCall{
 		rt:           rt,
 		ctx:          rt.ctx,
-		thread:       thread.Child(tid, hdr.Path),
+		thread:       &sc.thread,
 		clientTroupe: TroupeID(hdr.ClientTroupe),
 		module:       hdr.Module,
 		proc:         hdr.Proc,
@@ -341,12 +389,11 @@ func (rt *Runtime) execute(sc *serverCall) {
 		args:         args,
 	}
 
-	began := time.Now()
 	if rt.tr.EnabledFor(trace.KindCallStart) {
 		// The at-most-once anchor: exactly one of these per (thread
 		// ID, call path, module) per member incarnation (§4.3.4).
 		rt.tr.Emit(trace.Event{Kind: trace.KindCallStart,
-			ThreadHost: tid.Host, ThreadProc: tid.Proc, Path: hdr.Path,
+			ThreadHost: tid.Host, ThreadProc: tid.Proc, Path: append([]uint32(nil), hdr.Path...),
 			Troupe: hdr.DestTroupe, Module: hdr.Module, Proc: hdr.Proc,
 			N: len(callers)})
 	}
@@ -366,6 +413,11 @@ func (rt *Runtime) execute(sc *serverCall) {
 		}
 	}
 
+	var began time.Time
+	done := rt.tr.EnabledFor(trace.KindCallDone)
+	if done {
+		began = time.Now()
+	}
 	var ret returnHeader
 	res, err := rt.dispatch(exp, call, hdr.Proc, hdr.Args)
 	if err != nil {
@@ -373,9 +425,9 @@ func (rt *Runtime) execute(sc *serverCall) {
 	} else {
 		ret = returnHeader{Status: statusOK, Payload: res}
 	}
-	if rt.tr.EnabledFor(trace.KindCallDone) {
+	if done {
 		e := trace.Event{Kind: trace.KindCallDone,
-			ThreadHost: tid.Host, ThreadProc: tid.Proc, Path: hdr.Path,
+			ThreadHost: tid.Host, ThreadProc: tid.Proc, Path: append([]uint32(nil), hdr.Path...),
 			Troupe: hdr.DestTroupe, Module: hdr.Module, Proc: hdr.Proc,
 			Dur: time.Since(began)}
 		if err != nil {
@@ -386,39 +438,38 @@ func (rt *Runtime) execute(sc *serverCall) {
 	rt.finishAndReply(sc, ret)
 }
 
-// finishAndReply sends the return message to every client troupe
-// member whose call message has arrived and buries the call: its live
-// record leaves rt.calls and a tombstone holding the encoded return
-// message answers later arrivals (§4.3.4) until it expires.
+// finishAndReply buries the call — the table swaps its live record for
+// the encoded return message, which answers later arrivals (§4.3.4)
+// until it expires — and sends the return message to every client
+// troupe member whose call message has arrived. It drops the
+// execution's reference to sc.
 func (rt *Runtime) finishAndReply(sc *serverCall, ret returnHeader) {
-	encoded := ret.marshal()
-
+	// Holding sc.mu across the swap means a handler that found the
+	// record live either added its caller before the snapshot below or
+	// finds it finished. callMu nests inside sc.mu here and in no other
+	// order.
 	sc.mu.Lock()
+	// callNums entries are rewritten in place when a client member
+	// retransmits with a fresh call number, and the record may be
+	// reused once released, so both are copied.
+	var callersArr [4]transport.Addr
+	var cnArr [4]uint32
+	callers := append(callersArr[:0], sc.callers...)
+	callNums := append(cnArr[:0], sc.callNums...)
+	rt.callMu.Lock()
+	encoded := rt.calls.bury(sc, &ret)
 	sc.finished = true
 	sc.result = encoded
-	sc.status = ret.Status
-	callers := sc.callers // append-only: the header snapshot suffices
-	// callNums entries are rewritten in place when a client member
-	// retransmits with a fresh call number, so these must be copied.
-	var cnArr [4]uint32
-	callNums := append(cnArr[:0], sc.callNums...)
 	sc.mu.Unlock()
-
-	// One critical section swaps the record for its tombstone, so a
-	// lookup finds one or the other, never neither.
-	var keyArr [64]byte
-	key := appendCallKey(keyArr[:0], sc.tid, sc.hdr.Path, sc.hdr.Module)
-	rt.callMu.Lock()
-	if rt.calls[string(key)] == sc { // not if PlantedRebindBug discarded it
-		delete(rt.calls, string(key))
-		rt.tombs.put(key, ret.Status, encoded)
+	if sc.refs.Add(-2) == 0 { // the table's reference and the execution's
+		rt.calls.recycle(sc)
 	}
 	rt.callMu.Unlock()
 
 	// One encode serves every client troupe member (and any late
-	// arrival, via the tombstone).
+	// arrival, via the table).
 	for i, addr := range callers {
-		rt.sendReturnEncoded(addr, callNums[i], ret.Status, encoded)
+		rt.sendReturnEncoded(addr, callNums[i], encoded)
 	}
 }
 
@@ -453,15 +504,15 @@ func (rt *Runtime) dispatch(exp *export, call *ServerCall, proc uint16, args []b
 // paired message layer's job, so failures here only mean the runtime
 // is shutting down.
 func (rt *Runtime) sendReturn(to transport.Addr, callNum uint32, ret returnHeader) {
-	rt.sendReturnEncoded(to, callNum, ret.Status, ret.marshal())
+	rt.sendReturnEncoded(to, callNum, ret.marshal())
 }
 
 // sendReturnEncoded transmits an already-encoded return message, so
 // the reply fan-out and duplicate replay reuse one encoding.
-func (rt *Runtime) sendReturnEncoded(to transport.Addr, callNum uint32, status uint16, data []byte) {
+func (rt *Runtime) sendReturnEncoded(to transport.Addr, callNum uint32, data []byte) {
 	if rt.tr.EnabledFor(trace.KindReplySent) {
 		e := trace.Event{Kind: trace.KindReplySent,
-			Peer: to, CallNum: callNum, N: int(status)}
+			Peer: to, CallNum: callNum, N: int(binary.BigEndian.Uint16(data))}
 		rt.tr.Emit(e)
 	}
 	// An error only means the runtime is shutting down.

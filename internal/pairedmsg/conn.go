@@ -197,6 +197,9 @@ type Stats struct {
 	AcksPiggybacked int64
 	BundlesSent     int64
 	BundledFrames   int64
+	// Paced counts first transmissions held back for company: each
+	// armed the coalesce-window timer (see flushOrSchedule).
+	Paced int64
 	// CompletedRecords is a gauge, not a counter: how many completed
 	// exchanges are remembered for replay suppression right now, over
 	// all peers — at most those of the last 1.5 CompletedTTL.
@@ -517,6 +520,7 @@ type counters struct {
 	acksPiggybacked   atomic.Int64
 	bundlesSent       atomic.Int64
 	bundledFrames     atomic.Int64
+	paced             atomic.Int64
 }
 
 // txScratch is the per-flush staging state: the datagram vector handed
@@ -764,6 +768,7 @@ func (c *Conn) Stats() Stats {
 		AcksPiggybacked:   c.stats.acksPiggybacked.Load(),
 		BundlesSent:       c.stats.bundlesSent.Load(),
 		BundledFrames:     c.stats.bundledFrames.Load(),
+		Paced:             c.stats.paced.Load(),
 	}
 }
 
@@ -892,17 +897,20 @@ type Transfer interface {
 	Err() error
 }
 
+// multicastBit marks a multicast exchange's call number: multicast
+// numbers live in the upper half of the call number space so they can
+// never collide with the per-peer unicast counters.
+const multicastBit = 0x8000_0000
+
 // nextMulticastLocked allocates a call number for a multicast
-// exchange. Multicast numbers live in the upper half of the call
-// number space so they can never collide with the per-peer unicast
-// counters; within one pair of processes every exchange still bears a
+// exchange; within one pair of processes every exchange still bears a
 // unique number, as §4.2 requires. Caller holds multiMu.
 func (c *Conn) nextMulticastLocked() uint32 {
 	if c.nextMulti == 0 {
 		c.nextMulti = c.callBase
 	}
 	c.nextMulti++
-	return 0x8000_0000 | (c.nextMulti & 0x7FFF_FFFF)
+	return multicastBit | (c.nextMulti &^ multicastBit)
 }
 
 // BeginCall allocates the next unicast call number for peer and
@@ -1095,7 +1103,13 @@ func (c *Conn) startSend(to transport.Addr, typ MsgType, callNum uint32, msg []b
 		t.wireRefs.Add(1)
 		s.sendQ = append(s.sendQ, outFrame{seg: seg, t: t})
 	}
-	c.flushOrSchedule(s, inFlight >= paceInFlightMin)
+	// The return of a multicast call (multicastBit) is never paced. Its caller's call messages
+	// carry no acknowledgments, so its returns wait in this session for
+	// standalone acks: their number says nothing about how many
+	// exchanges are under way, and a serial caller, whose next call
+	// waits for this return, would only wait out the coalesce timer.
+	pace := inFlight >= paceInFlightMin && (typ != Return || callNum&multicastBit == 0)
+	c.flushOrSchedule(s, pace)
 	t.wireDone() // release the pre-transmission hold taken by fill
 	return t, nil
 }
@@ -1502,6 +1516,7 @@ func (c *Conn) flushOrSchedule(s *session, pace bool) {
 	}
 	if pace && !s.paceArmed {
 		s.paceArmed = true
+		c.stats.paced.Add(1)
 		if s.paceTimer == nil {
 			s.paceTimer = time.AfterFunc(coalesceWindow, func() { c.kickFlush(s, true) })
 		} else {

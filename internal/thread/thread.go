@@ -58,6 +58,14 @@ func Child(id ID, path []uint32) *Context {
 	return &Context{id: id, prefix: prefix}
 }
 
+// Reset makes c the context Child(id, path) returns, in place and
+// with path aliased rather than copied: a server reuses one Context
+// per call record, and keeps path unchanged while c is in use. c must
+// not be in use by anyone else.
+func (c *Context) Reset(id ID, path []uint32) {
+	c.id, c.prefix, c.next = id, path, 0
+}
+
 // ID returns the thread ID.
 func (c *Context) ID() ID { return c.id }
 

@@ -4,6 +4,7 @@ package udptrans
 
 import (
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"unsafe"
 
@@ -146,6 +147,7 @@ type recvBatch struct {
 	sas  [recvBatchSize]syscall.RawSockaddrInet4
 	iovs [recvBatchSize]syscall.Iovec
 	hdrs [recvBatchSize]mmsghdr
+	idle *atomic.Int64 // counts recvmmsg calls that found the queue empty
 }
 
 func (rb *recvBatch) init() {
@@ -160,13 +162,22 @@ func (rb *recvBatch) init() {
 	}
 }
 
-// recv drains up to recvBatchSize datagrams in one recvmmsg call,
-// blocking in the runtime poller until the socket is readable. It
-// reports n received datagrams (slot i's source, payload, and buffer
-// are read via take) or an error once the socket is closed.
-func (rb *recvBatch) recv(raw syscall.RawConn) (int, error) {
-	got := 0
-	err := raw.Read(func(fd uintptr) bool {
+// recv receives batches of up to recvBatchSize datagrams, one
+// recvmmsg call each, handing slot i of each batch to deliver (which
+// reads it via take), and blocks in the runtime poller while the
+// socket is empty. It returns after a full batch, so that the caller
+// calls again and a closed socket ends the loop, after a receive error
+// other than EAGAIN, which the caller retries as well, and with an
+// error once the socket is closed.
+//
+// A short batch found the queue empty, so the callback goes straight
+// back to the poller instead of calling recvmmsg again only to get
+// EAGAIN. That is safe inside one raw.Read: the poller is
+// edge-triggered and only raw.Read's start clears its readiness, so a
+// datagram that arrived since the short batch has already marked the
+// socket ready and the wait returns at once.
+func (rb *recvBatch) recv(raw syscall.RawConn, deliver func(i int)) error {
+	return raw.Read(func(fd uintptr) bool {
 		// Namelen is value-result; reset before every call.
 		for i := range rb.hdrs {
 			rb.hdrs[i].hdr.Namelen = uint32(unsafe.Sizeof(rb.sas[i]))
@@ -175,17 +186,17 @@ func (rb *recvBatch) recv(raw syscall.RawConn) (int, error) {
 			uintptr(unsafe.Pointer(&rb.hdrs[0])), recvBatchSize,
 			syscall.MSG_DONTWAIT, 0, 0)
 		if errno == syscall.EAGAIN {
+			rb.idle.Add(1)
 			return false // block in the poller until readable
 		}
-		if errno == 0 {
-			got = int(n)
+		if errno != 0 {
+			return true
 		}
-		// Any other errno: report zero packets; the outer loop exits
-		// via the closed-socket error from raw.Read or simply retries
-		// on a transient fault.
-		return true
+		for i := 0; i < int(n); i++ {
+			deliver(i)
+		}
+		return n == recvBatchSize
 	})
-	return got, err
 }
 
 // take hands slot i's datagram to the caller as a pooled-buffer packet
@@ -223,18 +234,14 @@ func (rb *recvBatch) release() {
 // when the socket is closed.
 func (e *Endpoint) drain() {
 	defer close(e.drained)
-	var rb recvBatch
+	rb := recvBatch{idle: &e.idleRecvs}
 	rb.init()
 	defer rb.release()
-	for {
-		got, err := rb.recv(e.raw)
-		if err != nil {
-			return
+	deliver := func(i int) {
+		if pkt, ok := rb.take(i, e.addr); ok {
+			e.deliver(pkt)
 		}
-		for i := 0; i < got; i++ {
-			if pkt, ok := rb.take(i, e.addr); ok {
-				e.deliver(pkt)
-			}
-		}
+	}
+	for rb.recv(e.raw, deliver) == nil {
 	}
 }

@@ -53,3 +53,54 @@ func TestSendBatchWarmAllocatesNothing(t *testing.T) {
 		t.Errorf("warm 3-datagram SendBatch: %v allocations, want 0", n)
 	}
 }
+
+// TestShortBatchWaitsWithoutProbing: two endpoints play ping-pong,
+// each handler answering a datagram by sending the next one to the
+// other endpoint. Every datagram then finds its receiver just back
+// from a short batch — it arrives while, or just after, the
+// receiver's drain loop stops calling recvmmsg and waits for the
+// socket instead. Every one of the chain is still delivered, and the
+// short batches cost no recvmmsg call that finds the queue empty:
+// probing again after each was one wasted system call per datagram.
+func TestShortBatchWaitsWithoutProbing(t *testing.T) {
+	const chain = 2000
+	var eps [2]*Endpoint
+	for i := range eps {
+		ep, err := Listen(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ep.Close()
+		eps[i] = ep
+	}
+	done := make(chan struct{})
+	var got atomic.Int64
+	for i, ep := range eps {
+		peer := eps[1-i].Addr()
+		ep.SetHandler(func(p transport.Packet) {
+			p.Buf.Release()
+			if n := got.Add(1); n == chain {
+				close(done)
+			} else if n < chain {
+				if err := ep.Send(peer, []byte("next")); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+	}
+	base := eps[0].idleRecvs.Load() + eps[1].idleRecvs.Load()
+	if err := eps[0].Send(eps[1].Addr(), []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("the chain stalled after %d datagrams: one that arrived just after a short batch was never delivered", got.Load())
+	}
+	idle := eps[0].idleRecvs.Load() + eps[1].idleRecvs.Load() - base
+	t.Logf("%d datagrams, %d receive calls found the socket empty", chain, idle)
+	if idle > chain/10 {
+		t.Errorf("%d recvmmsg calls found the socket empty over %d datagrams, want <= %d",
+			idle, chain, chain/10)
+	}
+}

@@ -38,6 +38,10 @@ type Endpoint struct {
 
 	drained chan struct{} // closed when the drain goroutine returns
 	closed  atomic.Bool
+
+	// idleRecvs counts receive calls that found the socket empty
+	// (EAGAIN): system calls that carried nothing.
+	idleRecvs atomic.Int64
 }
 
 // pool recycles receive buffers across every endpoint of the process
