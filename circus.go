@@ -92,7 +92,8 @@ type (
 	// (§7.4).
 	Reply = collate.Item
 	// Collator reduces the set of messages from a troupe to a single
-	// result (§4.3.6).
+	// result (§4.3.6). A Reply's Data is valid only during the Add
+	// that receives it, so a Collator copies any bytes it keeps.
 	Collator = collate.Collator
 	// TraceEvent is one structured protocol event (see WithTrace).
 	TraceEvent = trace.Event

@@ -591,6 +591,46 @@ func TestWatchdogDetectsDivergence(t *testing.T) {
 	}
 }
 
+// TestWatchdogVerdictFromLateMember: CallWatchdog proceeds with the
+// first result while one member is still executing, and the verdict
+// waits for that member: its divergent answer, arriving after the
+// caller has its result, is ErrDisagreement.
+func TestWatchdogVerdictFromLateMember(t *testing.T) {
+	w := newWorld(t, 21)
+	for i := 0; i < 2; i++ {
+		w.node().Export("wd4", ModuleFunc(func(call *ServerCall, proc uint16, args []byte) ([]byte, error) {
+			return []byte("a"), nil
+		}))
+	}
+	open := make(chan struct{})
+	w.node().Export("wd4", ModuleFunc(func(call *ServerCall, proc uint16, args []byte) ([]byte, error) {
+		<-open
+		return []byte("b"), nil
+	}))
+	client := w.node()
+	stub, _ := client.Import(context.Background(), "wd4")
+	data, verdict, err := stub.CallWatchdog(context.Background(), 1, nil)
+	if err != nil || string(data) != "a" {
+		close(open)
+		t.Fatalf("CallWatchdog: %q, %v", data, err)
+	}
+	select {
+	case err := <-verdict:
+		close(open)
+		t.Fatalf("verdict %v before the late member answered", err)
+	default:
+	}
+	close(open)
+	select {
+	case err := <-verdict:
+		if !errors.Is(err, ErrDisagreement) {
+			t.Fatalf("verdict = %v, want ErrDisagreement", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("watchdog never reported")
+	}
+}
+
 func TestWatchdogAllFailed(t *testing.T) {
 	w := newWorld(t, 19)
 	n := w.node()

@@ -18,6 +18,15 @@
 // binding, a missing module, the deadline, a closed runtime — decides
 // the call with that error. Majority, Quorum and FirstCome count votes
 // and treat every other error as an absence.
+//
+// An Item's Data is valid only during the Add that receives it: core
+// hands a collator each member's return while the message layer still
+// holds it, so no member's payload is copied on its way in. A collator
+// that keeps bytes copies them, and this package's collators copy only
+// the first vote they keep, so a unanimous call copies one result, not
+// one per member. Add runs on the path that delivers the return, with
+// the message layer's session lock held, so it must not block. A Func
+// given to New still receives items that own their bytes.
 package collate
 
 import (
@@ -29,7 +38,8 @@ import (
 // Item is one member's contribution to a replicated exchange: a result
 // (Err nil), a refusal (Err an *AppError), or a member-level failure
 // such as ErrMemberDown (a crash, §4.3.5). A result and a refusal are
-// both votes; see the package comment for what is masked.
+// both votes; see the package comment for what is masked, and for how
+// long Data is valid.
 type Item struct {
 	Member int // index of the troupe member
 	Data   []byte
@@ -38,7 +48,8 @@ type Item struct {
 
 // Collator reduces a stream of items to one result. Add is called as
 // items arrive and returns true once the collator has decided; Result
-// may be called once Add returned true or the stream is exhausted.
+// may be called once Add returned true or the stream is exhausted. Add
+// must copy any Data it keeps (see the package comment).
 type Collator interface {
 	Add(it Item) (done bool)
 	Result() ([]byte, error)
@@ -80,23 +91,33 @@ var (
 // is masked, as the paper's client proceeds with the messages of the
 // members still available (§4.3.1). Any other member error decides the
 // call with that error as soon as it arrives.
-func Unanimous(n int) Collator { return &unanimous{n: n} }
+func Unanimous(n int) Collator {
+	u := new(UnanimousCollator)
+	u.Reset(n)
+	return u
+}
 
-type unanimous struct {
+// UnanimousCollator is the collator Unanimous returns, as a value, so
+// that a caller collating many calls can keep one and Reset it for
+// each instead of allocating one per call.
+type UnanimousCollator struct {
 	n, seen int
 	have    bool
-	data    []byte    // the first vote: a result,
+	data    []byte    // the first vote: a result (copied),
 	refusal *AppError // or a refusal
 	err     error     // the decision, once one is forced
 }
 
-func (u *unanimous) Add(it Item) bool {
+// Reset readies u to collate a call to n members.
+func (u *UnanimousCollator) Reset(n int) { *u = UnanimousCollator{n: n} }
+
+func (u *UnanimousCollator) Add(it Item) bool {
 	u.seen++
 	if u.err == nil {
 		switch refusal, refused := it.Err.(*AppError); {
 		case it.Err == nil || refused:
 			if !u.have {
-				u.have, u.data, u.refusal = true, it.Data, refusal
+				u.have, u.data, u.refusal = true, bytes.Clone(it.Data), refusal
 			} else if !u.same(it.Data, refusal) {
 				u.err = ErrDisagreement
 			}
@@ -108,14 +129,14 @@ func (u *unanimous) Add(it Item) bool {
 }
 
 // same reports whether a vote equals the first one.
-func (u *unanimous) same(data []byte, refusal *AppError) bool {
+func (u *UnanimousCollator) same(data []byte, refusal *AppError) bool {
 	if refusal == nil || u.refusal == nil {
 		return refusal == nil && u.refusal == nil && bytes.Equal(u.data, data)
 	}
 	return refusal.Msg == u.refusal.Msg
 }
 
-func (u *unanimous) Result() ([]byte, error) {
+func (u *UnanimousCollator) Result() ([]byte, error) {
 	switch {
 	case u.err != nil:
 		return nil, u.err
@@ -151,6 +172,7 @@ func (f *firstCome) Add(it Item) bool {
 	f.seen++
 	if !f.have && isVote(it) {
 		f.have, f.first = true, it
+		f.first.Data = bytes.Clone(it.Data)
 		return true
 	}
 	return f.seen >= f.n
@@ -208,6 +230,7 @@ func (q *quorum) Add(it Item) bool {
 		q.counts[v]++
 		if q.counts[v] >= q.k {
 			q.haveWin, q.winner = true, it
+			q.winner.Data = bytes.Clone(it.Data)
 		}
 	}
 	if q.haveWin {
@@ -257,6 +280,7 @@ type custom struct {
 }
 
 func (c *custom) Add(it Item) bool {
+	it.Data = bytes.Clone(it.Data) // f gets items that own their bytes
 	c.items = append(c.items, it)
 	return len(c.items) >= c.n
 }

@@ -560,3 +560,45 @@ func ExampleMajority() {
 	fmt.Println(string(v))
 	// Output: yes
 }
+
+// TestCollatorsCopyWhatTheyKeep: an item's Data is valid only during
+// the Add that receives it (core hands a collator each member's return
+// while the message layer still holds it), so every collator's Result
+// must survive each Data buffer being overwritten once Add returns,
+// and a Func given to New still gets items that own their bytes.
+func TestCollatorsCopyWhatTheyKeep(t *testing.T) {
+	join := func(items []Item) ([]byte, error) {
+		var parts [][]byte
+		for _, it := range items {
+			parts = append(parts, it.Data)
+		}
+		return bytes.Join(parts, []byte("+")), nil
+	}
+	for _, tc := range []struct {
+		name string
+		mk   func(n int) Collator
+		want string
+	}{
+		{"unanimous", Unanimous, "vote"},
+		{"first-come", FirstCome, "vote"},
+		{"majority", Majority, "vote"},
+		{"quorum", func(n int) Collator { return Quorum(n, 2) }, "vote"},
+		{"new", func(n int) Collator { return New(n, join) }, "vote+vote+vote"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.mk(3)
+			for m := 0; m < 3; m++ {
+				buf := []byte("vote")
+				done := c.Add(Item{Member: m, Data: buf})
+				copy(buf, "XXXX")
+				if done {
+					break
+				}
+			}
+			got, err := c.Result()
+			if err != nil || string(got) != tc.want {
+				t.Fatalf("Result = %q, %v after the buffers were overwritten; want %q", got, err, tc.want)
+			}
+		})
+	}
+}

@@ -54,33 +54,41 @@ type CallOptions struct {
 // server troupe, and the returned channel yields one item per member —
 // its return message, or the error that befell it. The channel is the
 // "generator of messages from a troupe" of Figure 7.11, the basis of
-// explicit replication (§7.4).
+// explicit replication (§7.4). Each item owns its Data.
 //
 // Regardless of how many items the caller consumes, every server
 // troupe member receives the call: exactly-once execution at all
 // members does not depend on the client's collation policy.
 func (rt *Runtime) CallEach(ctx context.Context, dest Troupe, proc uint16, args []byte, opts CallOptions) <-chan collate.Item {
 	items := make(chan collate.Item, len(dest.Members))
-	hdr := rt.callHeader(ctx, dest, proc, args, &opts, len(dest.Members))
 	if len(dest.Members) == 0 {
+		rt.callHeader(ctx, dest, proc, args, &opts, 0)
 		return items
 	}
-	// The call message is identical for every member that shares a
-	// module number — the common case, since troupe members are
-	// replicas of one module — so the header is marshalled once and
-	// all members get the same bytes, or one multicast.
+	cs := rt.newCallState(dest.Members, false)
+	cs.each = items
+	rt.issue(ctx, cs, dest, proc, args, opts)
+	return items
+}
+
+// issue sends a call's message to every leg of cs and arms its
+// deadline and context watch. The call message is identical for every
+// member that shares a module number — the common case, since troupe
+// members are replicas of one module — so the header is marshalled
+// once and all members get the same bytes, or one multicast.
+func (rt *Runtime) issue(ctx context.Context, cs *callState, dest Troupe, proc uint16, args []byte, opts CallOptions) {
+	hdr := rt.callHeader(ctx, dest, proc, args, &opts, len(cs.legs))
 	same := true
-	for _, m := range dest.Members[1:] {
-		if m.Module != dest.Members[0].Module {
+	for i := range cs.legs[1:] {
+		if cs.legs[i+1].m.Module != cs.legs[0].m.Module {
 			same = false
 			break
 		}
 	}
-	cs := rt.newCallState(items, dest.Members)
 	if !same || !rt.multicastEach(cs, hdr) {
 		var shared []byte
 		if same {
-			hdr.Module = dest.Members[0].Module
+			hdr.Module = cs.legs[0].m.Module
 			shared = hdr.marshal()
 		}
 		for i := range cs.legs {
@@ -94,7 +102,6 @@ func (rt *Runtime) CallEach(ctx context.Context, dest Troupe, proc uint16, args 
 		}
 	}
 	cs.issued(ctx, rt.timeout(opts))
-	return items
 }
 
 // callHeader resolves the thread a call runs on, takes its next call
@@ -154,15 +161,14 @@ func (rt *Runtime) multicastEach(cs *callState, hdr callHeader) bool {
 	}
 	hdr.Module = cs.legs[0].m.Module
 	data := hdr.marshal()
-	group := make([]transport.Addr, len(cs.legs))
-	obs := make([]pairedmsg.CallObserver, len(cs.legs))
+	group, obs := cs.groupArr[:0], cs.obsArr[:0]
 	for i := range cs.legs {
-		group[i], obs[i] = cs.legs[i].m.Addr, &cs.legs[i]
+		group, obs = append(group, cs.legs[i].m.Addr), append(obs, &cs.legs[i])
 	}
-	// Two-phase send: BeginCallMulticast allocates the call number and
+	// Two-phase send: AppendCallMulticast allocates the call number and
 	// registers the transfers without transmitting, so every leg knows
 	// its call number before any call message is on the wire.
-	transfers, callNum, err := rt.conn.BeginCallMulticast(group, data, obs)
+	transfers, callNum, err := rt.conn.AppendCallMulticast(cs.transfersArr[:0], group, data, obs)
 	if err != nil {
 		return false // no multicast support (or closing): fall back to unicast
 	}
@@ -174,30 +180,56 @@ func (rt *Runtime) multicastEach(cs *callState, hdr callHeader) bool {
 }
 
 // A callState is the client side of one replicated call in flight: a
-// leg per server troupe member, the channel their items go to, and the
-// call's deadline. No goroutine waits on a leg; the event that ends it
-// finishes it (see leg). States are pooled: the call's last holder to
-// let go — its last leg, or a deadline or context watch that fired —
-// recycles it.
+// leg per server troupe member, the collator their items go to (or
+// CallEach's channel), and the call's deadline. No goroutine waits on
+// a leg; the event that ends it finishes it (see leg), and adds its
+// item to the call under the state's lock while the message layer
+// still holds the return it came in. The caller parks once, until the
+// collator decides. States are pooled: the call's last holder to let
+// go — its caller, its last leg, or a deadline or context watch that
+// fired — recycles it.
 type callState struct {
 	rt      *Runtime
-	items   chan<- collate.Item
 	legs    []leg
 	legsArr [4]leg // typical troupe degrees, no heap growth
 	// open counts unfinished legs, plus one while the call is being
-	// issued; refs counts the holders: open > 0, and the deadline and
-	// the caller-context watch while armed.
+	// issued; refs counts the holders: open > 0, the caller until it
+	// has read the decision, and the deadline and the caller-context
+	// watch while armed.
 	open    atomic.Int32
 	refs    atomic.Int32
 	timer   *time.Timer // the deadline, created once per pooled state
 	stopCtx func() bool // disarms the caller-context watch; nil if none
+
+	// Collation, under mu. Every item reaches rc, if set; then either
+	// CallEach's channel (each), or, until the decision, col. pending
+	// counts the waited-for legs not yet heard from; when col decides,
+	// or pending reaches zero, the call is decided and its caller
+	// woken on wake, which belongs to the pooled state.
+	mu           sync.Mutex
+	each         chan<- collate.Item
+	col          collate.Collator
+	unan         collate.UnanimousCollator // the default col, reset per call
+	lone         loneCollator              // CallMember's col
+	rc           *ResilientCaller
+	pending      int
+	decided      bool
+	stale        bool           // a member rejected the binding before the decision
+	got          []collate.Item // the items col saw, without their Data
+	gotArr       [4]collate.Item
+	wake         chan struct{}
+	groupArr     [4]transport.Addr // multicastEach's group, observers and transfers
+	obsArr       [4]pairedmsg.CallObserver
+	transfersArr [4]pairedmsg.Transfer
 }
 
-var callStatePool = sync.Pool{New: func() any { return new(callState) }}
+var callStatePool = sync.Pool{New: func() any { return &callState{wake: make(chan struct{}, 1)} }}
 
-func (rt *Runtime) newCallState(items chan<- collate.Item, members []ModuleAddr) *callState {
+// newCallState takes a pooled state with a leg per member; caller
+// tells whether a caller will await the decision.
+func (rt *Runtime) newCallState(members []ModuleAddr, caller bool) *callState {
 	cs := callStatePool.Get().(*callState)
-	cs.rt, cs.items = rt, items
+	cs.rt = rt
 	if len(members) <= len(cs.legsArr) {
 		cs.legs = cs.legsArr[:len(members)]
 	} else {
@@ -205,13 +237,112 @@ func (rt *Runtime) newCallState(items chan<- collate.Item, members []ModuleAddr)
 	}
 	for i, m := range members {
 		l := &cs.legs[i]
-		l.cs, l.idx, l.m = cs, i, m
+		l.cs, l.idx, l.m, l.waited = cs, i, m, true
 		l.done.Store(false)
 	}
+	cs.got = cs.gotArr[:0]
 	cs.open.Store(int32(len(members)) + 1)
-	cs.refs.Store(1)
+	refs := int32(1)
+	if caller {
+		refs++
+	}
+	cs.refs.Store(refs)
 	return cs
 }
+
+// collate readies cs to collate with opts' collator, and, for a
+// resilient caller rc, chooses the legs it waits for: those of the
+// members rc does not suspect, or all of them if it suspects every
+// one — suspicion is only a hint. A suspected member still gets the
+// call message, and its item still reaches rc, but it is evidence, not
+// input.
+func (cs *callState) collate(opts CallOptions, rc *ResilientCaller) {
+	active := len(cs.legs)
+	if rc != nil {
+		cs.rc = rc
+		active = 0
+		for i := range cs.legs {
+			l := &cs.legs[i]
+			l.waited = !rc.sus.Suspected(l.m)
+			if l.waited {
+				active++
+			}
+		}
+		if active == 0 {
+			for i := range cs.legs {
+				cs.legs[i].waited = true
+			}
+			active = len(cs.legs)
+		}
+	}
+	cs.pending = active
+	if opts.Collator != nil {
+		cs.col = opts.Collator(active)
+	} else {
+		cs.unan.Reset(active)
+		cs.col = &cs.unan
+	}
+}
+
+// add is a leg's item reaching its call. It runs while the message
+// layer still holds the return the item's Data views, so only a
+// collator that keeps the bytes copies them, and CallEach's channel
+// gets a copy of its own.
+func (cs *callState) add(l *leg, it collate.Item) {
+	if cs.rc != nil {
+		cs.rc.observe(l.m, it.Err)
+	}
+	wake := false
+	cs.mu.Lock()
+	switch {
+	case cs.each != nil:
+		it.Data = bytes.Clone(it.Data)
+		cs.each <- it // never blocks: a slot per member
+	case !cs.decided:
+		if _, ok := it.Err.(*StaleBindingError); ok {
+			cs.stale = true
+		}
+		if !l.waited {
+			break
+		}
+		cs.pending--
+		cs.got = append(cs.got, collate.Item{Member: it.Member, Err: it.Err})
+		if cs.col.Add(it) || cs.pending == 0 {
+			cs.decided, wake = true, true
+		}
+	}
+	cs.mu.Unlock()
+	if wake {
+		cs.wake <- struct{}{} // the caller holds cs until it has this
+	}
+}
+
+// await parks the caller until the call is decided, reads the
+// decision, and lets go of the state. n is the number of items the
+// collator saw; stale reports a stale-binding rejection before the
+// decision.
+func (cs *callState) await() (res []byte, n int, stale bool, err error) {
+	<-cs.wake
+	res, err = cs.col.Result()
+	if err != nil && errors.Is(err, collate.ErrAllFailed) {
+		err = summarizeFailure(cs.got)
+	}
+	n, stale = len(cs.got), cs.stale
+	cs.release()
+	return res, n, stale, err
+}
+
+// loneCollator is CallMember's: the member's item decides, whatever it
+// is.
+type loneCollator struct{ it collate.Item }
+
+func (c *loneCollator) Add(it collate.Item) bool {
+	c.it = it
+	c.it.Data = bytes.Clone(it.Data)
+	return true
+}
+
+func (c *loneCollator) Result() ([]byte, error) { return c.it.Data, c.it.Err }
 
 // issued ends the issuing of a call: every leg is now either finished
 // or observing its exchange, whose call number it knows, so the call's
@@ -270,9 +401,17 @@ func (cs *callState) release() {
 	if cs.refs.Add(-1) != 0 {
 		return
 	}
-	cs.rt, cs.items, cs.stopCtx = nil, nil, nil
+	cs.rt, cs.stopCtx, cs.each, cs.col, cs.rc = nil, nil, nil, nil, nil
+	cs.unan.Reset(0)
+	cs.lone = loneCollator{}
+	cs.pending, cs.decided, cs.stale = 0, false, false
+	clear(cs.gotArr[:])
+	cs.got = nil
 	clear(cs.legsArr[:])
 	cs.legs = nil
+	clear(cs.groupArr[:])
+	clear(cs.obsArr[:])
+	clear(cs.transfersArr[:])
 	callStatePool.Put(cs)
 }
 
@@ -294,6 +433,7 @@ type leg struct {
 	cs      *callState
 	idx     int
 	m       ModuleAddr
+	waited  bool // the collator waits for this member's item
 	done    atomic.Bool
 	callNum uint32 // set before the call message is transmitted
 }
@@ -301,8 +441,10 @@ type leg struct {
 // call sends one leg's pre-marshalled call message. BeginObservedCall
 // allocates the call number and registers the transfer with the leg as
 // observer; the leg records the number before the message goes on the
-// wire, and so before issued arms anything that may abandon it. A
-// closed runtime surfaces as ErrClosed from BeginObservedCall.
+// wire, and so before issued arms anything that may abandon it, and
+// lets go of the transfer, which the message layer reuses, at
+// Transmit. A closed runtime surfaces as ErrClosed from
+// BeginObservedCall.
 func (l *leg) call(data []byte) {
 	conn := l.cs.rt.conn
 	t, err := conn.BeginObservedCall(l.m.Addr, data, l)
@@ -316,8 +458,9 @@ func (l *leg) call(data []byte) {
 
 // Returned implements pairedmsg.CallObserver: the member's return
 // message arrived. The paired message layer holds the session lock and
-// has already forgotten the exchange. A garbled return is dropped, as
-// a lost one would be.
+// has already forgotten the exchange; the message's bytes are valid
+// until Returned returns, which covers the item's way into the
+// collator. A garbled return is dropped, as a lost one would be.
 func (l *leg) Returned(msg pairedmsg.Message) {
 	var ret returnHeader
 	if err := ret.unmarshal(msg.Data); err != nil {
@@ -349,13 +492,13 @@ func (l *leg) finish(it collate.Item, abandon bool) {
 	l.push(it)
 }
 
-// push hands the leg's item to the collator; the leg may be recycled
-// as soon as it returns. It never blocks, since items has a slot per
-// member, so it may run under the message layer's session lock.
+// push hands the leg's item to its call; the leg may be recycled as
+// soon as it returns. It never blocks, so it may run under the message
+// layer's session lock.
 func (l *leg) push(it collate.Item) {
 	cs := l.cs
 	cs.rt.traceReply(l.m, it)
-	cs.items <- it
+	cs.add(l, it)
 	cs.legDone()
 }
 
@@ -379,42 +522,19 @@ func (rt *Runtime) traceReply(m ModuleAddr, it collate.Item) {
 // among the troupe (§4.3.4); other collators trade that error
 // detection for latency.
 func (rt *Runtime) Call(ctx context.Context, dest Troupe, proc uint16, args []byte, opts CallOptions) ([]byte, error) {
-	n := dest.Degree()
-	if n == 0 {
+	if dest.Degree() == 0 {
 		return nil, ErrTroupeDown
 	}
-	mk := opts.Collator
-	if mk == nil {
-		mk = collate.Unanimous
-	}
-	c := mk(n)
 	var started time.Time
 	traced := rt.tr.EnabledFor(trace.KindCollateDone)
 	if traced {
 		started = time.Now()
 	}
-	items := rt.CallEach(ctx, dest, proc, args, opts)
-
-	var gotArr [8]collate.Item // typical troupe degrees, no heap growth
-	got := gotArr[:0]
-	for i := 0; i < n; i++ {
-		it, ok := <-items
-		if !ok {
-			break
-		}
-		got = append(got, it)
-		if c.Add(it) {
-			break
-		}
-	}
-	res, err := c.Result()
-	if err != nil && errors.Is(err, collate.ErrAllFailed) {
-		err = summarizeFailure(got)
-	}
+	res, n, _, err := rt.collated(ctx, dest, proc, args, opts, nil)
 	if traced {
 		e := trace.Event{Kind: trace.KindCollateDone,
 			Troupe: uint64(dest.ID), Proc: proc,
-			N: len(got), Dur: time.Since(started)}
+			N: n, Dur: time.Since(started)}
 		if err != nil {
 			e.Err = err.Error()
 		}
@@ -426,11 +546,21 @@ func (rt *Runtime) Call(ctx context.Context, dest Troupe, proc uint16, args []by
 	return res, nil
 }
 
+// collated is the one collation path of a replicated call, Call's and
+// a ResilientCaller's attempt's (rc): it issues the call to every
+// member of dest and parks until the collator decides.
+func (rt *Runtime) collated(ctx context.Context, dest Troupe, proc uint16, args []byte, opts CallOptions, rc *ResilientCaller) (res []byte, n int, stale bool, err error) {
+	cs := rt.newCallState(dest.Members, true)
+	cs.collate(opts, rc)
+	rt.issue(ctx, cs, dest, proc, args, opts)
+	return cs.await()
+}
+
 // CallMember performs a one-member procedure call: the call message
 // goes to a single troupe member and that member's lone reply is
-// returned directly, bypassing collation entirely — no collator, one
-// leg. It is the client half of a spread read (mesh routing a read to
-// one replica):
+// returned directly, with no collation — one leg, whose item decides
+// the call. It is the client half of a spread read (mesh routing a
+// read to one replica):
 // the member still deduplicates by thread ID and call path, so
 // exactly-once execution holds per attempt, but none of the error
 // detection of the replicated call applies — the caller has chosen to
@@ -440,25 +570,21 @@ func (rt *Runtime) CallMember(ctx context.Context, dest Troupe, member int, proc
 	if member < 0 || member >= len(dest.Members) {
 		return nil, errors.New("core: member index out of range")
 	}
-	items := make(chan collate.Item, 1)
-	hdr := rt.callHeader(ctx, dest, proc, args, &opts, 1)
-	hdr.Module = dest.Members[member].Module
-	data := hdr.marshal()
-	cs := rt.newCallState(items, dest.Members[member:member+1])
+	cs := rt.newCallState(dest.Members[member:member+1], true)
 	cs.legs[0].idx = member
-	cs.legs[0].call(data)
-	cs.issued(ctx, rt.timeout(opts))
-	it := <-items
+	cs.pending, cs.col = 1, &cs.lone
+	rt.issue(ctx, cs, dest, proc, args, opts)
+	res, _, _, err := cs.await()
 	// Yield once the reply is in. Every hop of a one-member call readies
 	// the next goroutine and blocks, so a caller looping on such calls
 	// would hold a processor through the scheduler's run-next slot while
 	// other runnable goroutines (replicated calls, fsync wake-ups) wait
 	// behind it; see DESIGN.md "Hot path".
 	runtime.Gosched()
-	if it.Err != nil {
-		return nil, it.Err
+	if err != nil {
+		return nil, err
 	}
-	return it.Data, nil
+	return res, nil
 }
 
 // summarizeFailure turns a set of items without a collated result into
@@ -499,11 +625,11 @@ func memberErr(err error) error {
 
 // decodeReturn turns a member's return header into its item. The
 // payload views the message, which is released once the leg is done
-// with it, so what escapes to the caller is copied here, once.
+// with it, so a collator that keeps it copies it (see package collate).
 func decodeReturn(idx int, m ModuleAddr, ret returnHeader) collate.Item {
 	switch ret.Status {
 	case statusOK:
-		return collate.Item{Member: idx, Data: bytes.Clone(ret.Payload)}
+		return collate.Item{Member: idx, Data: ret.Payload}
 	case statusAppError:
 		return collate.Item{Member: idx, Err: &AppError{Msg: string(ret.Payload)}}
 	case statusBadTroupe:

@@ -335,3 +335,82 @@ func TestDispatchWorkersRetireAfterBurst(t *testing.T) {
 	}
 	t.Logf("goroutines: %d before the burst, %d at its peak, %d after", before, peak, runtime.NumGoroutine())
 }
+
+// TestLegEarlyDecisionFeedsSuspicion: a first-come call decides on the
+// first answer while a slow member is still executing. The caller
+// returns on the decision and no goroutine waits for the straggler,
+// yet the straggler's later ErrMemberDown — its member crashed — still
+// reaches the ResilientCaller's suspicion tracker, from its leg.
+func TestLegEarlyDecisionFeedsSuspicion(t *testing.T) {
+	const calls = 32
+	c := newCluster(t, 52, 3, ExportOptions{})
+	slow, g := gate(t, c.servers[2:], 7)
+	tr := Troupe{Members: []ModuleAddr{c.troupe.Members[0], c.troupe.Members[1], slow.Members[0]}}
+	rc := NewResilientCaller(c.client, tr, ResilientOptions{Seed: 1})
+	before := runtime.NumGoroutine()
+	for i := 0; i < calls; i++ {
+		got, err := rc.Call(context.Background(), 1, []byte("f"), CallOptions{Collator: collate.FirstCome})
+		if err != nil || string(got) != "f" {
+			t.Fatalf("call %d: %q, %v", i, got, err)
+		}
+	}
+	g.waitEntered(t, calls)
+	// Each parked execution holds one server goroutine; a goroutine per
+	// call left waiting for the straggler would show beyond them.
+	extra := runtime.NumGoroutine() - before - int(g.entered.Load())
+	t.Logf("%d early-decided calls, stragglers parked: %d goroutines besides them", calls, extra)
+	if extra > 8 {
+		t.Errorf("%d goroutines beyond the parked executions after %d early-decided calls, want <= 8", extra, calls)
+	}
+	// The second fast member's leg of each call may still be ending.
+	waitFor(t, "only the stragglers' legs to be pending", func() bool {
+		return c.client.CallTable().Pending == calls
+	})
+	if rc.sus.Suspected(slow.Members[0]) {
+		t.Fatal("the slow member is suspected before it crashed")
+	}
+	c.net.Crash(slow.Members[0].Addr.Host)
+	waitDrained(t, c.client)
+	if n := rc.Stats().Suspected; n != calls {
+		t.Errorf("%d member-down observations, want one per straggler, %d", n, calls)
+	}
+	if !rc.sus.Suspected(slow.Members[0]) {
+		t.Error("the crashed member is not suspected")
+	}
+}
+
+// TestLegCallEachYieldsEveryItem: CallEach's channel is one sink on the
+// call's collation path. It yields exactly one item per member — the
+// slow member's too, after the others — and each item owns its Data,
+// which later calls reusing the pooled call state and message buffers
+// leave intact.
+func TestLegCallEachYieldsEveryItem(t *testing.T) {
+	c := newCluster(t, 53, 3, ExportOptions{})
+	slow, g := gate(t, c.servers[2:], 7)
+	tr := Troupe{Members: []ModuleAddr{c.troupe.Members[0], c.troupe.Members[1], slow.Members[0]}}
+	items := c.client.CallEach(context.Background(), tr, 1, []byte("each"), CallOptions{})
+	got := drainItems(t, items, 2)
+	g.release()
+	got = append(got, drainItems(t, items, 1)...)
+	for i := 0; i < 50; i++ {
+		if _, err := c.client.Call(context.Background(), c.troupe, 1, []byte("XXXX"), CallOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := make(map[int]bool)
+	for _, it := range got {
+		if it.Err != nil || string(it.Data) != "each" || seen[it.Member] {
+			t.Fatalf("member %d: %q, %v", it.Member, it.Data, it.Err)
+		}
+		seen[it.Member] = true
+	}
+	if !seen[2] {
+		t.Fatal("the slow member's item is missing")
+	}
+	select {
+	case it := <-items:
+		t.Fatalf("a fourth item %+v", it)
+	default:
+	}
+	waitDrained(t, c.client)
+}

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"circus/internal/collate"
 	"circus/internal/trace"
 )
 
@@ -351,83 +350,21 @@ func (c *ResilientCaller) sleep(ctx context.Context, d time.Duration) error {
 // attempt performs one replicated call over the current binding. The
 // call message still goes to EVERY member — suspected ones included,
 // so that every live member executes the call and troupe state does
-// not diverge — but collation waits only for the unsuspected members.
-// Replies from suspected members are drained in the background and
-// feed the tracker: answering clears suspicion, silence sustains it.
+// not diverge — but collation waits only for the unsuspected members
+// (callState.collate). Every member's item, early or late, reaches the
+// tracker from its leg: answering clears suspicion, silence sustains
+// it.
 func (c *ResilientCaller) attempt(ctx context.Context, proc uint16, args []byte, opts CallOptions) ([]byte, bool, error) {
 	t := c.Troupe()
-	n := t.Degree()
-	if n == 0 {
+	if t.Degree() == 0 {
 		return nil, false, ErrTroupeDown
 	}
-
-	var waitedArr [8]bool // typical troupe degrees, no heap growth
-	waited := waitedArr[:]
-	if n > len(waited) {
-		waited = make([]bool, n)
-	}
-	waited = waited[:n]
-	active := 0
-	for i, m := range t.Members {
-		if !c.sus.Suspected(m) {
-			waited[i] = true
-			active++
-		}
-	}
-	// Everyone suspected: suspicion is only a hint, so fall back to
-	// waiting on the whole troupe rather than failing outright.
-	if active == 0 {
-		for i := range waited {
-			waited[i] = true
-		}
-		active = n
-	}
-
-	mk := opts.Collator
-	if mk == nil {
-		mk = collate.Unanimous
-	}
-	col := mk(active)
-
-	items := c.rt.CallEach(ctx, t, proc, args, opts)
-	var gotArr [8]collate.Item // typical troupe degrees, no heap growth
-	got := gotArr[:0]
-	received, pending := 0, active
-	decided, staleSeen := false, false
-	for received < n && pending > 0 && !decided {
-		it, ok := <-items
-		if !ok {
-			break
-		}
-		received++
-		c.observe(t.Members[it.Member], it.Err)
-		// Members' errors arrive unwrapped (decodeReturn): a type
-		// assertion, unlike errors.As, needs no heap target.
-		if _, ok := it.Err.(*StaleBindingError); ok {
-			staleSeen = true
-		}
-		if !waited[it.Member] {
-			continue // a suspected member's reply: evidence, not input
-		}
-		pending--
-		got = append(got, it)
-		decided = col.Add(it)
-	}
-	if received < n {
-		c.drainLater(items, t, n-received)
-	}
-
-	res, err := col.Result()
-	if err == nil {
-		return res, staleSeen, nil
-	}
-	if errors.Is(err, collate.ErrAllFailed) {
-		return nil, staleSeen, summarizeFailure(got)
-	}
-	return nil, staleSeen, err
+	res, _, stale, err := c.rt.collated(ctx, t, proc, args, opts, c)
+	return res, stale, err
 }
 
-// observe updates the suspicion tracker with one member's outcome.
+// observe updates the suspicion tracker with one member's outcome. It
+// runs on the member's leg, under the message layer's session lock.
 func (c *ResilientCaller) observe(m ModuleAddr, err error) {
 	switch {
 	case err == nil:
@@ -436,19 +373,4 @@ func (c *ResilientCaller) observe(m ModuleAddr, err error) {
 		c.sus.Suspect(m, c.opts.SuspicionTTL)
 		c.suspected.Add(1)
 	}
-}
-
-// drainLater consumes the remaining items off the call's channel so
-// late evidence still reaches the suspicion tracker. Each member
-// contributes exactly one item, so the count bounds the goroutine.
-func (c *ResilientCaller) drainLater(items <-chan collate.Item, t Troupe, remaining int) {
-	go func() {
-		for i := 0; i < remaining; i++ {
-			it, ok := <-items
-			if !ok {
-				return
-			}
-			c.observe(t.Members[it.Member], it.Err)
-		}
-	}()
 }

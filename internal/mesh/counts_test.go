@@ -20,15 +20,16 @@ import (
 // three members. Each put writes a fresh key, so every one is a real
 // state change with a redo record. It read 106 allocations per put
 // with the reflective call, return and pair codecs, a fresh WAL frame
-// per record and a per-key log-position map, 68 without them, and 40
+// per record and a per-key log-position map, 68 without them, 40
 // once server call records and return messages lived in core's call
-// table and ResilientCaller's reply loop stopped allocating per reply;
-// the budget is two above that.
+// table and ResilientCaller's reply loop stopped allocating per reply,
+// and 26 once a call was collated where its returns land and the
+// message layer reused its transfers; the budget is two above that.
 func TestPutCounts(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
 	}
-	const maxAllocs = 42
+	const maxAllocs = 28
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	sim := circus.NewSimNetwork(40)

@@ -253,9 +253,11 @@ type session struct {
 	sendQ     []outFrame
 	sendSpare []outFrame // drained queue, recycled to avoid reallocation
 	pend      map[sessKey]pendAck
-	flushing  bool // a flusher is draining sendQ+pend
+	acks      []segHeader // the flusher's drained pend, reused every flush
+	flushing  bool        // a flusher is draining sendQ+pend
 	ackTimer  *time.Timer
 	ackArmed  bool
+	ackTicks  int // ack timer ticks that found acks pending since pend was last drained
 	paceTimer *time.Timer
 	paceArmed bool
 }
@@ -300,20 +302,30 @@ type outTransfer struct {
 	missed    int
 	nextProbe time.Time
 
-	// Pooled single-segment wire buffer. The buffer can be recycled
-	// only when no retransmission can enqueue it again (ended: the
-	// transfer left its session's out table) AND no already-queued
-	// frame still references it (wireRefs: incremented per enqueued
-	// frame, decremented after the flusher hands it to the transport).
-	// Both conditions flip on different goroutines, so whichever
-	// observer sees the other's condition met claims the recycle via
-	// the recycled flag. A buffer never recycled (e.g. frames dropped
-	// by Close) is garbage-collected — safe, just unpooled.
-	backing  *[]byte
-	wireRefs atomic.Int32
-	ended    atomic.Bool
-	recycled atomic.Bool
+	// Recycling. The pooled single-segment wire buffer (backing) and,
+	// for a pooled transfer, the transfer itself can be recycled only
+	// when its protocol life has ended (it left its session's out table,
+	// and an observed call its watch table too, so no retransmission or
+	// probe can reference it again) AND no already-queued frame still
+	// references its segments. refs counts both: one for the life,
+	// dropped once by end (ended guards it), and one per enqueued frame,
+	// dropped by unref after the flusher hands the frame to the
+	// transport. Whoever drops the last recycles. Anything never
+	// recycled (e.g. frames dropped by Close) is garbage-collected —
+	// safe, just unpooled.
+	backing *[]byte
+	refs    atomic.Int32
+	ended   atomic.Bool
+	// pooled marks a transfer no caller holds — an observed call's or a
+	// Reply's — which goes back to outPool, backing and all, once
+	// recycled. Transfers handed to callers (StartSend, BeginCall,
+	// multicast) are never reused.
+	pooled bool
 }
+
+// outPool recycles pooled transfers (see outTransfer.pooled), each
+// keeping its single-segment wire buffer.
+var outPool = sync.Pool{New: func() any { return &outTransfer{pooled: true} }}
 
 // segBufs pools single-segment wire buffers: header plus payload of a
 // message that fits one datagram, the overwhelmingly common case on
@@ -325,14 +337,18 @@ var segBufs = sync.Pool{New: func() any {
 
 // fill builds the transfer's segment vector for msg, using the
 // in-place single-segment fast path (with pooled backing) when it fits
-// one datagram. It leaves one wire reference held — the
-// pre-transmission hold, released by the initial-transmission enqueue
-// (or the error path) via wireDone — so an early completion racing the
-// initial Transmit can never recycle the backing out from under it.
+// one datagram. It takes the life reference and one wire reference —
+// the pre-transmission hold, released by the initial-transmission
+// enqueue (or the error path) via unref — so an early completion
+// racing the initial Transmit can never recycle the transfer out from
+// under it.
 func (t *outTransfer) fill(typ MsgType, callNum uint32, msg []byte) error {
-	t.wireRefs.Store(1)
+	t.refs.Store(2)
 	if len(msg) <= maxSegPayload {
-		bp := segBufs.Get().(*[]byte)
+		bp := t.backing
+		if bp == nil {
+			bp = segBufs.Get().(*[]byte)
+		}
 		backing := (*bp)[:headerLen+len(msg)]
 		segHeader{typ: typ, totalSegs: 1, segNum: 1, callNum: callNum}.put(backing)
 		copy(backing[headerLen:], msg)
@@ -350,29 +366,39 @@ func (t *outTransfer) fill(typ MsgType, callNum uint32, msg []byte) error {
 	return nil
 }
 
-// endWire marks the transfer as gone from its session's out table —
-// no future retransmission pass can reference its segments — and
-// recycles the pooled backing if no queued frame still does. Safe to
-// call more than once.
-func (t *outTransfer) endWire() {
-	t.ended.Store(true)
-	if t.backing != nil && t.wireRefs.Load() == 0 {
-		t.recycleBacking()
+// end marks the transfer's protocol life over — it left its session's
+// out table and, if it was an observed call, its watch table, so no
+// retransmission or probe can reference its segments again — and
+// recycles it if no queued frame still does. Only the code that took
+// the transfer out of its session's tables, under the session lock,
+// may call it, or the code still holding the pre-transmission hold;
+// a second call in the same life does nothing.
+func (t *outTransfer) end() {
+	if t.ended.CompareAndSwap(false, true) {
+		t.unref()
 	}
 }
 
-// wireDone drops one queued-frame reference after the transport has
-// consumed the frame.
-func (t *outTransfer) wireDone() {
-	if t.wireRefs.Add(-1) == 0 && t.ended.Load() && t.backing != nil {
-		t.recycleBacking()
+// unref drops one reference: a queued frame's, after the transport
+// has consumed it, or the life's (end).
+func (t *outTransfer) unref() {
+	if t.refs.Add(-1) == 0 {
+		t.recycle()
 	}
 }
 
-func (t *outTransfer) recycleBacking() {
-	if t.recycled.CompareAndSwap(false, true) {
-		segBufs.Put(t.backing)
+// recycle returns a pooled transfer to outPool, keeping its wire
+// buffer, and any other transfer's wire buffer to segBufs.
+func (t *outTransfer) recycle() {
+	if !t.pooled {
+		if t.backing != nil {
+			segBufs.Put(t.backing)
+		}
+		return
 	}
+	backing := t.backing
+	*t = outTransfer{backing: backing, pooled: true}
+	outPool.Put(t)
 }
 
 // stampCallNum rewrites the call number in every prepared segment
@@ -796,6 +822,7 @@ func (c *Conn) Close() error {
 		for k, t := range s.watches {
 			delete(s.watches, k)
 			t.obs.CallFailed(ErrClosed)
+			t.end()
 		}
 		s.mu.Unlock()
 		// Stop the delayed-ack and coalesce timers and drop anything
@@ -809,11 +836,9 @@ func (c *Conn) Close() error {
 		if s.paceTimer != nil {
 			s.paceTimer.Stop()
 		}
-		s.ackArmed, s.paceArmed = false, false
+		s.ackArmed, s.ackTicks, s.paceArmed = false, 0, false
 		s.sendQ, s.sendSpare = nil, nil
-		for k := range s.pend {
-			delete(s.pend, k)
-		}
+		clear(s.pend)
 		s.sendMu.Unlock()
 	}
 	close(c.stop)
@@ -878,7 +903,7 @@ func (c *Conn) Await(ctx context.Context, t *outTransfer) error {
 		k := mkKey(t.typ, t.callNum)
 		if cur, ok := s.out[k]; ok && cur == t {
 			delete(s.out, k)
-			t.endWire()
+			t.end()
 		}
 		s.mu.Unlock()
 		return ctx.Err()
@@ -936,20 +961,28 @@ func (c *Conn) BeginCall(to transport.Addr, msg []byte) (*outTransfer, error) {
 // exchange; it records the call number before Transmit, and abandons
 // an exchange it has stopped waiting for with Abandon. A nil obs gives
 // BeginCall's transfer.
+//
+// An observed call's transfer is reused once its exchange has ended, so
+// its caller must not touch it after Transmit.
 func (c *Conn) BeginObservedCall(to transport.Addr, msg []byte, obs CallObserver) (*outTransfer, error) {
-	t := &outTransfer{peer: to, typ: Call, obs: obs}
-	if obs == nil {
-		t.done = make(chan struct{})
+	var t *outTransfer
+	if obs != nil {
+		t = outPool.Get().(*outTransfer)
+	} else {
+		t = &outTransfer{done: make(chan struct{})}
 	}
+	t.peer, t.typ, t.obs = to, Call, obs
 	if err := t.fill(Call, 0, msg); err != nil {
+		t.end()
+		t.unref()
 		return nil, err
 	}
 	s := c.session(to)
 	s.mu.Lock()
 	if c.closed.Load() {
 		s.mu.Unlock()
-		t.endWire()
-		t.wireDone()
+		t.end()
+		t.unref()
 		return nil, ErrClosed
 	}
 	s.nextCall++
@@ -972,7 +1005,7 @@ func (c *Conn) BeginObservedCall(to transport.Addr, msg []byte, obs CallObserver
 		s.mu.Lock()
 		c.completeOutLocked(s, t, ErrClosed)
 		s.mu.Unlock()
-		t.wireDone() // Transmit will never run to release the hold
+		t.unref() // Transmit will never run to release the hold
 		return nil, ErrClosed
 	}
 	c.stats.segmentsSent.Add(int64(len(t.segs)))
@@ -987,11 +1020,11 @@ func (c *Conn) Transmit(t *outTransfer) {
 	s := c.session(t.peer)
 	s.sendMu.Lock()
 	for _, seg := range t.segs {
-		t.wireRefs.Add(1)
+		t.refs.Add(1)
 		s.sendQ = append(s.sendQ, outFrame{seg: seg, t: t})
 	}
 	c.flushOrSchedule(s, t.pace)
-	t.wireDone() // release the pre-transmission hold taken by fill
+	t.unref() // release the pre-transmission hold taken by fill
 }
 
 // BeginCallMulticast is the multicast analog of BeginObservedCall: it
@@ -1003,48 +1036,55 @@ func (c *Conn) Transmit(t *outTransfer) {
 // delivery reliability varies from recipient to recipient (§2.2). The
 // caller records the call number and then calls TransmitMulticast.
 func (c *Conn) BeginCallMulticast(group []transport.Addr, msg []byte, obs []CallObserver) ([]Transfer, uint32, error) {
+	return c.AppendCallMulticast(nil, group, msg, obs)
+}
+
+// AppendCallMulticast is BeginCallMulticast appending the transfers to
+// dst, so that a caller with room for them allocates no slice.
+func (c *Conn) AppendCallMulticast(dst []Transfer, group []transport.Addr, msg []byte, obs []CallObserver) ([]Transfer, uint32, error) {
 	if _, ok := c.ep.(transport.Multicaster); !ok {
-		return nil, 0, ErrNoMulticast
+		return dst, 0, ErrNoMulticast
 	}
 	segs, err := segmentMessage(Call, 0, msg)
 	if err != nil {
-		return nil, 0, err
+		return dst, 0, err
 	}
 
 	c.multiMu.Lock()
 	defer c.multiMu.Unlock()
 	if c.closed.Load() {
-		return nil, 0, ErrClosed
+		return dst, 0, ErrClosed
 	}
 	callNum := c.nextMulticastLocked()
 	for _, s := range segs {
 		binary.BigEndian.PutUint32(s[callNumOff:], callNum)
 	}
-	transfers := make([]Transfer, len(group))
-	registered := make([]*outTransfer, 0, len(group))
+	first := len(dst)
 	for i, to := range group {
 		t := &outTransfer{peer: to, typ: Call, callNum: callNum, segs: segs, obs: obs[i]}
+		t.refs.Store(1) // its life: TransmitMulticast queues no frame
 		if t.obs == nil {
 			t.done = make(chan struct{})
 		}
 		if _, err := c.register(c.session(to), t); err != nil {
-			for _, r := range registered {
+			for _, r := range dst[first:] {
+				r := r.(*outTransfer)
 				rs := c.session(r.peer)
 				rs.mu.Lock()
 				c.completeOutLocked(rs, r, ErrClosed)
 				rs.mu.Unlock()
 			}
-			return nil, 0, err
+			clear(dst[first:])
+			return dst[:first], 0, err
 		}
 		if c.tr.EnabledFor(trace.KindMsgSend) {
 			c.tr.Emit(trace.Event{Kind: trace.KindMsgSend, Peer: to,
 				MsgType: uint8(Call), CallNum: callNum, N: len(segs)})
 		}
-		transfers[i] = t
-		registered = append(registered, t)
+		dst = append(dst, t)
 	}
 	c.stats.segmentsSent.Add(int64(len(segs))) // one multicast op per segment
-	return transfers, callNum, nil
+	return dst, callNum, nil
 }
 
 // TransmitMulticast performs the initial transmission of transfers
@@ -1063,7 +1103,7 @@ func (c *Conn) TransmitMulticast(group []transport.Addr, transfers []Transfer) {
 // StartSend begins a reliable transfer without blocking; the returned
 // transfer's Done and Err report how it fared.
 func (c *Conn) StartSend(to transport.Addr, typ MsgType, callNum uint32, msg []byte) (*outTransfer, error) {
-	return c.startSend(to, typ, callNum, msg, make(chan struct{}))
+	return c.startSend(&outTransfer{done: make(chan struct{})}, to, typ, callNum, msg)
 }
 
 // Reply sends the return message of exchange callNum without blocking
@@ -1071,22 +1111,25 @@ func (c *Conn) StartSend(to transport.Addr, typ MsgType, callNum uint32, msg []b
 // continuing to serve (§4.3.2), and nobody awaits one's
 // acknowledgment. An error means the message was never queued.
 func (c *Conn) Reply(to transport.Addr, callNum uint32, msg []byte) error {
-	_, err := c.startSend(to, Return, callNum, msg, nil)
+	_, err := c.startSend(outPool.Get().(*outTransfer), to, Return, callNum, msg)
 	return err
 }
 
-// startSend registers and transmits a transfer; done, if not nil, is
-// closed when it completes.
-func (c *Conn) startSend(to transport.Addr, typ MsgType, callNum uint32, msg []byte, done chan struct{}) (*outTransfer, error) {
-	t := &outTransfer{peer: to, typ: typ, callNum: callNum, done: done}
+// startSend registers and transmits t; its done channel, if not nil,
+// is closed when it completes. A pooled t may be reused as soon as
+// startSend returns, so its caller discards it.
+func (c *Conn) startSend(t *outTransfer, to transport.Addr, typ MsgType, callNum uint32, msg []byte) (*outTransfer, error) {
+	t.peer, t.typ, t.callNum = to, typ, callNum
 	if err := t.fill(typ, callNum, msg); err != nil {
+		t.end()
+		t.unref()
 		return nil, err
 	}
 	s := c.session(to)
 	inFlight, err := c.register(s, t)
 	if err != nil {
-		t.endWire()
-		t.wireDone()
+		t.end()
+		t.unref()
 		return nil, err
 	}
 	c.stats.segmentsSent.Add(int64(len(t.segs)))
@@ -1100,7 +1143,7 @@ func (c *Conn) startSend(to transport.Addr, typ MsgType, callNum uint32, msg []b
 	// same peer rides along.
 	s.sendMu.Lock()
 	for _, seg := range t.segs {
-		t.wireRefs.Add(1)
+		t.refs.Add(1)
 		s.sendQ = append(s.sendQ, outFrame{seg: seg, t: t})
 	}
 	// The return of a multicast call (multicastBit) is never paced. Its caller's call messages
@@ -1110,7 +1153,7 @@ func (c *Conn) startSend(to transport.Addr, typ MsgType, callNum uint32, msg []b
 	// waits for this return, would only wait out the coalesce timer.
 	pace := inFlight >= paceInFlightMin && (typ != Return || callNum&multicastBit == 0)
 	c.flushOrSchedule(s, pace)
-	t.wireDone() // release the pre-transmission hold taken by fill
+	t.unref() // release the pre-transmission hold taken by fill
 	return t, nil
 }
 
@@ -1131,9 +1174,12 @@ func (c *Conn) Abandon(to transport.Addr, callNum uint32) {
 	s.mu.Lock()
 	if t, ok := s.out[k]; ok && t.obs != nil {
 		delete(s.out, k)
-		t.endWire()
+		t.end()
 	}
-	delete(s.watches, k)
+	if w, ok := s.watches[k]; ok {
+		delete(s.watches, k)
+		w.end()
+	}
 	s.mu.Unlock()
 }
 
@@ -1242,9 +1288,12 @@ func (c *Conn) handleData(from transport.Addr, h segHeader, payload []byte, buf 
 	s.aliveLocked(h.callNum)
 
 	// A return segment implicitly acknowledges all segments of the
-	// call bearing the same call number (§4.2.2).
+	// call bearing the same call number (§4.2.2). A one-segment return
+	// completes an observed call at once: deliverLocked takes the call
+	// straight from the out table to its observer, with no stop in the
+	// watch table.
 	if h.typ == Return {
-		if t, ok := s.out[mkKey(Call, h.callNum)]; ok {
+		if t, ok := s.out[mkKey(Call, h.callNum)]; ok && (t.obs == nil || h.totalSegs != 1) {
 			c.completeOutLocked(s, t, nil)
 		}
 	}
@@ -1388,13 +1437,22 @@ func (c *Conn) deliverLocked(s *session, in *inTransfer, typ MsgType, callNum ui
 		Data: in.assembled, buf: in.justBuf}
 	var w *outTransfer
 	if typ == Return {
-		w = s.watches[mkKey(Call, callNum)]
+		// An observed call is awaiting its return in the watch table, or,
+		// when the return implicitly acknowledges it, still in the out
+		// table. The observer is its only route, so the return never
+		// waits for the queue.
+		k := mkKey(Call, callNum)
+		if w = s.watches[k]; w != nil {
+			delete(s.watches, k)
+		} else if w = s.out[k]; w != nil && w.obs != nil {
+			delete(s.out, k)
+		} else {
+			w = nil
+		}
 	}
 	if w != nil {
-		// The implicit ack moved the call into watches; the observer
-		// is its only route, so the return never waits for the queue.
-		delete(s.watches, mkKey(Call, callNum))
 		w.obs.Returned(msg)
+		w.end()
 		msg.Release()
 	} else {
 		select {
@@ -1485,13 +1543,49 @@ func (c *Conn) queueAck(s *session, typ MsgType, callNum uint32, ackNum, total i
 		return
 	}
 	if !s.ackArmed && !s.flushing {
-		s.ackArmed = true
-		d := c.ackDelay()
+		s.ackArmed, s.ackTicks = true, 0
 		if s.ackTimer == nil {
-			s.ackTimer = time.AfterFunc(d, func() { c.kickFlush(s, false) })
+			s.ackTimer = time.AfterFunc(c.ackTick(), func() { c.ackTicked(s) })
 		} else {
-			s.ackTimer.Reset(d)
+			s.ackTimer.Reset(c.ackTick())
 		}
+	}
+	s.sendMu.Unlock()
+}
+
+// ackTicksPerDelay is how many ticks of the delayed-ack timer make one
+// ackDelay.
+const ackTicksPerDelay = 4
+
+// ackTick is the delayed-ack timer's period.
+func (c *Conn) ackTick() time.Duration { return c.ackDelay() / ackTicksPerDelay }
+
+// ackTicked is the delayed-ack timer's body. The timer is armed once
+// and then ticks every ackTick while acks are pending; a flush that
+// carries them away does not stop it, and one that drains them resets
+// ackTicks. Every pending ack was queued since the last drain, and
+// before the first tick that counted it, so when ackTicksPerDelay
+// ticks have found acks pending the oldest has waited more than
+// ackDelay less one tick, and they all go now. So an ack leaves within
+// ackDelay of being queued and keeps nearly all of that for a chance
+// to piggyback, with no clock read and no timer stopped or re-armed
+// per flush.
+func (c *Conn) ackTicked(s *session) {
+	s.sendMu.Lock()
+	switch {
+	case c.closed.Load() || len(s.pend) == 0 || s.flushing:
+		// Nothing pending, or a flusher is draining it: disarm until
+		// the next queueAck finds no flusher.
+		s.ackArmed, s.ackTicks = false, 0
+	case s.ackTicks+1 < ackTicksPerDelay:
+		s.ackTicks++
+		s.ackTimer.Reset(c.ackTick())
+	default:
+		s.ackArmed, s.ackTicks = false, 0
+		s.flushing = true
+		s.sendMu.Unlock()
+		c.flushLoop(s)
+		return
 	}
 	s.sendMu.Unlock()
 }
@@ -1518,7 +1612,7 @@ func (c *Conn) flushOrSchedule(s *session, pace bool) {
 		s.paceArmed = true
 		c.stats.paced.Add(1)
 		if s.paceTimer == nil {
-			s.paceTimer = time.AfterFunc(coalesceWindow, func() { c.kickFlush(s, true) })
+			s.paceTimer = time.AfterFunc(coalesceWindow, func() { c.kickFlush(s) })
 		} else {
 			s.paceTimer.Reset(coalesceWindow)
 		}
@@ -1530,16 +1624,12 @@ func (c *Conn) flushOrSchedule(s *session, pace bool) {
 	c.flushLoop(s)
 }
 
-// kickFlush is the delayed-ack / coalesce timer callback: it starts a
-// flush unless one is active, the queue emptied meanwhile, or the Conn
-// closed under it.
-func (c *Conn) kickFlush(s *session, pace bool) {
+// kickFlush is the coalesce timer callback: it starts a flush unless
+// one is active, the queue emptied meanwhile, or the Conn closed under
+// it.
+func (c *Conn) kickFlush(s *session) {
 	s.sendMu.Lock()
-	if pace {
-		s.paceArmed = false
-	} else {
-		s.ackArmed = false
-	}
+	s.paceArmed = false
 	if c.closed.Load() || s.flushing || (len(s.sendQ) == 0 && len(s.pend) == 0) {
 		s.sendMu.Unlock()
 		return
@@ -1557,14 +1647,11 @@ func (c *Conn) kickFlush(s *session, pace bool) {
 // enqueued during a transmission is picked up by the next iteration,
 // so a burst arriving while the wire is busy coalesces naturally.
 func (c *Conn) flushLoop(s *session) {
-	var acks []segHeader
 	for {
 		s.sendMu.Lock()
 		if c.closed.Load() {
 			s.sendQ = nil
-			for k := range s.pend {
-				delete(s.pend, k)
-			}
+			clear(s.pend)
 		}
 		if len(s.sendQ) == 0 && len(s.pend) == 0 {
 			s.flushing = false
@@ -1578,7 +1665,7 @@ func (c *Conn) flushLoop(s *session) {
 			s.sendQ = nil
 		}
 		s.sendSpare = frames // recycled as the active queue next drain
-		acks = acks[:0]
+		acks := s.acks[:0]
 		for k, pa := range s.pend {
 			acks = append(acks, segHeader{
 				typ:       k.typ(),
@@ -1587,12 +1674,9 @@ func (c *Conn) flushLoop(s *session) {
 				segNum:    uint8(pa.ackNum),
 				callNum:   k.callNum(),
 			})
-			delete(s.pend, k)
 		}
-		if s.ackArmed {
-			s.ackTimer.Stop()
-			s.ackArmed = false
-		}
+		clear(s.pend)
+		s.acks, s.ackTicks = acks, 0
 		if s.paceArmed {
 			s.paceTimer.Stop()
 			s.paceArmed = false
@@ -1606,7 +1690,7 @@ func (c *Conn) flushLoop(s *session) {
 			t := frames[i].t
 			frames[i] = outFrame{}
 			if t != nil {
-				t.wireDone()
+				t.unref()
 			}
 		}
 	}
@@ -1622,7 +1706,6 @@ func (c *Conn) completeOutLocked(s *session, t *outTransfer, err error) {
 		return
 	}
 	delete(s.out, k)
-	t.endWire()
 	if err == ErrPeerDown && c.tr.EnabledFor(trace.KindCrashSuspect) {
 		c.tr.Emit(trace.Event{Kind: trace.KindCrashSuspect, Peer: t.peer,
 			MsgType: uint8(t.typ), CallNum: t.callNum,
@@ -1640,7 +1723,9 @@ func (c *Conn) completeOutLocked(s *session, t *outTransfer, err error) {
 		t.missed = 0
 		t.nextProbe = time.Now().Add(c.opts.ProbeInterval)
 		s.watches[k] = t
+		return // its life goes on in the watch table
 	}
+	t.end()
 }
 
 // timerLoop drives retransmission, probing, and replay-record expiry.
@@ -1708,7 +1793,7 @@ func (c *Conn) timerPassSession(s *session) {
 		}
 		nsegs := 0
 		for i := t.acked + 1; i <= last && i <= len(t.segs); i++ {
-			t.wireRefs.Add(1)
+			t.refs.Add(1)
 			frames = append(frames, outFrame{seg: t.segs[i-1], pa: true, t: t})
 			nsegs++
 		}
@@ -1738,6 +1823,7 @@ func (c *Conn) timerPassSession(s *session) {
 			}
 			delete(s.watches, k)
 			w.obs.CallFailed(ErrPeerDown)
+			w.end()
 			continue
 		}
 		c.stats.probesSent.Add(1)

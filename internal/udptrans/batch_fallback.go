@@ -11,7 +11,18 @@ import "circus/internal/transport"
 
 func (e *Endpoint) sendBatch(dgrams []transport.Datagram) error {
 	for _, d := range dgrams {
+		e.sendCalls.Add(1)
 		if _, err := e.conn.WriteToUDPAddrPort(d.Data, toAddrPort(d.To)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (e *Endpoint) multicast(group []transport.Addr, data []byte) error {
+	for _, to := range group {
+		e.sendCalls.Add(1)
+		if _, err := e.conn.WriteToUDPAddrPort(data, toAddrPort(to)); err != nil {
 			return err
 		}
 	}

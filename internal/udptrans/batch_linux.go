@@ -68,13 +68,16 @@ const sendBatchMax = 16
 // pooled, and its write callback bound once, so a warm batch of up to
 // sendBatchMax datagrams allocates nothing.
 type sendScratch struct {
-	sas   [sendBatchMax]syscall.RawSockaddrInet4
-	iovs  [sendBatchMax]syscall.Iovec
-	hdrs  [sendBatchMax]mmsghdr
-	batch []mmsghdr // the headers being sent
-	sent  int
-	err   error
-	write func(fd uintptr) bool // s.sendmmsg
+	sasArr  [sendBatchMax]syscall.RawSockaddrInet4
+	iovsArr [sendBatchMax]syscall.Iovec
+	hdrsArr [sendBatchMax]mmsghdr
+	sas     []syscall.RawSockaddrInet4 // the arrays, or larger ones for a larger batch
+	iovs    []syscall.Iovec
+	batch   []mmsghdr // the headers being sent
+	sent    int
+	err     error
+	calls   *atomic.Int64         // the endpoint's sendCalls
+	write   func(fd uintptr) bool // s.sendmmsg
 }
 
 var sendScratches = sync.Pool{New: func() any {
@@ -83,39 +86,66 @@ var sendScratches = sync.Pool{New: func() any {
 	return s
 }}
 
+// scratch takes a pooled sendScratch sized for n datagrams.
+func (e *Endpoint) scratch(n int) *sendScratch {
+	s := sendScratches.Get().(*sendScratch)
+	if n <= sendBatchMax {
+		s.sas, s.iovs, s.batch = s.sasArr[:n], s.iovsArr[:n], s.hdrsArr[:n]
+	} else {
+		s.sas = make([]syscall.RawSockaddrInet4, n)
+		s.iovs = make([]syscall.Iovec, n)
+		s.batch = make([]mmsghdr, n)
+	}
+	s.calls = &e.sendCalls
+	return s
+}
+
+// put addresses datagram i of the batch: data to to.
+func (s *sendScratch) put(i int, to transport.Addr, data []byte) {
+	putSockaddr(&s.sas[i], to)
+	s.iovs[i] = syscall.Iovec{}
+	if len(data) > 0 {
+		s.iovs[i].Base = &data[0]
+	}
+	s.iovs[i].SetLen(len(data))
+	h := &s.batch[i].hdr
+	h.Name = (*byte)(unsafe.Pointer(&s.sas[i]))
+	h.Namelen = uint32(unsafe.Sizeof(s.sas[i]))
+	h.Iov = &s.iovs[i]
+	h.Iovlen = 1
+}
+
 // sendBatch transmits the datagrams with as few sendmmsg calls as the
 // socket buffer allows, waiting for writability between partial sends.
 // Every message carries its own destination, so a flush to mixed
 // peers is still one call.
 func (e *Endpoint) sendBatch(dgrams []transport.Datagram) error {
-	s := sendScratches.Get().(*sendScratch)
-	sas, iovs, hdrs := s.sas[:], s.iovs[:], s.hdrs[:]
-	if len(dgrams) > sendBatchMax {
-		sas = make([]syscall.RawSockaddrInet4, len(dgrams))
-		iovs = make([]syscall.Iovec, len(dgrams))
-		hdrs = make([]mmsghdr, len(dgrams))
-	}
+	s := e.scratch(len(dgrams))
 	for i := range dgrams {
-		d := &dgrams[i]
-		putSockaddr(&sas[i], d.To)
-		if len(d.Data) > 0 {
-			iovs[i].Base = &d.Data[0]
-		}
-		iovs[i].SetLen(len(d.Data))
-		h := &hdrs[i].hdr
-		h.Name = (*byte)(unsafe.Pointer(&sas[i]))
-		h.Namelen = uint32(unsafe.Sizeof(sas[i]))
-		h.Iov = &iovs[i]
-		h.Iovlen = 1
+		s.put(i, dgrams[i].To, dgrams[i].Data)
 	}
-	s.batch, s.sent, s.err = hdrs[:len(dgrams)], 0, nil
+	return e.send(s)
+}
+
+// multicast is sendBatch of data to every member of group.
+func (e *Endpoint) multicast(group []transport.Addr, data []byte) error {
+	s := e.scratch(len(group))
+	for i, to := range group {
+		s.put(i, to, data)
+	}
+	return e.send(s)
+}
+
+// send transmits the batch s was filled with and pools s again.
+func (e *Endpoint) send(s *sendScratch) error {
+	s.sent, s.err = 0, nil
 	err := e.raw.Write(s.write)
 	if err == nil {
 		err = s.err
 	}
 	// Drop the references to the caller's buffers before pooling.
-	clear(s.iovs[:])
-	s.batch, s.err = nil, nil
+	clear(s.iovsArr[:])
+	s.sas, s.iovs, s.batch, s.err = nil, nil, nil, nil
 	sendScratches.Put(s)
 	return err
 }
@@ -124,6 +154,7 @@ func (e *Endpoint) sendBatch(dgrams []transport.Datagram) error {
 // reporting false to wait for writability after a partial send.
 func (s *sendScratch) sendmmsg(fd uintptr) bool {
 	for s.sent < len(s.batch) {
+		s.calls.Add(1)
 		n, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
 			uintptr(unsafe.Pointer(&s.batch[s.sent])), uintptr(len(s.batch)-s.sent), 0, 0, 0)
 		if errno == syscall.EAGAIN {

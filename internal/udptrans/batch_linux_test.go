@@ -104,3 +104,52 @@ func TestShortBatchWaitsWithoutProbing(t *testing.T) {
 			idle, chain, chain/10)
 	}
 }
+
+// TestSendBatchWarmOneSendmmsg: a batch of sendBatchMax datagrams
+// leaves in one sendmmsg system call, and a multicast to a group of
+// three in one more; every datagram arrives.
+func TestSendBatchWarmOneSendmmsg(t *testing.T) {
+	a, err := Listen(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := Listen(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	var got atomic.Int64
+	b.SetHandler(func(p transport.Packet) {
+		p.Buf.Release()
+		got.Add(1)
+	})
+	batch := make([]transport.Datagram, sendBatchMax)
+	for i := range batch {
+		batch[i] = transport.Datagram{To: b.Addr(), Data: []byte{byte(i)}}
+	}
+	if err := a.SendBatch(batch); err != nil { // warm the scratch pool
+		t.Fatal(err)
+	}
+	calls := a.sendCalls.Load()
+	if err := a.SendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if n := a.sendCalls.Load() - calls; n != 1 {
+		t.Errorf("a warm %d-datagram SendBatch made %d send calls, want 1", len(batch), n)
+	}
+	calls = a.sendCalls.Load()
+	if err := a.Multicast([]transport.Addr{b.Addr(), b.Addr(), b.Addr()}, []byte("m")); err != nil {
+		t.Fatal(err)
+	}
+	if n := a.sendCalls.Load() - calls; n != 1 {
+		t.Errorf("a multicast to 3 made %d send calls, want 1", n)
+	}
+	want := int64(2*sendBatchMax + 3)
+	for deadline := time.Now().Add(2 * time.Second); got.Load() < want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := got.Load(); n != want {
+		t.Fatalf("received %d of %d datagrams", n, want)
+	}
+}

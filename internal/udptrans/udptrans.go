@@ -39,6 +39,9 @@ type Endpoint struct {
 	drained chan struct{} // closed when the drain goroutine returns
 	closed  atomic.Bool
 
+	// sendCalls counts the system calls that sent: a write, or a
+	// sendmmsg, of which one SendBatch or Multicast may need several.
+	sendCalls atomic.Int64
 	// idleRecvs counts receive calls that found the socket empty
 	// (EAGAIN): system calls that carried nothing.
 	idleRecvs atomic.Int64
@@ -152,6 +155,7 @@ func (e *Endpoint) Send(to transport.Addr, data []byte) error {
 	if e.closed.Load() {
 		return transport.ErrClosed
 	}
+	e.sendCalls.Add(1)
 	_, err := e.conn.WriteToUDPAddrPort(data, toAddrPort(to))
 	return err
 }
@@ -175,13 +179,17 @@ func (e *Endpoint) SendBatch(dgrams []transport.Datagram) error {
 
 // Multicast sends data to every group member; UDP has no true
 // multicast primitive here, so this is a batched unicast fan-out
-// (§4.3.3's software multicast), one kernel crossing via SendBatch.
+// (§4.3.3's software multicast), one kernel crossing as in SendBatch.
 func (e *Endpoint) Multicast(group []transport.Addr, data []byte) error {
-	dgrams := make([]transport.Datagram, len(group))
-	for i, to := range group {
-		dgrams[i] = transport.Datagram{To: to, Data: data}
+	for _, to := range group {
+		if err := check(to, data); err != nil {
+			return err
+		}
 	}
-	return e.SendBatch(dgrams)
+	if e.closed.Load() {
+		return transport.ErrClosed
+	}
+	return e.multicast(group, data)
 }
 
 // Close shuts the socket and waits for the drain goroutine to observe
